@@ -11,7 +11,7 @@ import secrets
 import sys
 from importlib import resources
 
-from . import isa, keccak, machine as machine_mod, modmath, nttcore, protocols
+from . import isa, keccak, machine as machine_mod, modmath, nttcore, polycache, protocols
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -67,12 +67,17 @@ def _load_any_program(path):
 
 
 def _apply_data_in(m, path):
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split("#", 1)[0].split()
-            if not parts:
-                continue
-            kind = parts[0]
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except OSError as exc:
+        _usage(str(exc))
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        kind = parts[0]
+        try:
             if kind == "slot":
                 m.write_slot(int(parts[1]), [int(v) for v in parts[2:]])
             elif kind == "seed":
@@ -81,6 +86,9 @@ def _apply_data_in(m, path):
                 m.load_cdt([int(v) for v in parts[3:]])
             else:
                 _usage(f"{path}:{lineno}: unknown data directive {kind!r}")
+        except (ValueError, IndexError, machine_mod.MachineFault) as exc:
+            # ValueError covers CacheError: bad slot, length or word
+            _usage(f"{path}:{lineno}: {exc}")
 
 
 def cmd_run(args):
@@ -99,7 +107,11 @@ def cmd_run(args):
         # program's first config instruction
         for insn in program.instructions:
             if insn.op == "config":
-                m.configure(insn.args["n"], insn.args["q"])
+                try:
+                    m.configure(insn.args["n"], insn.args["q"])
+                except machine_mod.MachineFault as exc:
+                    print(f"machine fault: {exc}", file=sys.stderr)
+                    return EXIT_FAULT
                 break
         _apply_data_in(m, args.data_in)
     m.cache.trace_enabled = args.trace
@@ -108,6 +120,10 @@ def cmd_run(args):
     except machine_mod.MachineFault as exc:
         print(f"machine fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
+    try:
+        dumps = [(slot, m.read_slot(slot)) for slot in args.dump_slot]
+    except polycache.CacheError as exc:
+        _usage(f"--dump-slot: {exc}")
     if args.format == "structured":
         for line in report.lines():
             print(line)
@@ -121,12 +137,11 @@ def cmd_run(args):
                 fh.write("\n".join(lines) + "\n")
         else:
             print("\n".join(lines))
-    if args.dump_slot:
+    if dumps:
         out = sys.stdout if not args.data_out else open(args.data_out, "w")
         try:
-            for slot in args.dump_slot:
-                values = " ".join(str(v) for v in m.read_slot(slot))
-                print(f"slot {slot} {values}", file=out)
+            for slot, values in dumps:
+                print(f"slot {slot} {' '.join(map(str, values))}", file=out)
         finally:
             if out is not sys.stdout:
                 out.close()

@@ -258,6 +258,8 @@ def read_binary(path):
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise DecodeError("bad magic; not a program file")
+    if len(blob) < 8:
+        raise DecodeError("file ends inside its 8-byte header")
     (count,) = struct.unpack_from("<I", blob, 4)
     if len(blob) != 8 + 4 * count:
         raise DecodeError(f"file length does not match count {count}")

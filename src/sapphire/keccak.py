@@ -221,11 +221,6 @@ def shake256(data=b""):
     return KeccakState(SHAKE256_RATE_BITS, DOMAIN_SHAKE).absorb(data)
 
 
-def shake_squeeze(state, nbits):
-    """Functional form of KeccakState.squeeze_bits."""
-    return state.squeeze_bits(nbits)
-
-
 def sha3_digest(data, bits=256):
     """SHA3-256 or SHA3-512 digest of a byte string."""
     if bits == 256:

@@ -24,6 +24,7 @@ toward the total (functional behavior is unchanged) but stop accumulating
 in its bucket.  In strict gating mode, touching a gated unit faults.
 """
 
+import operator
 from dataclasses import dataclass
 
 from . import isa, keccak, modmath, nttcore, polycache, sampler
@@ -266,9 +267,14 @@ class Machine:
             self.tmp = r & WORD_MASK
         self._use("alu", 1, op)
 
+    def _scan_slot(self, slot):
+        """Coefficients of one slot, read by a whole-slot read schedule."""
+        self._need_slot(slot)
+        self.cache.access("read", (slot,))
+        return self.cache.data[slot]
+
     def _exec_elems(self, a, op):
-        self._need_slot(a["poly"])
-        values = [self.cache.slot_read(a["poly"], i) for i in range(self.n)]
+        values = self._scan_slot(a["poly"])
         if a["fn"] == "max":
             self.reg = max(values)
         else:
@@ -333,9 +339,8 @@ class Machine:
             values = draw(prng)
         except sampler.SamplerError as exc:
             raise MachineFault(f"{op}: {exc}", self.pc) from None
-        slot = a["poly"]
-        for i, v in enumerate(values):
-            self.cache.slot_write(slot, i, v)
+        self.cache.access("write", (a["poly"],))
+        self.cache.data[a["poly"]][:] = values
         self._use("keccak", 24 * prng.permutes, op)
         self._use("sampler", prng.words_out + self.n, op)
 
@@ -379,98 +384,86 @@ class Machine:
         self.cache.slot_clear(a["poly"])
         self._use("ntt", self.n + 1, op)
 
+    def _operands(self, kind, dst, src):
+        """Flat coefficient lists of dst and src after accounting a
+        two-slot schedule of the given kind."""
+        self._need_slot(dst)
+        self._need_slot(src)
+        self.cache.access(kind, (dst, src))
+        return self.cache.data[dst], self.cache.data[src]
+
     def _exec_poly_copy(self, a, op):
-        self._need_slot(a["poly_dst"])
-        self._need_slot(a["poly_src"])
-        for i in range(self.n):
-            self.cache.slot_write(a["poly_dst"], i,
-                                  self.cache.slot_read(a["poly_src"], i))
+        y, x = self._operands("map", a["poly_dst"], a["poly_src"])
+        y[:] = x
         self._use("ntt", self.n + 1, op)
 
     def _exec_poly_op(self, a, op):
         dst, src, kind = a["poly_dst"], a["poly_src"], a["op"]
-        self._need_slot(dst)
-        self._need_slot(src)
-        n, q, p = self.n, self.q, self.profile
-        cache = self.cache
         if kind == "BITREV":
+            y, x = self._operands("bitrev", dst, src)
             lgn = self.cfg.lg_n
-            values = [cache.slot_read(src, nttcore.bit_reverse(i, lgn))
-                      for i in range(n)]
-            for i, v in enumerate(values):
-                cache.slot_write(dst, i, v)
-            self._use("ntt", n + 1, op)
-            return
-        if kind in ("ADD", "SUB", "MUL"):
-            fn = {"ADD": modmath.mod_add, "SUB": modmath.mod_sub,
-                  "MUL": modmath.mod_mul}[kind]
-            for i in range(n):
-                x = cache.slot_read(src, i)
-                y = cache.slot_read(dst, i)
-                try:
-                    cache.slot_write(dst, i, fn(x, y, p))
-                except modmath.ModMathError as exc:
-                    raise MachineFault(f"poly_op {kind}: {exc}", self.pc) from None
-            self._use("ntt", n + 1, op)
-            return
-        # CONST_* family: scalar operand comes from reg
-        r = self.reg
-        rq = r % q
-        for i in range(n):
-            x = cache.slot_read(src, i)
-            if kind == "CONST_ADD":
-                v = modmath.reduce(x % q + rq, p)
-            elif kind == "CONST_SUB":
-                v = (x % q - rq) % q
-            elif kind == "CONST_MUL":
-                v = modmath.reduce((x % q) * rq, p)
-            elif kind == "CONST_AND":
-                v = x & r
-            elif kind == "CONST_OR":
-                v = (x | r) & WORD_MASK
-            elif kind == "CONST_XOR":
-                v = (x ^ r) & WORD_MASK
-            elif kind == "CONST_RSHIFT":
-                v = x >> (r & 31)
-            else:  # CONST_LSHIFT
-                v = (x << (r & 31)) & WORD_MASK
-            cache.slot_write(dst, i, v)
-        self._use("ntt", n + 1, op)
+            y[:] = [x[nttcore.bit_reverse(i, lgn)] for i in range(self.n)]
+        elif kind in ("ADD", "SUB", "MUL"):
+            y, x = self._operands("zip", dst, src)
+            q = self.q
+            try:
+                if not (0 <= min(x) and max(x) < q and 0 <= min(y) and max(y) < q):
+                    for u, v in zip(x, y):   # name the first non-residue
+                        modmath._check_residues(q, u, v)
+            except modmath.ModMathError as exc:
+                raise MachineFault(f"poly_op {kind}: {exc}", self.pc) from None
+            if kind == "ADD":
+                y[:] = [t - (q & -(t >= q)) for t in map(operator.add, x, y)]
+            elif kind == "SUB":
+                y[:] = [d + (q & -(d < 0)) for d in map(operator.sub, x, y)]
+            else:
+                y[:] = list(map(modmath.reducer(self.profile),
+                                map(operator.mul, x, y)))
+        else:
+            # CONST_* family: scalar operand comes from reg
+            y, x = self._operands("map", dst, src)
+            q, r, red = self.q, self.reg, modmath.reducer(self.profile)
+            rq = r % q
+            sh = r & 31
+            fn = {
+                "CONST_ADD": lambda v: red(v % q + rq),
+                "CONST_SUB": lambda v: (v % q - rq) % q,
+                "CONST_MUL": lambda v: red(v % q * rq),
+                "CONST_AND": lambda v: v & r,
+                "CONST_OR": lambda v: (v | r) & WORD_MASK,
+                "CONST_XOR": lambda v: (v ^ r) & WORD_MASK,
+                "CONST_RSHIFT": lambda v: v >> sh,
+                "CONST_LSHIFT": lambda v: (v << sh) & WORD_MASK,
+            }[kind]
+            y[:] = list(map(fn, x))
+        self._use("ntt", self.n + 1, op)
 
     def _exec_shift_poly(self, a, op):
-        dst, src = a["poly_dst"], a["poly_src"]
-        self._need_slot(dst)
-        self._need_slot(src)
-        n, q = self.n, self.q
-        values = [self.cache.slot_read(src, i) for i in range(n)]
+        y, x = self._operands("gather", a["poly_dst"], a["poly_src"])
         if a["ring"] == "x^N+1":
-            head = (-values[-1]) % q     # negacyclic wrap picks up a sign
+            head = (-x[-1]) % self.q     # negacyclic wrap picks up a sign
         else:
-            head = values[-1]
-        shifted = [head] + values[:-1]
-        for i, v in enumerate(shifted):
-            self.cache.slot_write(dst, i, v)
-        self._use("ntt", n + 1, op)
+            head = x[-1]
+        y[:] = [head] + x[:-1]
+        self._use("ntt", self.n + 1, op)
 
     def _exec_eq_check(self, a, op):
         self._need_slot(a["poly_a"])
         self._need_slot(a["poly_b"])
-        equal = all(self.cache.slot_read(a["poly_a"], i)
-                    == self.cache.slot_read(a["poly_b"], i)
-                    for i in range(self.n))
-        self.flag = 1 if equal else 0
+        x, y = self.cache.data[a["poly_a"]], self.cache.data[a["poly_b"]]
+        # the comparison stops at the first differing pair
+        stop = None if x == y else next(
+            i for i, (u, v) in enumerate(zip(x, y)) if u != v)
+        self.cache.access("compare", (a["poly_a"], a["poly_b"]),
+                          None if stop is None else 2 * stop + 2)
+        self.flag = 1 if stop is None else 0
         self._use("ntt", self.n + 1, op)
 
     def _exec_inf_norm(self, a, op):
-        self._need_slot(a["poly"])
+        values = self._scan_slot(a["poly"])
         q, half = self.q, self.q // 2
-        ok = True
-        for i in range(self.n):
-            v = self.cache.slot_read(a["poly"], i)
-            centered = v if v <= half else v - q
-            if abs(centered) > a["bound"]:
-                ok = False
-        self.flag = 1 if ok else 0
+        worst = max(v if v <= half else abs(v - q) for v in values)
+        self.flag = 1 if worst <= a["bound"] else 0
         self._use("ntt", self.n + 1, op)
 
     def _exec_compare(self, a, op):
@@ -502,11 +495,8 @@ class Machine:
     def _exec_sha3_absorb(self, a, op):
         state = self._sha3_state(a["bits"])
         if a["source"] == "poly":
-            self._need_slot(a["poly"])
-            data = bytearray()
-            for i in range(self.n):
-                data += self.cache.slot_read(a["poly"], i).to_bytes(3, "little")
-            data = bytes(data)
+            data = b"".join([v.to_bytes(3, "little")
+                             for v in self._scan_slot(a["poly"])])
         else:
             data = self.r0 if a["source"] == "r0" else self.r1
         before = state.permutes

@@ -29,8 +29,11 @@ machine as (n/2 + 1) * lg n.
 
 import functools
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mul, sub
 
-from . import modmath
+from . import modmath, polycache
+from .polycache import bit_reverse  # noqa: F401  (the transform's index order)
 
 DIF_NTT = "DIF_NTT"
 DIT_NTT = "DIT_NTT"
@@ -108,27 +111,6 @@ def gen_constants(cfg):
                         tuple(psi_powers), tuple(psi_inv_scaled))
 
 
-def butterfly(a, b, w, mode, profile):
-    """Unified butterfly: CT computes (a+wb, a-wb), GS ((a+b), (a-b)w)."""
-    q = profile.q
-    if mode == "CT":
-        t = modmath.mod_mul(w, b, profile)
-        return modmath.mod_add(a, t, profile), modmath.mod_sub(a, t, profile)
-    if mode == "GS":
-        s = modmath.mod_add(a, b, profile)
-        d = modmath.mod_sub(a, b, profile)
-        return s, modmath.mod_mul(d, w, profile)
-    raise NttError(f"unknown butterfly mode {mode!r}")
-
-
-def bit_reverse(i, bits):
-    r = 0
-    for _ in range(bits):
-        r = (r << 1) | (i & 1)
-        i >>= 1
-    return r
-
-
 def _check_slots(cache, cfg, src, dst):
     if cache.n != cfg.n:
         raise NttError("cache configured for a different dimension")
@@ -144,109 +126,33 @@ def ntt(cfg, consts, cache, dst, src, mode):
     _check_slots(cache, cfg, src, dst)
     n, lgn, q = cfg.n, cfg.lg_n, cfg.q
     half = n >> 1
-    qmask = (n >> 2) - 1
     red = modmath.reducer(cfg.profile)
-    omega = consts.omega_powers
-    banks = cache.banks
-    trace = cache.trace_enabled
-    ledger = cache.ledger
-    spb = cache.slots_per_bank
     dif = mode in (DIF_NTT, DIF_INTT)
-    forward = mode in (DIF_NTT, DIT_NTT)
-
-    def locate(slot):
-        bank = 0 if slot < spb else 1
-        return bank, (slot - bank * spb) * (n >> 2)
-
-    def region(t):
-        # ping-pong: even intermediate hops use the src region as scratch
-        if t == 0:
-            return src
-        if t == lgn:
-            return dst
-        return dst if t & 1 else src
-
-    cyc = cache.mem_cycle
+    omega = consts.omega_powers
+    if mode in (DIF_NTT, DIT_NTT):
+        table = omega
+    else:
+        table = (1,) + tuple(q - omega[half - k] for k in range(1, half))
+    cache.access("dif" if dif else "dit", (dst, src))
+    regions = [cache.data[(dst, src)[r]] for r in polycache.transform_regions(lgn)]
     for s in range(1, lgn + 1):
-        rslot, wslot = region(s - 1), region(s)
-        rbank, rbase = locate(rslot)
-        wbank, wbase = locate(wslot)
-        rb = banks[rbank]
-        wb = banks[wbank]
-        split = rslot == wslot   # even-lg n final stage: read pass, write pass
-        sh = (s - 1) if dif else (lgn - s)
-        out0 = [0] * half if split else None
-        out1 = [0] * half if split else None
-        for g in range(half >> sh):
-            k = g << sh
-            if forward:
-                w = omega[k]
-            else:
-                w = 1 if k == 0 else q - omega[half - k]
-            for j in range(g << sh, (g + 1) << sh):
-                m2 = (j >> (lgn - 2)) << 1
-                lo = j & 1
-                if dif:
-                    rrow = rbase + (j >> 1)
-                    v0 = rb[lo][rrow]
-                    v1 = rb[2 + lo][rrow]
-                    if trace:
-                        ledger.append((cyc, rbank, lo, rrow, 0))
-                        ledger.append((cyc, rbank, 2 + lo, rrow, 0))
-                    u = v0 + v1
-                    y0 = u - (q & -(u >= q))
-                    d = v0 - v1
-                    y1 = red((d + (q & -(d < 0))) * w)
-                    wrow = wbase + (j & qmask)
-                    if split:
-                        out0[j] = y0
-                        out1[j] = y1
-                    else:
-                        wb[m2][wrow] = y0
-                        wb[m2 + 1][wrow] = y1
-                        if trace:
-                            ledger.append((cyc, wbank, m2, wrow, 1))
-                            ledger.append((cyc, wbank, m2 + 1, wrow, 1))
-                else:
-                    rrow = rbase + (j & qmask)
-                    v0 = rb[m2][rrow]
-                    v1 = rb[m2 + 1][rrow]
-                    if trace:
-                        ledger.append((cyc, rbank, m2, rrow, 0))
-                        ledger.append((cyc, rbank, m2 + 1, rrow, 0))
-                    t = red(v1 * w)
-                    u = v0 + t
-                    y0 = u - (q & -(u >= q))
-                    d = v0 - t
-                    y1 = d + (q & -(d < 0))
-                    wrow = wbase + (j >> 1)
-                    if split:
-                        out0[j] = y0
-                        out1[j] = y1
-                    else:
-                        wb[lo][wrow] = y0
-                        wb[2 + lo][wrow] = y1
-                        if trace:
-                            ledger.append((cyc, wbank, lo, wrow, 1))
-                            ledger.append((cyc, wbank, 2 + lo, wrow, 1))
-                cyc += 1
-        if split:
-            for j in range(half):
-                if dif:
-                    wrow = wbase + (j & qmask)
-                    s0 = (j >> (lgn - 2)) << 1
-                    s1 = s0 + 1
-                else:
-                    wrow = wbase + (j >> 1)
-                    s0 = j & 1
-                    s1 = 2 + s0
-                wb[s0][wrow] = out0[j]
-                wb[s1][wrow] = out1[j]
-                if trace:
-                    ledger.append((cyc, wbank, s0, wrow, 1))
-                    ledger.append((cyc, wbank, s1, wrow, 1))
-                cyc += 1
-    cache.mem_cycle = cyc
+        # the inputs are sliced out before any write, so a stage whose
+        # region is both read and written (lg n even) needs no extra pass
+        inp, out = regions[s - 1], regions[s]
+        # butterfly j uses table[k], k = j rounded down to a multiple of size
+        size = 1 << ((s - 1) if dif else (lgn - s))
+        w = list(chain.from_iterable(repeat(table[k], size)
+                                     for k in range(0, half, size)))
+        if dif:
+            v0, v1 = inp[:half], inp[half:]
+            y0 = [u - (q & -(u >= q)) for u in map(add, v0, v1)]
+            y1 = list(map(red, map(mul, [d + (q & -(d < 0)) for d in map(sub, v0, v1)], w)))
+            out[0::2] = y0
+            out[1::2] = y1
+        else:
+            v0, t = inp[0::2], list(map(red, map(mul, inp[1::2], w)))
+            out[:half] = [u - (q & -(u >= q)) for u in map(add, v0, t)]
+            out[half:] = [d + (q & -(d < 0)) for d in map(sub, v0, t)]
 
 
 def _scale_slot(cfg, cache, slot, table):
@@ -258,32 +164,9 @@ def _scale_slot(cfg, cache, slot, table):
     """
     if cache.n != cfg.n:
         raise NttError("cache configured for a different dimension")
-    n, lgn = cfg.n, cfg.lg_n
-    red = modmath.reducer(cfg.profile)
-    bank = cache.slot_bank(slot)
-    base = (slot - bank * cache.slots_per_bank) * (n >> 2)
-    arr = cache.banks[bank]
-    qmask = (n >> 2) - 1
-    trace = cache.trace_enabled
-    ledger = cache.ledger
-    cyc = cache.mem_cycle
-    prev_sram = prev_row = prev_val = None
-    for i in range(n):
-        sram = ((i >> (lgn - 1)) << 1) | (i & 1)
-        row = base + ((i >> 1) & qmask)
-        v = arr[sram][row]
-        if trace:
-            ledger.append((cyc, bank, sram, row, 0))
-        if prev_sram is not None:
-            arr[prev_sram][prev_row] = prev_val
-            if trace:
-                ledger.append((cyc, bank, prev_sram, prev_row, 1))
-        prev_sram, prev_row, prev_val = sram, row, red(v * table[i])
-        cyc += 1
-    arr[prev_sram][prev_row] = prev_val
-    if trace:
-        ledger.append((cyc, bank, prev_sram, prev_row, 1))
-    cache.mem_cycle = cyc + 1
+    cache.access("scale", (slot,))
+    values = cache.data[slot]
+    values[:] = list(map(modmath.reducer(cfg.profile), map(mul, values, table)))
 
 
 def mult_psi(cfg, consts, cache, slot):

@@ -1,18 +1,31 @@
 """Two-bank polynomial cache built from single-port SRAM models.
 
 Each bank is four 1024 x 24-bit single-port SRAMs; together the banks hold
-8192 coefficients.  A coefficient index i inside a slot maps to
+8192 coefficients.  ``address`` is the address map: a coefficient index
+i inside a slot lives at
 
     sram = 2 * MSB(i) + LSB(i)        row = middle bits of i
 
 so that both butterfly pair shapes, (2j, 2j+1) and (j, j+n/2), always land
-in two different SRAMs.  Every access is stamped with a memory-cycle id;
-within one cycle each (bank, sram) may be touched at most once, and the
-optional ledger records the full schedule for trace diffing.
+in two different SRAMs.
 
 Slot-to-bank assignment: slots [0, slots_per_bank) live in the left bank,
 the rest in the right bank.
+
+Data and access schedule are kept apart.  The data of each slot is one
+flat list of n coefficients, which the ops read and write in bulk.  The
+memory cycles of an op come from ``schedule(kind, n)``, a pure function
+of the op kind and n that lists, cycle by cycle, which operand slot and
+coefficient each access touches.  ``PolynomialCache.access`` has each
+schedule shape (kind, n, bank of each operand) hazard-audited once per
+process, on first use, advances ``mem_cycle`` by the op's cycle count,
+and replays the schedule into the ledger only while ``trace_enabled`` is
+on.
 """
+
+import functools
+import itertools
+import operator
 
 SRAM_ROWS = 1024
 SRAMS_PER_BANK = 4
@@ -21,9 +34,6 @@ MAX_SLOTS = 128
 
 READ = 0
 WRITE = 1
-
-PAIR_ADJACENT = "adjacent"   # (2j, 2j+1)
-PAIR_STRIDED = "strided"     # (j, j+n/2)
 
 
 class HazardFault(RuntimeError):
@@ -34,137 +44,238 @@ class CacheError(ValueError):
     """Slot/index out of range or unsupported configuration."""
 
 
+def bit_reverse(i, bits):
+    r = 0
+    for _ in range(bits):
+        r = (r << 1) | (i & 1)
+        i >>= 1
+    return r
+
+
+def transform_regions(lg_n):
+    """Operand (0 = dst, 1 = src) holding the data between transform stages.
+
+    Stage s reads region s - 1 and writes region s.  Intermediate hops
+    ping-pong, using the src slot as scratch; the final stage always lands
+    in dst.  When lg n is even the final stage reads and writes dst.
+    """
+    return [1] + [0 if t & 1 else 1 for t in range(1, lg_n)] + [0]
+
+
+def _transform_schedule(n, dif):
+    """One butterfly per cycle: DIF reads (j, j+n/2) and writes (2j, 2j+1),
+    DIT the reverse.  A stage that reads and writes the same slot is a
+    read pass followed by a write pass."""
+    half = n >> 1
+    pairs = [((j, j + half), (2 * j, 2 * j + 1)) for j in range(half)]
+    if not dif:
+        pairs = [(outs, ins) for ins, outs in pairs]
+    reads = [[((k, a, READ), (k, b, READ)) for (a, b), _ in pairs] for k in (0, 1)]
+    writes = [[((k, c, WRITE), (k, d, WRITE)) for _, (c, d) in pairs] for k in (0, 1)]
+    regions = transform_regions(n.bit_length() - 1)
+    for r, w in zip(regions, regions[1:]):
+        if r == w:
+            yield from reads[r]
+            yield from writes[w]
+        else:
+            yield from map(operator.add, reads[r], writes[w])
+
+
+def schedule(kind, n):
+    """Memory cycles of one op, in order.
+
+    Each cycle is a tuple of accesses (operand, coefficient index, READ or
+    WRITE); operand k is the op's k-th slot.  Two-slot ops name (dst, src),
+    or (a, b) for "compare".
+    """
+    if kind == "read":              # elems, inf_norm_check, sha3 absorb
+        for i in range(n):
+            yield ((0, i, READ),)
+    elif kind == "write":           # init, sampler results
+        for i in range(n):
+            yield ((0, i, WRITE),)
+    elif kind == "map":             # poly_copy, poly_op CONST_*
+        for i in range(n):
+            yield ((1, i, READ),)
+            yield ((0, i, WRITE),)
+    elif kind == "zip":             # poly_op ADD, SUB, MUL
+        for i in range(n):
+            yield ((1, i, READ),)
+            yield ((0, i, READ),)
+            yield ((0, i, WRITE),)
+    elif kind == "compare":         # eq_check
+        for i in range(n):
+            yield ((0, i, READ),)
+            yield ((1, i, READ),)
+    elif kind in ("gather", "bitrev"):   # shift_poly, poly_op BITREV
+        lg_n = n.bit_length() - 1
+        for i in range(n):
+            yield ((1, bit_reverse(i, lg_n) if kind == "bitrev" else i, READ),)
+        for i in range(n):
+            yield ((0, i, WRITE),)
+    elif kind == "scale":           # mult_psi: read i, write back i - 1
+        yield ((0, 0, READ),)
+        for i in range(1, n):
+            yield ((0, i, READ), (0, i - 1, WRITE))
+        yield ((0, n - 1, WRITE),)
+    elif kind in ("dif", "dit"):
+        yield from _transform_schedule(n, kind == "dif")
+    else:
+        raise CacheError(f"unknown access schedule {kind!r}")
+
+
+def slot_count(n):
+    """Addressable slots at dimension n.  They are capped by the 7-bit slot
+    operand; for n >= 64 this equals the full 8192/n capacity."""
+    return min(TOTAL_WORDS // n, MAX_SLOTS)
+
+
+def address(n, slot, i):
+    """The address map: (bank, sram, row) of coefficient i of a slot at
+    dimension n.  Callers check the ranges of slot and i."""
+    slots_per_bank = slot_count(n) // 2
+    bank = 0 if slot < slots_per_bank else 1
+    sram = 2 * (i >> (n.bit_length() - 2)) + (i & 1)
+    row = (slot - bank * slots_per_bank) * (n >> 2) + ((i >> 1) & ((n >> 2) - 1))
+    return bank, sram, row
+
+
+@functools.lru_cache(maxsize=None)
+def _srams(n):
+    """The sram of each coefficient index at dimension n."""
+    return tuple(address(n, 0, i)[1] for i in range(n))
+
+
+def audit(cycles, n, banks):
+    """Check a schedule one cycle at a time: within a cycle each
+    (bank, sram) may be touched at most once.  ``banks`` gives the bank of
+    each operand.  Returns the number of cycles."""
+    ports = [[bank * SRAMS_PER_BANK + sram for sram in _srams(n)] for bank in banks]
+    count = 0
+    for cycle in cycles:
+        if len(cycle) > 1 and len({ports[k][i] for k, i, _rw in cycle}) != len(cycle):
+            raise HazardFault(
+                f"schedule cycle {count}: two accesses to one single-port SRAM")
+        count += 1
+    return count
+
+
+@functools.lru_cache(maxsize=None)
+def schedule_cycles(kind, n, banks):
+    """Cycle count of one schedule shape, hazard-audited on first use."""
+    return audit(schedule(kind, n), n, banks)
+
+
 class PolynomialCache:
     def __init__(self):
-        self.banks = [[[0] * SRAM_ROWS for _ in range(SRAMS_PER_BANK)]
-                      for _ in range(2)]
         self.n = None
-        self.lg_n = 0
         self.slots = 0
         self.slots_per_bank = 0
+        self.data = []              # one flat list of n coefficients per slot
+        # physical words, indexed (bank * 4 + sram) * 1024 + row; they
+        # carry the contents across a repartition by configure()
+        self.image = [0] * TOTAL_WORDS
         self.trace_enabled = False
         self.ledger = []            # (cycle, bank, sram, row, READ|WRITE)
         self.mem_cycle = 0
-        self._cycle_used = {}       # (bank, sram) -> cycle of last access
 
     def configure(self, n):
         """Set the active polynomial dimension; repartitions the slots."""
         if n & (n - 1) or not 8 <= n <= 2048:
             raise CacheError(f"unsupported polynomial dimension n={n}")
+        if n == self.n:
+            return self
+        spill = self.n is not None  # before the first configure every word is 0
+        if spill:
+            for values, words in zip(self.data, self._words()):
+                for w, v in zip(words, values):
+                    self.image[w] = v
         self.n = n
-        self.lg_n = n.bit_length() - 1
-        # Addressable slots are capped by the 7-bit slot operand; for
-        # n >= 64 this equals the full 8192/n capacity.
-        self.slots = min(TOTAL_WORDS // n, MAX_SLOTS)
+        self.slots = slot_count(n)
         self.slots_per_bank = self.slots // 2
+        self.data = ([[self.image[w] for w in words] for words in self._words()]
+                     if spill else [[0] * n for _ in range(self.slots)])
         return self
+
+    def _words(self):
+        """Physical word of every coefficient of every slot, in slot order."""
+        return [[(bank * SRAMS_PER_BANK + sram) * SRAM_ROWS + row
+                 for bank, sram, row in (address(self.n, slot, i) for i in range(self.n))]
+                for slot in range(self.slots)]
 
     def clear_ledger(self):
         self.ledger = []
         self.mem_cycle = 0
-        self._cycle_used = {}
-
-    def _require_config(self):
-        if self.n is None:
-            raise CacheError("cache not configured")
 
     def slot_bank(self, slot):
-        self._require_config()
+        if self.n is None:
+            raise CacheError("cache not configured")
         if not 0 <= slot < self.slots:
             raise CacheError(f"slot {slot} out of range [0, {self.slots})")
         return 0 if slot < self.slots_per_bank else 1
 
-    def _locate(self, slot, i):
-        """(bank, sram, row) of coefficient i in the given slot."""
-        n = self.n
-        if not 0 <= i < n:
-            raise CacheError(f"coefficient index {i} out of range [0, {n})")
-        bank = self.slot_bank(slot)
-        slot_in_bank = slot - bank * self.slots_per_bank
-        msb = i >> (self.lg_n - 1)
-        sram = 2 * msb + (i & 1)
-        row = slot_in_bank * (n >> 2) + ((i >> 1) & ((n >> 2) - 1))
-        return bank, sram, row
+    def locate(self, slot, i):
+        """Range-checked address of coefficient i in the given slot."""
+        self.slot_bank(slot)
+        if not 0 <= i < self.n:
+            raise CacheError(f"coefficient index {i} out of range [0, {self.n})")
+        return address(self.n, slot, i)
 
-    def next_cycle(self):
-        self.mem_cycle += 1
-        return self.mem_cycle - 1
+    # Access schedules: audited once per shape, replayed only when tracing.
 
-    def _access(self, cycle, bank, sram, row, rw):
-        key = (bank, sram)
-        if self._cycle_used.get(key) == cycle:
-            raise HazardFault(
-                f"cycle {cycle}: second access to bank {bank} sram {sram}")
-        self._cycle_used[key] = cycle
+    def access(self, kind, slots, cycles=None):
+        """Account the memory cycles of one op on the given operand slots.
+
+        ``cycles`` cuts the schedule short (an op that stops early); by
+        default the op runs the whole schedule.
+        """
+        full = schedule_cycles(kind, self.n, tuple(map(self.slot_bank, slots)))
+        if cycles is None:
+            cycles = full
         if self.trace_enabled:
-            self.ledger.append((cycle, bank, sram, row, rw))
+            where = [[address(self.n, s, i) for i in range(self.n)] for s in slots]
+            cyc = self.mem_cycle
+            for cycle in itertools.islice(schedule(kind, self.n), cycles):
+                for k, i, rw in cycle:
+                    self.ledger.append((cyc, *where[k][i], rw))
+                cyc += 1
+        self.mem_cycle += cycles
 
-    def _pair_indices(self, pair_kind, j):
-        n = self.n
-        if not 0 <= j < n // 2:
-            raise CacheError(f"pair index {j} out of range [0, {n // 2})")
-        if pair_kind == PAIR_ADJACENT:
-            return 2 * j, 2 * j + 1
-        if pair_kind == PAIR_STRIDED:
-            return j, j + n // 2
-        raise CacheError(f"unknown pair kind {pair_kind!r}")
+    def _record(self, slot, i, rw):
+        """A single access, alone in its memory cycle (so hazard free)."""
+        entry = self.locate(slot, i)
+        if self.trace_enabled:
+            self.ledger.append((self.mem_cycle, *entry, rw))
+        self.mem_cycle += 1
 
-    def read_pair(self, slot, pair_kind, j, cycle=None):
-        """Read a butterfly input pair; both halves land in distinct SRAMs."""
-        self._require_config()
-        i0, i1 = self._pair_indices(pair_kind, j)
-        if cycle is None:
-            cycle = self.next_cycle()
-        b0, s0, r0 = self._locate(slot, i0)
-        b1, s1, r1 = self._locate(slot, i1)
-        self._access(cycle, b0, s0, r0, READ)
-        self._access(cycle, b1, s1, r1, READ)
-        return self.banks[b0][s0][r0], self.banks[b1][s1][r1]
+    def slot_read(self, slot, i):
+        self._record(slot, i, READ)
+        return self.data[slot][i]
 
-    def write_pair(self, slot, pair_kind, j, v0, v1, cycle=None):
-        self._require_config()
-        i0, i1 = self._pair_indices(pair_kind, j)
-        if cycle is None:
-            cycle = self.next_cycle()
-        b0, s0, r0 = self._locate(slot, i0)
-        b1, s1, r1 = self._locate(slot, i1)
-        self._access(cycle, b0, s0, r0, WRITE)
-        self._access(cycle, b1, s1, r1, WRITE)
-        self.banks[b0][s0][r0] = v0
-        self.banks[b1][s1][r1] = v1
-
-    def slot_read(self, slot, i, record=True):
-        self._require_config()
-        bank, sram, row = self._locate(slot, i)
-        if record:
-            self._access(self.next_cycle(), bank, sram, row, READ)
-        return self.banks[bank][sram][row]
-
-    def slot_write(self, slot, i, value, record=True):
-        self._require_config()
+    def slot_write(self, slot, i, value):
         if not 0 <= value < (1 << 24):
             raise CacheError(f"value {value} does not fit a 24-bit word")
-        bank, sram, row = self._locate(slot, i)
-        if record:
-            self._access(self.next_cycle(), bank, sram, row, WRITE)
-        self.banks[bank][sram][row] = value
+        self._record(slot, i, WRITE)
+        self.data[slot][i] = value
 
     def slot_clear(self, slot):
-        for i in range(self.n):
-            self.slot_write(slot, i, 0)
+        self.access("write", (slot,))
+        self.data[slot][:] = [0] * self.n
 
     # Host-side (memory-mapped) data movement: no cycles, no ledger.
 
     def load_slot(self, slot, values):
-        self._require_config()
+        self.slot_bank(slot)
         if len(values) != self.n:
             raise CacheError(f"expected {self.n} coefficients, got {len(values)}")
-        for i, v in enumerate(values):
-            self.slot_write(slot, i, v, record=False)
+        for value in (min(values), max(values)):
+            if not 0 <= value < (1 << 24):
+                raise CacheError(f"value {value} does not fit a 24-bit word")
+        self.data[slot][:] = values
 
     def dump_slot(self, slot):
-        self._require_config()
-        return [self.slot_read(slot, i, record=False) for i in range(self.n)]
+        self.slot_bank(slot)
+        return list(self.data[slot])
 
     def audit_hazards(self):
         """Re-check the recorded ledger: one access per (bank, sram, cycle)."""

@@ -107,6 +107,8 @@ def bin_sample(n, k, q, prng):
     """
     if not 1 <= k <= 32:
         raise SamplerError(f"binomial parameter k={k} outside [1, 32]")
+    if k >= q:
+        raise SamplerError(f"binomial parameter k={k} must be < q={q}")
     mask = (1 << k) - 1
     next_word = prng.next_word
     out = []
@@ -201,6 +203,8 @@ def cdt_sample(n, table, prng, q=None):
     the full table is scanned with a constant trip count.  Signed results
     are returned raw when q is None, else as residues mod q.
     """
+    if q is not None and table.support >= q:
+        raise SamplerError(f"support bound s={table.support} must be < q={q}")
     entries = table.entries
     rmask = (1 << table.precision) - 1
     next_word = prng.next_word

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from sapphire import cli
 from sapphire.protocols import _program_text
 
@@ -82,6 +84,40 @@ def test_run_data_in(tmp_path, capsys):
                    "--dump-slot", "2") == 0
     out = capsys.readouterr().out
     assert "slot 2 " + " ".join(["12"] * 64) in out
+
+
+@pytest.mark.parametrize("line", [
+    "slot 999 " + " ".join(["5"] * 64),     # slot out of range
+    "slot 1 5 5 5",                         # wrong coefficient count
+    "slot 1 " + " ".join(["x"] * 64),       # not an integer
+    "slot 1 " + " ".join(["16777216"] * 64),  # wider than 24 bits
+    "seed r0 abcd",                         # short seed
+])
+def test_run_bad_data_in_is_usage_error(tmp_path, capsys, line):
+    src = tmp_path / "p.sph"
+    src.write_text("config (n = 64, q = 7681)\n")
+    data = tmp_path / "in.txt"
+    data.write_text(line + "\n")
+    assert run_cli("run", str(src), "--seed", SEED, "--data-in", str(data)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:1: ") and err.count("\n") == 1
+
+
+def test_run_truncated_binary_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cut.bin"
+    path.write_bytes(b"SPH1\x01")
+    assert run_cli("run", str(path), "--seed", SEED) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_run_dump_slot_out_of_range_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "p.sph"
+    src.write_text("config (n = 64, q = 7681)\n")
+    assert run_cli("run", str(src), "--seed", SEED, "--dump-slot", "999") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --dump-slot: slot 999 out of range")
+    assert captured.err.count("\n") == 1
 
 
 def test_run_microbenchmark_cycles_divisible(tmp_path, capsys):

@@ -209,6 +209,9 @@ def test_bad_binary_files(tmp_path):
     path.write_bytes(b"SPH1" + (5).to_bytes(4, "little") + bytes(4))
     with pytest.raises(DecodeError):
         isa.read_binary(path)
+    path.write_bytes(b"SPH1\x01")     # header cut short
+    with pytest.raises(DecodeError):
+        isa.read_binary(path)
 
 
 # branches need label context and labels must stay unique

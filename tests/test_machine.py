@@ -534,6 +534,24 @@ class TestRemainingSamplerWiring:
         with pytest.raises(MachineFault):
             m.run()   # 2*eta+1 = 401 > 2^8
 
+    def test_cdt_support_reaching_q_faults(self):
+        # |sample| <= s = 5 >= q = 3: one conditional add cannot make a
+        # residue, which once escaped as CacheError
+        m = seeded()
+        m.load_cdt([1, 2, 3, 4, 5])
+        m.load_program("config (n = 8, q = 3)\n"
+                       "cdt_sample (prng = SHAKE-256, seed = r1, c0 = 0, c1 = 0, r = 8, s = 5, poly = 0)")
+        with pytest.raises(MachineFault, match="cdt_sample"):
+            m.run()
+
+    def test_bin_k_reaching_q_faults(self):
+        # k = 19 >= q = 3 used to store the non-residues 3, 4 and 5
+        m = seeded()
+        m.load_program("config (n = 8, q = 3)\n"
+                       "bin_sample (prng = SHAKE-256, seed = r1, c0 = 0, c1 = 0, k = 19, poly = 0)")
+        with pytest.raises(MachineFault, match="bin_sample"):
+            m.run()
+
 
 def test_measurement_loop_corpus_full_1000_iterations():
     # the shipped measurement program: 1000 gated transform iterations

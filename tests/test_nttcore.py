@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from sapphire import modmath, nttcore, polycache
+from sapphire import nttcore, polycache
 from sapphire.nttcore import (
     DIF_INTT, DIF_NTT, DIT_INTT, DIT_NTT, LatticeConfig, NttError,
-    butterfly, gen_constants,
+    gen_constants,
 )
 from conftest import bitrev, iterative_ntt, schoolbook_negacyclic
 
@@ -90,32 +90,6 @@ class TestConstants:
         open(path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(NttError):
             nttcore.import_constants(path)
-
-
-class TestButterfly:
-    def test_ct_zero_branch(self):
-        p = modmath.ModulusProfile.specialized(12289)
-        for a in (0, 5, 12288):
-            assert butterfly(a, 0, 777, "CT", p) == (a, a)
-
-    def test_gs_equal_inputs(self):
-        p = modmath.ModulusProfile.specialized(12289)
-        for a in (0, 5, 12288):
-            assert butterfly(a, a, 777, "GS", p) == (2 * a % 12289, 0)
-
-    def test_ct_gs_inverse_pair(self):
-        q = 12289
-        p = modmath.ModulusProfile.specialized(q)
-        rng = random.Random(3)
-        inv2 = pow(2, q - 2, q)
-        for _ in range(200):
-            a, b, w = (rng.randrange(q) for _ in range(3))
-            if w == 0:
-                continue
-            winv = pow(w, q - 2, q)
-            u, v = butterfly(a, b, w, "CT", p)
-            s, t = butterfly(u, v, winv, "GS", p)
-            assert (s * inv2 % q, t * inv2 % q) == (a, b)
 
 
 class TestTransform:

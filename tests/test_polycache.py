@@ -5,7 +5,7 @@ import pytest
 
 from sapphire import nttcore, polycache
 from sapphire.polycache import (
-    CacheError, HazardFault, PAIR_ADJACENT, PAIR_STRIDED, PolynomialCache,
+    READ, WRITE, CacheError, HazardFault, PolynomialCache, address, audit,
 )
 from conftest import DATA_DIR
 
@@ -13,7 +13,13 @@ from conftest import DATA_DIR
 def test_total_capacity():
     c = PolynomialCache()
     assert polycache.TOTAL_WORDS == 8192
-    assert sum(len(s) for bank in c.banks for s in bank) == 8192
+    assert len(c.image) == 8192
+    for n in (8, 64, 1024, 2048):
+        c.configure(n)
+        words = {(b, s, r) for slot in range(c.slots) for i in range(n)
+                 for b, s, r in [address(n, slot, i)]}
+        assert len(words) == c.slots * n   # no two coefficients share a word
+        assert all(0 <= s < 4 and 0 <= r < 1024 for _b, s, r in words)
 
 
 @pytest.mark.parametrize("n,slots", [(2048, 4), (1024, 8), (512, 16),
@@ -38,30 +44,20 @@ def test_bank_assignment_contiguous_halves():
 
 def test_eight_point_mapping_examples():
     c = PolynomialCache().configure(8)
-    locate = c._locate
+    locate = c.locate
     assert locate(0, 0)[1] == 0 and locate(0, 1)[1] == 1   # Mem0 / Mem1
     assert locate(0, 0)[1] == 0 and locate(0, 4)[1] == 2   # Mem0 / Mem2
 
 
 def test_pair_kinds_always_distinct_srams():
     for n in (8, 64, 256, 1024):
-        c = PolynomialCache().configure(n)
         for j in range(n // 2):
-            b0, s0, _ = c._locate(0, 2 * j)
-            b1, s1, _ = c._locate(0, 2 * j + 1)
+            b0, s0, _ = address(n, 0, 2 * j)
+            b1, s1, _ = address(n, 0, 2 * j + 1)
             assert (b0, s0) != (b1, s1) and s0 != s1
-            b0, s0, _ = c._locate(0, j)
-            b1, s1, _ = c._locate(0, j + n // 2)
+            b0, s0, _ = address(n, 0, j)
+            b1, s1, _ = address(n, 0, j + n // 2)
             assert s0 != s1
-
-
-def test_pair_read_write_coherence():
-    c = PolynomialCache().configure(64)
-    c.write_pair(0, PAIR_ADJACENT, 5, 111, 222)
-    assert c.read_pair(0, PAIR_ADJACENT, 5) == (111, 222)
-    c.write_pair(0, PAIR_STRIDED, 7, 333, 444)
-    assert c.slot_read(0, 7) == 333
-    assert c.slot_read(0, 7 + 32) == 444
 
 
 def test_write_then_read_round_trip():
@@ -80,19 +76,66 @@ def test_slot_clear():
 
 
 def test_same_cycle_same_sram_is_hazard():
-    c = PolynomialCache().configure(64)
-    cycle = c.next_cycle()
-    c.slot_read(0, 0, record=True)    # separate cycle: fine
-    c._access(cycle, 0, 0, 0, polycache.READ)
+    # coefficients 0 and 2 share sram 0 (rows differ); apart is fine
+    assert audit([((0, 0, READ),), ((0, 2, WRITE),)], 64, (0,)) == 2
     with pytest.raises(HazardFault):
-        c._access(cycle, 0, 0, 5, polycache.WRITE)
+        audit([((0, 0, READ),), ((0, 0, READ), (0, 2, WRITE))], 64, (0,))
+    # two operand slots in one bank conflict as well
+    with pytest.raises(HazardFault):
+        audit([((0, 1, READ), (1, 1, WRITE))], 64, (1, 1))
 
 
 def test_cross_bank_same_cycle_ok():
+    assert audit([((0, 0, READ), (1, 0, WRITE))], 64, (0, 1)) == 1
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024, 2048])
+def test_every_schedule_passes_its_audit(n):
+    lg = n.bit_length() - 1
+    butterflies = (n // 2) * lg + (n // 2 if lg % 2 == 0 else 0)
+    cycles = {"read": n, "write": n, "scale": n + 1, "map": 2 * n,
+              "compare": 2 * n, "gather": 2 * n, "bitrev": 2 * n, "zip": 3 * n,
+              "dif": butterflies, "dit": butterflies}
+    for kind, count in cycles.items():
+        if kind in ("read", "write", "scale"):
+            placements = ((0,), (1,))
+        elif kind in ("dif", "dit"):
+            placements = ((0, 1), (1, 0))
+        else:
+            placements = ((0, 1), (1, 0), (0, 0), (1, 1))
+        for banks in placements:
+            assert audit(polycache.schedule(kind, n), n, banks) == count
+    with pytest.raises(CacheError):
+        list(polycache.schedule("nope", n))
+
+
+def test_access_counts_cycles_without_a_ledger():
     c = PolynomialCache().configure(64)
-    cycle = c.next_cycle()
-    c._access(cycle, 0, 0, 0, polycache.READ)
-    c._access(cycle, 1, 0, 0, polycache.WRITE)   # other bank: no conflict
+    c.access("zip", (1, 40))
+    assert c.mem_cycle == 3 * 64 and c.ledger == []
+    c.access("compare", (1, 2), cycles=6)    # stopped after three pairs
+    assert c.mem_cycle == 3 * 64 + 6
+    c.trace_enabled = True
+    c.access("compare", (1, 2), cycles=6)
+    assert [e[0] for e in c.ledger] == [198, 199, 200, 201, 202, 203]
+    with pytest.raises(CacheError):
+        c.access("read", (c.slots,))
+
+
+def test_repartition_keeps_the_physical_words():
+    c = PolynomialCache().configure(1024)
+    rng = random.Random(4)
+    values = [[rng.randrange(1 << 24) for _ in range(1024)] for _ in range(8)]
+    for slot, v in enumerate(values):
+        c.load_slot(slot, v)
+    c.configure(8)
+    c.load_slot(3, [1, 2, 3, 4, 5, 6, 7, 8])
+    written = {address(8, 3, i): i + 1 for i in range(8)}
+    c.configure(1024)
+    for slot, v in enumerate(values):
+        got = c.dump_slot(slot)
+        assert got == [written.get(address(1024, slot, i), v[i])
+                       for i in range(1024)]
 
 
 def test_range_errors():
@@ -103,6 +146,16 @@ def test_range_errors():
         c.slot_read(0, 256)
     with pytest.raises(CacheError):
         c.slot_write(0, 0, 1 << 24)
+    with pytest.raises(CacheError):
+        c.slot_read(-1, 0)
+    with pytest.raises(CacheError):
+        c.load_slot(0, [0] * 255)
+    with pytest.raises(CacheError):
+        c.load_slot(0, [0] * 255 + [1 << 24])
+    with pytest.raises(CacheError):
+        c.load_slot(0, [-1] + [0] * 255)
+    with pytest.raises(CacheError):
+        c.dump_slot(32)
     with pytest.raises(CacheError):
         c.configure(4096)
     with pytest.raises(CacheError):
