@@ -4,15 +4,30 @@ Source format is the processor's plain-text listing style: one instruction
 per line in keyword-argument form, ``#`` comments, ``label:`` prefixes and
 ``if (flag == -1) goto label`` branches.
 
+One table, ``FORMS``, states every instruction once.  Each entry is one
+listing form of one mnemonic: its opcode, its operand fields (name, bit
+width and codec), its listing template and the field values that select
+the form.  The encoder, decoder, parser and disassembler are loops over
+that table.
+
 Binary encoding (implementer-defined; frozen here and documented in the
 README): a word whose top three bits are zero is ``config`` with lg(n) in
 bits [28:24] and q in [23:0]; every other instruction has a 5-bit opcode
 in [31:27] and packs its operand fields MSB-first below it.  Counter
 operands of sampler instructions are 3-bit selectors: literals 0..3, or
-the current value of register c0 or c1.
+the current value of register c0 or c1.  A word decodes only when it
+matches one form exactly: the form's fixed fields hold their values and
+every bit the form leaves unused is zero.
+
+Templates: ``{name}`` is an operand.  Spaces are optional, except that
+two words never run together.  In a call (a word followed by a
+parenthesised operand list) each ``key = `` may be left out, and
+``key|alias = `` accepts either key.  Every integer operand is read by
+``_int``.
 """
 
 from dataclasses import dataclass, field
+import functools
 import re
 import struct
 
@@ -48,10 +63,6 @@ class Instruction:
     op: str
     args: dict
 
-    def __eq__(self, other):
-        return (isinstance(other, Instruction)
-                and self.op == other.op and self.args == other.args)
-
 
 @dataclass
 class Program:
@@ -65,164 +76,360 @@ class Program:
 
 # ---------------------------------------------------------------- fields
 
-def _int_codec(width, lo=0, offset=0):
-    def enc(v):
-        if not lo <= v <= offset + (1 << width) - 1:
-            raise ValueError(f"value {v} outside [{lo}, {offset + (1 << width) - 1}]")
-        return v - offset
+_INT = r"[+-]?\d\w*"
 
-    def dec(b):
-        v = b + offset
-        if v < lo:
-            raise ValueError(f"decoded value {v} below minimum {lo}")
+
+def _int(text):
+    """The integer rule of every operand: a Python literal (sign, 0x/0o/0b
+    prefix, underscores) or a decimal with leading zeros."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        return int(text, 10)
+
+
+class Int:
+    """Integer operand v in [lo, hi], stored as v - offset."""
+
+    token = _INT
+
+    def __init__(self, name, width, lo=0, hi=None, offset=0):
+        self.name, self.width, self.lo, self.offset = name, width, lo, offset
+        self.hi = offset + (1 << width) - 1 if hi is None else hi
+
+    def enc(self, v):
+        if not self.lo <= v <= self.hi:
+            raise ValueError(f"value {v} outside [{self.lo}, {self.hi}]")
+        return v - self.offset
+
+    def dec(self, bits):
+        v = bits + self.offset
+        self.enc(v)
         return v
-    return enc, dec
+
+    def parse(self, text):
+        return _int(text)
+
+    def render(self, v):
+        return str(v)
 
 
-def _enum_codec(values, reserved_ok=()):
-    table = {v: i for i, v in enumerate(values)}
+class Flag(Int):
+    """Branch flag operand -1, 0 or +1, written with its sign."""
 
-    def enc(v):
-        if v not in table:
-            raise ValueError(f"expected one of {values}, got {v!r}")
-        return table[v]
-
-    def dec(b):
-        if b >= len(values):
-            raise ValueError(f"reserved field value {b}")
-        return values[b]
-    return enc, dec
+    def render(self, v):
+        return f"+{v}" if v > 0 else str(v)
 
 
-def _counter_codec():
-    def enc(v):
-        if v in ("c0", "c1"):
-            return 4 + ("c0", "c1").index(v)
+class Label(Int):
+    """Branch target: an instruction index, written as a label name."""
+
+    token = r"[A-Za-z_]\w*"
+
+    def parse(self, text):
+        return text            # resolved once every label is known
+
+
+class Log2(Int):
+    """config's n, stored as lg n in [lo, hi]."""
+
+    def enc(self, v):
+        if v & (v - 1) or not 1 << self.lo <= v <= 1 << self.hi:
+            raise ValueError(f"n={v} must be a power of two in "
+                             f"[{1 << self.lo}, {1 << self.hi}]")
+        return v.bit_length() - 1
+
+    def dec(self, bits):
+        if not self.lo <= bits <= self.hi:
+            raise ValueError(f"lg(n)={bits} outside [{self.lo}, {self.hi}]")
+        return 1 << bits
+
+
+class Counter(Int):
+    """Sampler counter selector: literal 0..3, or register c0/c1 (4, 5)."""
+
+    REGS = ("c0", "c1")
+    token = r"c[01]|" + _INT
+
+    def enc(self, v):
+        if v in self.REGS:
+            return 4 + self.REGS.index(v)
         if isinstance(v, int) and 0 <= v <= 3:
             return v
         raise ValueError(f"counter operand must be 0..3 or c0/c1, got {v!r}")
 
-    def dec(b):
-        if b <= 3:
-            return b
-        if b in (4, 5):
-            return ("c0", "c1")[b - 4]
-        raise ValueError(f"reserved counter selector {b}")
-    return enc, dec
+    def dec(self, bits):
+        if bits > 5:
+            raise ValueError(f"reserved counter selector {bits}")
+        return bits if bits <= 3 else self.REGS[bits - 4]
+
+    def parse(self, text):
+        return text if text in self.REGS else _int(text)
 
 
-POLY = ("poly", 7, _int_codec(7))
-_SAMPLER_HEAD = [
-    ("prng", 1, _enum_codec(PRNGS)),
-    ("seed", 1, _enum_codec(SEEDS)),
-    ("c0", 3, _counter_codec()),
-    ("c1", 3, _counter_codec()),
+class Enum:
+    """Operand taking one of ``values``, stored as its index and written
+    as the matching entry of ``names``."""
+
+    def __init__(self, name, width, values, names=None):
+        self.name, self.width, self.values = name, width, tuple(values)
+        self.names = tuple(map(str, self.values) if names is None else names)
+        self.token = "|".join(map(re.escape, sorted(self.names, key=len, reverse=True)))
+
+    def enc(self, v):
+        if v not in self.values:
+            raise ValueError(f"expected one of {self.values}, got {v!r}")
+        return self.values.index(v)
+
+    def dec(self, bits):
+        if bits >= len(self.values):
+            raise ValueError(f"reserved field value {bits}")
+        return self.values[bits]
+
+    def parse(self, text):
+        return self.values[self.names.index(text)]
+
+    def render(self, v):
+        return self.names[self.values.index(v)]
+
+
+# ------------------------------------------------------------- templates
+
+# optional space between two words (or operands), where the words may not
+# run together; next to punctuation plain \s* does the same
+_SEP = r"(?:\s+|(?<!\w)|(?!\w))"
+_PIECE = re.compile(r"( ?)(\{\w+\}|\w+(?:\|\w+)*|==|!=|\|\||\S)")
+
+
+def _wordy(piece):
+    return piece[0] == "{" or piece[0].isalnum() or piece[0] == "_"
+
+
+def _compile(template, fields, tag):
+    """The regex of one template, with one group ``tag + name`` per operand."""
+    pieces = _PIECE.findall(template)
+    out, seen, call, i = [], set(), False, 0
+    while i < len(pieces):
+        space, piece = pieces[i]
+        prev = pieces[i - 1][1] if i else None
+        if prev is not None and _wordy(prev) and _wordy(piece):
+            out.append(_SEP if space else "")
+        elif prev is not None:
+            out.append(r"\s*")
+        after = [p for _, p in pieces[i + 1:i + 3]]
+        if call and prev in ("(", ",") and after[:1] == ["="] and after[1][0] == "{":
+            out.append(f"(?:(?:{piece})\\s*=)?")     # key = , optional
+            i += 2
+            continue
+        if piece[0] == "{":
+            name = piece[1:-1]
+            group = tag + name
+            out.append(f"(?P={group})" if name in seen else f"(?P<{group}>{fields[name].token})")
+            seen.add(name)
+        else:
+            out.append(re.escape(piece))
+        if piece in ("(", ")"):
+            call = piece == "(" and prev is not None and _wordy(prev)
+        i += 1
+    return "".join(out)
+
+
+class Form:
+    """One listing form of one mnemonic: opcode, operand fields, listing
+    template and the field values that select the form.  A field the
+    template does not show is fixed: to the given value, or else to zero.
+    Of two forms with the same fixed values, the first is the one the
+    disassembler writes; the second is an alternate spelling."""
+
+    def __init__(self, code, op, fields, template, fixed=()):
+        self.code, self.op, self.fields = code, op, fields
+        self.by_name = {f.name: f for f in fields}
+        shown = set(re.findall(r"\{(\w+)\}", template))
+        self.fixed = {f.name: f.dec(0) for f in fields if f.name not in shown}
+        self.fixed.update(fixed)
+        self.template = template
+        self.text = re.sub(r"(?<=\w)(\|\w+)+(?= =)", "", template)
+        self.top = 29 if code == 0 else 27     # config has a 3-bit opcode
+
+    def selects(self, args):
+        return all(args.get(k) == v for k, v in self.fixed.items())
+
+    def pack(self, args):
+        word, pos = self.code << self.top, self.top
+        for f in self.fields:
+            pos -= f.width
+            try:
+                word |= f.enc(args[f.name]) << pos
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{self.op} operand {f.name}: {exc}") from exc
+        return word
+
+    def unpack(self, word):
+        args, pos = {}, self.top
+        for f in self.fields:
+            pos -= f.width
+            try:
+                args[f.name] = f.dec((word >> pos) & ((1 << f.width) - 1))
+            except ValueError as exc:
+                raise ValueError(f"{self.op} operand {f.name}: {exc}") from None
+        if word & ((1 << pos) - 1):
+            raise ValueError(f"{self.op}: reserved operand bits set")
+        return args
+
+    def render(self, args):
+        return self.text.format(**{f.name: f.render(args[f.name]) for f in self.fields})
+
+
+def _call_template(mnemonic, fields, prefix=""):
+    """Template of a call: every operand as ``key = {key}``."""
+    return f"{prefix}{mnemonic} (" + ", ".join(
+        f"{f.name} = {{{f.name}}}" for f in fields) + ")"
+
+
+def _call_form(code, op, fields):
+    return Form(code, op, fields, _call_template(op, fields))
+
+
+_POLY = Int("poly", 7)
+_DST_SRC = [Int("poly_dst", 7), Int("poly_src", 7)]
+_SAMPLER = [Enum("prng", 1, PRNGS), Enum("seed", 1, SEEDS),
+           Counter("c0", 3), Counter("c1", 3)]
+_CNT = [Enum("counter", 1, ("c0", "c1")), Enum("mode", 2, ("set", "add", "sub")),
+        Int("value", 16)]
+_REG = [Enum("target", 1, ("reg", "tmp")), Enum("mode", 2, ("imm", "copy", "alu"))]
+_ELEMS = [Enum("fn", 1, ("max", "sum")), _POLY]
+_INDEXED = [_POLY, Enum("sel", 2, ("imm", "c0", "c1")), Int("index", 11)]
+_ABSORB = [Enum("bits", 1, (256, 512)), Enum("source", 2, ("poly", "r0", "r1")), _POLY]
+_DIGEST = [Enum("bits", 1, (256, 512)), Enum("dest", 1, SEEDS)]
+_GATES = [Enum(unit, 1, ("GATE", "UNGATE")) for unit in ("keccak", "ntt", "sampler")]
+_EQ = [Int("poly_a", 7), Int("poly_b", 7)]
+_NORM = [_POLY, Int("bound", 20)]
+
+# opcode, mnemonic, fields, template, fixed field values
+FORMS = [
+    _call_form(0, "config", [Log2("n", 5, lo=3, hi=11), Int("q", 24, lo=2)]),
+    _call_form(4, "clock_config", _GATES),
+    Form(5, "cnt", _CNT, "{counter} = {value}", {"mode": "set"}),
+    Form(5, "cnt", _CNT, "{counter} = {counter} + {value}", {"mode": "add"}),
+    Form(5, "cnt", _CNT, "{counter} = {counter} - {value}", {"mode": "sub"}),
+    Form(6, "regop", _REG + [Int("value", 24)], "{target} = {value}", {"mode": "imm"}),
+    Form(6, "regop", _REG + [Int("value", 24)], "reg = tmp",
+         {"target": "reg", "mode": "copy"}),
+    Form(6, "regop", _REG + [Enum("value", 24, range(8), REG_ALU_OPS)],
+         "tmp = tmp {value} reg", {"target": "tmp", "mode": "alu"}),
+    Form(7, "elems", _ELEMS, "reg = {fn}_elems (poly = {poly})"),
+    Form(7, "elems", _ELEMS, "{fn}_elems (poly = {poly})"),
+    Form(8, "poly_get", _INDEXED, "reg = (poly = {poly})[{index}]", {"sel": "imm"}),
+    *(Form(8, "poly_get", _INDEXED, f"reg = (poly = {{poly}})[{r}]", {"sel": r})
+      for r in ("c0", "c1")),
+    Form(9, "poly_set", _INDEXED, "(poly = {poly})[{index}] = reg", {"sel": "imm"}),
+    *(Form(9, "poly_set", _INDEXED, f"(poly = {{poly}})[{r}] = reg", {"sel": r})
+      for r in ("c0", "c1")),
+    _call_form(10, "transform", [Enum("mode", 2, TRANSFORM_MODES), *_DST_SRC]),
+    _call_form(11, "mult_psi", [_POLY]),
+    _call_form(12, "mult_psi_inv", [_POLY]),
+    _call_form(13, "bin_sample", _SAMPLER + [Int("k", 5, lo=1, offset=1), _POLY]),
+    _call_form(14, "cdt_sample", _SAMPLER + [Int("r", 5, lo=1, offset=1),
+                                             Int("s", 6, lo=1, offset=1), _POLY]),
+    _call_form(15, "rej_sample", _SAMPLER + [_POLY]),
+    _call_form(16, "uni_sample", _SAMPLER + [Int("eta", 8),
+                                             Int("bitlen", 4, lo=1, offset=1), _POLY]),
+    _call_form(17, "tri_sample_1", _SAMPLER + [Int("m", 11), _POLY]),
+    _call_form(18, "tri_sample_2", _SAMPLER + [Int("m0", 6), Int("m1", 6), _POLY]),
+    _call_form(19, "tri_sample_3", _SAMPLER + [Int("rho", 3, lo=1), _POLY]),
+    _call_form(20, "init", [_POLY]),
+    _call_form(21, "poly_copy", _DST_SRC),
+    _call_form(22, "poly_op", [Enum("op", 4, POLY_OPS), *_DST_SRC]),
+    _call_form(23, "shift_poly", [Enum("ring", 1, RINGS), *_DST_SRC]),
+    Form(24, "eq_check", _EQ,
+         "flag = eq_check (poly_a|poly = {poly_a}, poly_b|poly = {poly_b})"),
+    Form(25, "inf_norm_check", _NORM, _call_template("inf_norm_check", _NORM, "flag = ")),
+    Form(26, "compare", [Enum("reg", 2, ("reg", "tmp", "c0", "c1")), Int("value", 16)],
+         "flag = compare ({reg}, {value})"),
+    Form(27, "branch", [Enum("sense", 1, ("==", "!=")),
+                        Flag("flag", 2, lo=-1, hi=1, offset=-1), Label("target", 8)],
+         "if (flag {sense} {flag}) goto {target}"),
+    Form(28, "sha3_init", [], "sha3_init"),
+    *(form for bits in (256, 512) for form in (
+        Form(29, "sha3_absorb", _ABSORB, f"sha3_{bits}_absorb (poly = {{poly}})",
+             {"bits": bits, "source": "poly"}),
+        *(Form(29, "sha3_absorb", _ABSORB, f"sha3_{bits}_absorb ({r})",
+               {"bits": bits, "source": r}) for r in SEEDS))),
+    Form(30, "sha3_digest", _DIGEST, "{dest} = sha3_256_digest", {"bits": 256}),
+    Form(30, "sha3_digest", _DIGEST, "r0 || r1 = sha3_512_digest",
+         {"bits": 512, "dest": "r0"}),
 ]
 
-# opcode number -> (mnemonic, [(arg, width, (enc, dec)), ...])
-FORMATS = {
-    4: ("clock_config", [("keccak", 1, _enum_codec(("GATE", "UNGATE"))),
-                         ("ntt", 1, _enum_codec(("GATE", "UNGATE"))),
-                         ("sampler", 1, _enum_codec(("GATE", "UNGATE")))]),
-    5: ("cnt", [("counter", 1, _enum_codec(("c0", "c1"))),
-                ("mode", 2, _enum_codec(("set", "add", "sub"))),
-                ("value", 16, _int_codec(16))]),
-    6: ("regop", [("target", 1, _enum_codec(("reg", "tmp"))),
-                  ("mode", 2, _enum_codec(("imm", "copy", "alu"))),
-                  ("value", 24, _int_codec(24))]),
-    7: ("elems", [("fn", 1, _enum_codec(("max", "sum"))), POLY]),
-    8: ("poly_get", [POLY, ("sel", 2, _enum_codec(("imm", "c0", "c1"))),
-                     ("index", 11, _int_codec(11))]),
-    9: ("poly_set", [POLY, ("sel", 2, _enum_codec(("imm", "c0", "c1"))),
-                     ("index", 11, _int_codec(11))]),
-    10: ("transform", [("mode", 2, _enum_codec(TRANSFORM_MODES)),
-                       ("poly_dst", 7, _int_codec(7)),
-                       ("poly_src", 7, _int_codec(7))]),
-    11: ("mult_psi", [POLY]),
-    12: ("mult_psi_inv", [POLY]),
-    13: ("bin_sample", _SAMPLER_HEAD + [("k", 5, _int_codec(5, lo=1, offset=1)), POLY]),
-    14: ("cdt_sample", _SAMPLER_HEAD + [("r", 5, _int_codec(5, lo=1, offset=1)),
-                                        ("s", 6, _int_codec(6, lo=1, offset=1)), POLY]),
-    15: ("rej_sample", _SAMPLER_HEAD + [POLY]),
-    16: ("uni_sample", _SAMPLER_HEAD + [("eta", 8, _int_codec(8)),
-                                        ("bitlen", 4, _int_codec(4, lo=1, offset=1)), POLY]),
-    17: ("tri_sample_1", _SAMPLER_HEAD + [("m", 11, _int_codec(11)), POLY]),
-    18: ("tri_sample_2", _SAMPLER_HEAD + [("m0", 6, _int_codec(6)),
-                                          ("m1", 6, _int_codec(6)), POLY]),
-    19: ("tri_sample_3", _SAMPLER_HEAD + [("rho", 3, _int_codec(3, lo=1)), POLY]),
-    20: ("init", [POLY]),
-    21: ("poly_copy", [("poly_dst", 7, _int_codec(7)), ("poly_src", 7, _int_codec(7))]),
-    22: ("poly_op", [("op", 4, _enum_codec(POLY_OPS)),
-                     ("poly_dst", 7, _int_codec(7)), ("poly_src", 7, _int_codec(7))]),
-    23: ("shift_poly", [("ring", 1, _enum_codec(RINGS)),
-                        ("poly_dst", 7, _int_codec(7)), ("poly_src", 7, _int_codec(7))]),
-    24: ("eq_check", [("poly_a", 7, _int_codec(7)), ("poly_b", 7, _int_codec(7))]),
-    25: ("inf_norm_check", [POLY, ("bound", 20, _int_codec(20))]),
-    26: ("compare", [("reg", 2, _enum_codec(("reg", "tmp", "c0", "c1"))),
-                     ("value", 16, _int_codec(16))]),
-    27: ("branch", [("sense", 1, _enum_codec(("==", "!="))),
-                    ("flag", 2, _enum_codec((-1, 0, 1))),
-                    ("target", 8, _int_codec(8))]),
-    28: ("sha3_init", []),
-    29: ("sha3_absorb", [("bits", 1, _enum_codec((256, 512))),
-                         ("source", 2, _enum_codec(("poly", "r0", "r1"))),
-                         POLY]),
-    30: ("sha3_digest", [("bits", 1, _enum_codec((256, 512))),
-                         ("dest", 1, _enum_codec(("r0", "r1")))]),
-}
+_BY_CODE, _BY_OP = {}, {}
+for _form in FORMS:
+    _BY_CODE.setdefault(_form.code, []).append(_form)
+    _BY_OP.setdefault(_form.op, []).append(_form)
 
-OPCODES = {mnem: code for code, (mnem, _) in FORMATS.items()}
 
+def _heads(form):
+    """The words a line of this form can start with: the template's first
+    word, with a leading operand spelled out in each of its names."""
+    heads = [""]
+    for i, (space, piece) in enumerate(_PIECE.findall(form.template)):
+        if i and (space or not _wordy(piece)):
+            break
+        names = form.by_name[piece[1:-1]].names if piece[0] == "{" else (piece,)
+        heads = [h + n for h in heads for n in names]
+        if not _wordy(piece):
+            break
+    return heads
+
+
+# Forms by the word their lines start with.  Form k is group "f<k>" of its
+# word's statement regex and its operands are groups "f<k>_<name>".
+_BY_HEAD = {}
+for _k, _form in enumerate(FORMS):
+    for _head in _heads(_form):
+        _BY_HEAD.setdefault(_head, []).append(_k)
+_OPERANDS = [[(f"f{k}_{name}", form.by_name[name])
+              for name in dict.fromkeys(re.findall(r"\{(\w+)\}", form.template))]
+             for k, form in enumerate(FORMS)]
+_HEAD = re.compile(r"\w+|\S")
+
+
+@functools.cache
+def _statement(head):
+    """The templates of the forms whose lines start with ``head`` as one
+    alternation, tried in table order; compiled on first use, so a process
+    pays only for the forms it assembles."""
+    return re.compile("|".join(
+        f"(?P<f{k}>{_compile(FORMS[k].template, FORMS[k].by_name, f'f{k}_')})"
+        for k in _BY_HEAD[head]))
+
+
+def _form_of(insn):
+    for form in _BY_OP.get(insn.op, ()):
+        if form.selects(insn.args):
+            return form
+    if insn.op not in _BY_OP:
+        raise ValueError(f"unknown instruction {insn.op!r}")
+    raise ValueError(f"{insn.op} operands {insn.args} match no listing form")
+
+
+# ------------------------------------------------------------ binary form
 
 def encode_instruction(insn):
-    if insn.op == "config":
-        n, q = insn.args["n"], insn.args["q"]
-        if n & (n - 1) or not 8 <= n <= 2048:
-            raise ValueError(f"config n={n} must be a power of two in [8, 2048]")
-        if not 2 <= q < (1 << 24):
-            raise ValueError(f"config q={q} outside [2, 2^24)")
-        return ((n.bit_length() - 1) << 24) | q
-    code = OPCODES.get(insn.op)
-    if code is None:
-        raise ValueError(f"unknown instruction {insn.op!r}")
-    word = code << 27
-    pos = 27
-    for name, width, (enc, _dec) in FORMATS[code][1]:
-        pos -= width
-        try:
-            word |= enc(insn.args[name]) << pos
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{insn.op} operand {name}: {exc}") from exc
-    return word
+    return _form_of(insn).pack(insn.args)
 
 
 def decode_instruction(word, index=None):
-    if word >> 29 == 0:
-        lgn = (word >> 24) & 0x1F
-        q = word & 0xFFFFFF
-        if not 3 <= lgn <= 11:
-            raise DecodeError(f"config lg(n)={lgn} outside [3, 11]", index)
-        if q < 2:
-            raise DecodeError(f"config q={q} below 2", index)
-        return Instruction("config", {"n": 1 << lgn, "q": q})
-    code = word >> 27
-    if code not in FORMATS:
-        raise DecodeError(f"reserved opcode {code}", index)
-    mnem, fields = FORMATS[code]
-    args = {}
-    pos = 27
-    used = 0
-    for name, width, (_enc, dec) in fields:
-        pos -= width
-        bits = (word >> pos) & ((1 << width) - 1)
-        used |= ((1 << width) - 1) << pos
+    code = word >> 27 if word >> 29 else 0
+    error = f"reserved opcode {code}"
+    for form in _BY_CODE.get(code, ()):
         try:
-            args[name] = dec(bits)
+            args = form.unpack(word)
         except ValueError as exc:
-            raise DecodeError(f"{mnem} operand {name}: {exc}", index) from exc
-    if word & ~used & ((1 << 27) - 1):
-        raise DecodeError(f"{mnem}: reserved operand bits set", index)
-    return Instruction(mnem, args)
+            error = str(exc)
+            continue
+        if form.selects(args):
+            return Instruction(form.op, args)
+        error = f"{form.op}: operand fields match no listing form"
+    raise DecodeError(error, index)
 
 
 def encode(program):
@@ -266,261 +473,27 @@ def read_binary(path):
     return decode(list(struct.unpack_from(f"<{count}I", blob, 8)))
 
 
-# ---------------------------------------------------------------- parser
+# -------------------------------------------------------------- listings
 
 _LABEL_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(.*)$")
-_CALL_RE = re.compile(r"^([a-z_0-9]+)\s*\((.*)\)\s*$")
-_CNT_RE = re.compile(r"^(c[01])\s*=\s*(?:(c[01])\s*([+\-])\s*)?(\d+)$")
-_REG_FN_RE = re.compile(r"^reg\s*=\s*(max_elems|sum_elems)\s*\((.*)\)\s*$")
-_REG_IMM_RE = re.compile(r"^(reg|tmp)\s*=\s*(\d+)$")
-_REG_COPY_RE = re.compile(r"^reg\s*=\s*tmp$")
-_REG_ALU_RE = re.compile(r"^tmp\s*=\s*tmp\s+([A-Z]+)\s+reg$")
-_POLY_GET_RE = re.compile(r"^reg\s*=\s*\(\s*poly\s*=\s*(\d+)\s*\)\s*\[\s*(\w+)\s*\]$")
-_POLY_SET_RE = re.compile(r"^\(\s*poly\s*=\s*(\d+)\s*\)\s*\[\s*(\w+)\s*\]\s*=\s*reg$")
-_FLAG_RE = re.compile(r"^flag\s*=\s*([a-z_0-9]+)\s*\((.*)\)\s*$")
-_BRANCH_RE = re.compile(
-    r"^if\s*\(\s*flag\s*(==|!=)\s*([+-]?\d+)\s*\)\s*goto\s+([A-Za-z_]\w*)$")
-_DIGEST_RE = re.compile(r"^(r0|r1)\s*=\s*sha3_256_digest$")
-_DIGEST512_RE = re.compile(r"^r0\s*\|\|\s*r1\s*=\s*sha3_512_digest$")
-
-
-def _parse_args(text, line):
-    """Split a parenthesized argument list into (key-or-None, value) pairs."""
-    pairs = []
-    if not text.strip():
-        return pairs
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise AsmError("empty argument", line)
-        if "=" in part:
-            key, _, val = part.partition("=")
-            pairs.append((key.strip(), val.strip()))
-        else:
-            pairs.append((None, part))
-    return pairs
-
-
-def _want_int(value, line, what):
-    try:
-        return int(value, 0)
-    except ValueError:
-        raise AsmError(f"{what} expects an integer, got {value!r}", line) from None
-
-
-def _counter_arg(value, line):
-    if value in ("c0", "c1"):
-        return value
-    return _want_int(value, line, "counter")
-
-
-def _kv(pairs, line, spec, mnemonic):
-    """Match ordered (key, value) pairs against a list of expected keys."""
-    if len(pairs) != len(spec):
-        raise AsmError(
-            f"{mnemonic} expects {len(spec)} operands, got {len(pairs)}", line)
-    out = {}
-    for (key, value), want in zip(pairs, spec):
-        if key is not None and key != want:
-            raise AsmError(
-                f"{mnemonic}: expected operand {want!r}, got {key!r}", line)
-        out[want] = value
-    return out
-
-
-def _parse_call(mnemonic, argtext, line):
-    pairs = _parse_args(argtext, line)
-
-    def sampler_args(extra):
-        kv = _kv(pairs, line, ["prng", "seed", "c0", "c1"] + extra + ["poly"],
-                 mnemonic)
-        args = {
-            "prng": kv["prng"], "seed": kv["seed"],
-            "c0": _counter_arg(kv["c0"], line),
-            "c1": _counter_arg(kv["c1"], line),
-            "poly": _want_int(kv["poly"], line, "poly"),
-        }
-        if args["prng"] not in PRNGS:
-            raise AsmError(f"unknown prng {args['prng']!r}", line)
-        if args["seed"] not in SEEDS:
-            raise AsmError(f"seed must be r0 or r1, got {kv['seed']!r}", line)
-        for name in extra:
-            args[name] = _want_int(kv[name], line, name)
-        return args
-
-    if mnemonic == "config":
-        kv = _kv(pairs, line, ["n", "q"], mnemonic)
-        return Instruction("config", {"n": _want_int(kv["n"], line, "n"),
-                                      "q": _want_int(kv["q"], line, "q")})
-    if mnemonic == "clock_config":
-        kv = _kv(pairs, line, ["keccak", "ntt", "sampler"], mnemonic)
-        for unit, v in kv.items():
-            if v not in ("GATE", "UNGATE"):
-                raise AsmError(f"{unit} must be GATE or UNGATE, got {v!r}", line)
-        return Instruction("clock_config", kv)
-    if mnemonic == "transform":
-        kv = _kv(pairs, line, ["mode", "poly_dst", "poly_src"], mnemonic)
-        if kv["mode"] not in TRANSFORM_MODES:
-            raise AsmError(f"unknown transform mode {kv['mode']!r}", line)
-        return Instruction("transform", {
-            "mode": kv["mode"],
-            "poly_dst": _want_int(kv["poly_dst"], line, "poly_dst"),
-            "poly_src": _want_int(kv["poly_src"], line, "poly_src")})
-    if mnemonic in ("mult_psi", "mult_psi_inv", "init"):
-        kv = _kv(pairs, line, ["poly"], mnemonic)
-        return Instruction(mnemonic, {"poly": _want_int(kv["poly"], line, "poly")})
-    if mnemonic == "bin_sample":
-        return Instruction(mnemonic, sampler_args(["k"]))
-    if mnemonic == "cdt_sample":
-        return Instruction(mnemonic, sampler_args(["r", "s"]))
-    if mnemonic == "rej_sample":
-        return Instruction(mnemonic, sampler_args([]))
-    if mnemonic == "uni_sample":
-        return Instruction(mnemonic, sampler_args(["eta", "bitlen"]))
-    if mnemonic == "tri_sample_1":
-        return Instruction(mnemonic, sampler_args(["m"]))
-    if mnemonic == "tri_sample_2":
-        return Instruction(mnemonic, sampler_args(["m0", "m1"]))
-    if mnemonic == "tri_sample_3":
-        return Instruction(mnemonic, sampler_args(["rho"]))
-    if mnemonic == "poly_copy":
-        kv = _kv(pairs, line, ["poly_dst", "poly_src"], mnemonic)
-        return Instruction(mnemonic, {
-            "poly_dst": _want_int(kv["poly_dst"], line, "poly_dst"),
-            "poly_src": _want_int(kv["poly_src"], line, "poly_src")})
-    if mnemonic == "poly_op":
-        kv = _kv(pairs, line, ["op", "poly_dst", "poly_src"], mnemonic)
-        if kv["op"] not in POLY_OPS:
-            raise AsmError(f"unknown poly_op operation {kv['op']!r}", line)
-        return Instruction(mnemonic, {
-            "op": kv["op"],
-            "poly_dst": _want_int(kv["poly_dst"], line, "poly_dst"),
-            "poly_src": _want_int(kv["poly_src"], line, "poly_src")})
-    if mnemonic == "shift_poly":
-        kv = _kv(pairs, line, ["ring", "poly_dst", "poly_src"], mnemonic)
-        if kv["ring"] not in RINGS:
-            raise AsmError(f"ring must be x^N+1 or x^N-1, got {kv['ring']!r}", line)
-        return Instruction(mnemonic, {
-            "ring": kv["ring"],
-            "poly_dst": _want_int(kv["poly_dst"], line, "poly_dst"),
-            "poly_src": _want_int(kv["poly_src"], line, "poly_src")})
-    if mnemonic in ("max_elems", "sum_elems"):
-        kv = _kv(pairs, line, ["poly"], mnemonic)
-        return Instruction("elems", {"fn": mnemonic[:3],
-                                     "poly": _want_int(kv["poly"], line, "poly")})
-    if mnemonic in ("sha3_256_absorb", "sha3_512_absorb"):
-        bits = 256 if mnemonic == "sha3_256_absorb" else 512
-        if len(pairs) != 1:
-            raise AsmError(f"{mnemonic} expects one operand", line)
-        key, value = pairs[0]
-        if key == "poly" or (key is None and value.isdigit()):
-            return Instruction("sha3_absorb", {
-                "bits": bits, "source": "poly",
-                "poly": _want_int(value, line, "poly")})
-        if key is None and value in ("r0", "r1"):
-            return Instruction("sha3_absorb", {"bits": bits, "source": value,
-                                               "poly": 0})
-        raise AsmError(f"{mnemonic} operand must be poly = N, r0 or r1", line)
-    raise AsmError(f"unknown instruction {mnemonic!r}", line)
-
-
-def _parse_flag_call(fn, argtext, line):
-    pairs = _parse_args(argtext, line)
-    if fn == "eq_check":
-        if len(pairs) != 2:
-            raise AsmError("eq_check expects two polynomial operands", line)
-        vals = []
-        for (key, value), want in zip(pairs, ("poly_a", "poly_b")):
-            if key is not None and key not in (want, "poly"):
-                raise AsmError(f"eq_check: unexpected operand {key!r}", line)
-            vals.append(_want_int(value, line, want))
-        return Instruction("eq_check", {"poly_a": vals[0], "poly_b": vals[1]})
-    if fn == "inf_norm_check":
-        kv = _kv(pairs, line, ["poly", "bound"], fn)
-        return Instruction(fn, {"poly": _want_int(kv["poly"], line, "poly"),
-                                "bound": _want_int(kv["bound"], line, "bound")})
-    if fn == "compare":
-        if len(pairs) != 2:
-            raise AsmError("compare expects (register, value)", line)
-        (k0, reg), (k1, value) = pairs
-        if k0 is not None or reg not in ("reg", "tmp", "c0", "c1"):
-            raise AsmError(f"compare register must be reg/tmp/c0/c1, got {reg!r}", line)
-        if k1 is not None:
-            raise AsmError("compare value must be positional", line)
-        return Instruction("compare", {"reg": reg,
-                                       "value": _want_int(value, line, "value")})
-    raise AsmError(f"unknown flag function {fn!r}", line)
 
 
 def _parse_statement(text, line):
-    m = _REG_FN_RE.match(text)
-    if m:
-        return _parse_call(m.group(1), m.group(2), line)
-    m = _CALL_RE.match(text)
-    if m:
-        return _parse_call(m.group(1), m.group(2), line)
-    m = _CNT_RE.match(text)
-    if m:
-        counter, rhs_reg, sign, value = m.groups()
-        if rhs_reg is None:
-            mode = "set"
-        else:
-            if rhs_reg != counter:
-                raise AsmError(
-                    f"counter arithmetic must use {counter} on both sides", line)
-            mode = "add" if sign == "+" else "sub"
-        return Instruction("cnt", {"counter": counter, "mode": mode,
-                                   "value": _want_int(value, line, "value")})
-    m = _REG_IMM_RE.match(text)
-    if m:
-        return Instruction("regop", {"target": m.group(1), "mode": "imm",
-                                     "value": _want_int(m.group(2), line, "value")})
-    if _REG_COPY_RE.match(text):
-        return Instruction("regop", {"target": "reg", "mode": "copy", "value": 0})
-    m = _REG_ALU_RE.match(text)
-    if m:
-        op = m.group(1)
-        if op not in REG_ALU_OPS:
-            raise AsmError(f"unknown register ALU op {op!r}", line)
-        return Instruction("regop", {"target": "tmp", "mode": "alu",
-                                     "value": REG_ALU_OPS.index(op)})
-    m = _POLY_GET_RE.match(text)
-    if m:
-        poly, idx = m.groups()
-        args = {"poly": int(poly)}
-        if idx in ("c0", "c1"):
-            args.update(sel=idx, index=0)
-        else:
-            args.update(sel="imm", index=_want_int(idx, line, "index"))
-        return Instruction("poly_get", args)
-    m = _POLY_SET_RE.match(text)
-    if m:
-        poly, idx = m.groups()
-        args = {"poly": int(poly)}
-        if idx in ("c0", "c1"):
-            args.update(sel=idx, index=0)
-        else:
-            args.update(sel="imm", index=_want_int(idx, line, "index"))
-        return Instruction("poly_set", args)
-    m = _FLAG_RE.match(text)
-    if m:
-        return _parse_flag_call(m.group(1), m.group(2), line)
-    m = _BRANCH_RE.match(text)
-    if m:
-        sense, flagval, label = m.groups()
-        flag = int(flagval)
-        if flag not in (-1, 0, 1):
-            raise AsmError(f"flag comparison value must be -1, 0 or +1", line)
-        return Instruction("branch", {"sense": sense, "flag": flag,
-                                      "target": label})
-    if text == "sha3_init":
-        return Instruction("sha3_init", {})
-    m = _DIGEST_RE.match(text)
-    if m:
-        return Instruction("sha3_digest", {"bits": 256, "dest": m.group(1)})
-    if _DIGEST512_RE.match(text):
-        return Instruction("sha3_digest", {"bits": 512, "dest": "r0"})
-    raise AsmError(f"cannot parse statement: {text!r}", line)
+    """The first form whose template matches, and the Instruction."""
+    head = _HEAD.match(text).group()
+    m = _statement(head).fullmatch(text) if head in _BY_HEAD else None
+    if m is None:
+        raise AsmError(f"cannot parse statement: {text!r}", line)
+    k = int(m.lastgroup[1:])
+    form = FORMS[k]
+    args = dict(form.fixed)
+    for group, f in _OPERANDS[k]:
+        token = m.group(group)
+        try:
+            args[f.name] = f.parse(token)
+        except ValueError:
+            raise AsmError(f"{f.name} expects an integer, got {token!r}", line) from None
+    return form, Instruction(form.op, args)
 
 
 def assemble(source):
@@ -529,27 +502,23 @@ def assemble(source):
     pending = []   # (instruction index, label, line) for branch fixups
     for lineno, raw in enumerate(source.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
-        while text:
-            m = _LABEL_RE.match(text)
-            if m and not _CNT_RE.match(text) and "=" not in m.group(1):
-                label, rest = m.group(1), m.group(2).strip()
-                if label in prog.labels:
-                    raise AsmError(f"duplicate label {label!r}", lineno)
-                prog.labels[label] = len(prog.instructions)
-                text = rest
-                continue
-            break
+        while m := _LABEL_RE.match(text):
+            label, text = m.group(1), m.group(2).strip()
+            if label in prog.labels:
+                raise AsmError(f"duplicate label {label!r}", lineno)
+            prog.labels[label] = len(prog.instructions)
         if not text:
             continue
-        insn = _parse_statement(text, lineno)
+        form, insn = _parse_statement(text, lineno)
+        args = insn.args
         if insn.op == "branch":
-            pending.append((len(prog.instructions), insn.args["target"], lineno))
+            pending.append((len(prog.instructions), args["target"], lineno))
+            args = {**args, "target": 0}    # the label resolves later
         # validate encodability now for line-precise diagnostics
-        if insn.op != "branch":
-            try:
-                encode_instruction(insn)
-            except ValueError as exc:
-                raise AsmError(str(exc), lineno) from None
+        try:
+            form.pack(args)
+        except ValueError as exc:
+            raise AsmError(str(exc), lineno) from None
         prog.instructions.append(insn)
         prog.spans.append((lineno, text))
         if len(prog.instructions) > MAX_PROGRAM:
@@ -559,86 +528,6 @@ def assemble(source):
             raise AsmError(f"unresolved label {label!r}", lineno)
         prog.instructions[index].args["target"] = prog.labels[label]
     return prog
-
-
-def assemble_file(path):
-    with open(path) as fh:
-        return assemble(fh.read())
-
-
-# ------------------------------------------------------------- disassembler
-
-def _render(insn, labels_by_index):
-    op, a = insn.op, insn.args
-    if op == "config":
-        return f"config (n = {a['n']}, q = {a['q']})"
-    if op == "clock_config":
-        return (f"clock_config (keccak = {a['keccak']}, ntt = {a['ntt']}, "
-                f"sampler = {a['sampler']})")
-    if op == "cnt":
-        c = a["counter"]
-        if a["mode"] == "set":
-            return f"{c} = {a['value']}"
-        sign = "+" if a["mode"] == "add" else "-"
-        return f"{c} = {c} {sign} {a['value']}"
-    if op == "regop":
-        if a["mode"] == "imm":
-            return f"{a['target']} = {a['value']}"
-        if a["mode"] == "copy":
-            return "reg = tmp"
-        return f"tmp = tmp {REG_ALU_OPS[a['value'] & 7]} reg"
-    if op == "elems":
-        return f"reg = {a['fn']}_elems (poly = {a['poly']})"
-    if op == "poly_get":
-        idx = a["sel"] if a["sel"] != "imm" else a["index"]
-        return f"reg = (poly = {a['poly']})[{idx}]"
-    if op == "poly_set":
-        idx = a["sel"] if a["sel"] != "imm" else a["index"]
-        return f"(poly = {a['poly']})[{idx}] = reg"
-    if op == "transform":
-        return (f"transform (mode = {a['mode']}, poly_dst = {a['poly_dst']}, "
-                f"poly_src = {a['poly_src']})")
-    if op in ("mult_psi", "mult_psi_inv", "init"):
-        return f"{op} (poly = {a['poly']})"
-    if op in ("bin_sample", "cdt_sample", "rej_sample", "uni_sample",
-              "tri_sample_1", "tri_sample_2", "tri_sample_3"):
-        extra = {"bin_sample": ["k"], "cdt_sample": ["r", "s"],
-                 "rej_sample": [], "uni_sample": ["eta", "bitlen"],
-                 "tri_sample_1": ["m"], "tri_sample_2": ["m0", "m1"],
-                 "tri_sample_3": ["rho"]}[op]
-        parts = [f"prng = {a['prng']}", f"seed = {a['seed']}",
-                 f"c0 = {a['c0']}", f"c1 = {a['c1']}"]
-        parts += [f"{name} = {a[name]}" for name in extra]
-        parts.append(f"poly = {a['poly']}")
-        return f"{op} ({', '.join(parts)})"
-    if op == "poly_copy":
-        return f"poly_copy (poly_dst = {a['poly_dst']}, poly_src = {a['poly_src']})"
-    if op == "poly_op":
-        return (f"poly_op (op = {a['op']}, poly_dst = {a['poly_dst']}, "
-                f"poly_src = {a['poly_src']})")
-    if op == "shift_poly":
-        return (f"shift_poly (ring = {a['ring']}, poly_dst = {a['poly_dst']}, "
-                f"poly_src = {a['poly_src']})")
-    if op == "eq_check":
-        return f"flag = eq_check (poly_a = {a['poly_a']}, poly_b = {a['poly_b']})"
-    if op == "inf_norm_check":
-        return f"flag = inf_norm_check (poly = {a['poly']}, bound = {a['bound']})"
-    if op == "compare":
-        return f"flag = compare ({a['reg']}, {a['value']})"
-    if op == "branch":
-        label = labels_by_index.get(a["target"], f"L{a['target']}")
-        flag = a["flag"] if a["flag"] <= 0 else f"+{a['flag']}"
-        return f"if (flag {a['sense']} {flag}) goto {label}"
-    if op == "sha3_init":
-        return "sha3_init"
-    if op == "sha3_absorb":
-        src = f"poly = {a['poly']}" if a["source"] == "poly" else a["source"]
-        return f"sha3_{a['bits']}_absorb ({src})"
-    if op == "sha3_digest":
-        if a["bits"] == 512:
-            return "r0 || r1 = sha3_512_digest"
-        return f"{a['dest']} = sha3_256_digest"
-    raise ValueError(f"cannot render {op!r}")
 
 
 def disassemble(program):
@@ -655,7 +544,10 @@ def disassemble(program):
     for i, insn in enumerate(program.instructions):
         if i in labels_by_index:
             lines.append(f"{labels_by_index[i]}:")
-        lines.append(_render(insn, labels_by_index))
+        args = insn.args
+        if insn.op == "branch":
+            args = {**args, "target": labels_by_index[args["target"]]}
+        lines.append(_form_of(insn).render(args))
     if len(program.instructions) in labels_by_index:
         lines.append(f"{labels_by_index[len(program.instructions)]}:")
     return "\n".join(lines) + "\n"

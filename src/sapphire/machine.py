@@ -31,6 +31,26 @@ from . import isa, keccak, modmath, nttcore, polycache, sampler
 
 WORD_MASK = (1 << 24) - 1
 
+# regop ALU operations on (tmp, reg), in isa.REG_ALU_OPS order
+_ALU = (operator.add, operator.sub, operator.mul, operator.and_, operator.or_,
+        operator.xor, lambda x, y: x >> (y & 31), lambda x, y: x << (y & 31))
+
+# sampler instruction -> (function of the sampler module, its keyword
+# arguments other than n and prng); the function is looked up per call
+_SAMPLERS = {
+    "rej_sample": ("rej_sample", lambda m, a: {"plan": m.rej_plan}),
+    "bin_sample": ("bin_sample", lambda m, a: {"k": a["k"], "q": m.q}),
+    "cdt_sample": ("cdt_sample", lambda m, a: {
+        "table": sampler.CdtTable(tuple(m.cdt_ram[:a["s"]]), a["s"], a["r"]),
+        "q": m.q}),
+    "uni_sample": ("uni_sample", lambda m, a: {
+        "eta": a["eta"], "bitlen": a["bitlen"], "q": m.q}),
+    "tri_sample_1": ("tri_sample_fixed", lambda m, a: {"m": a["m"], "q": m.q}),
+    "tri_sample_2": ("tri_sample_split", lambda m, a: {
+        "m0": a["m0"], "m1": a["m1"], "q": m.q}),
+    "tri_sample_3": ("tri_sample_prob", lambda m, a: {"k": a["rho"], "q": m.q}),
+}
+
 
 class MachineFault(RuntimeError):
     def __init__(self, message, pc=None):
@@ -246,25 +266,7 @@ class Machine:
         elif a["mode"] == "copy":
             self.reg = self.tmp
         else:
-            alu = isa.REG_ALU_OPS[a["value"] & 7]
-            x, y = self.tmp, self.reg
-            if alu == "ADD":
-                r = x + y
-            elif alu == "SUB":
-                r = x - y
-            elif alu == "MUL":
-                r = x * y
-            elif alu == "AND":
-                r = x & y
-            elif alu == "OR":
-                r = x | y
-            elif alu == "XOR":
-                r = x ^ y
-            elif alu == "RSHIFT":
-                r = x >> (y & 31)
-            else:
-                r = x << (y & 31)
-            self.tmp = r & WORD_MASK
+            self.tmp = _ALU[a["value"] & 7](self.tmp, self.reg) & WORD_MASK
         self._use("alu", 1, op)
 
     def _scan_slot(self, slot):
@@ -300,12 +302,25 @@ class Machine:
         self.cache.slot_write(a["poly"], self._poly_index(a), self.reg)
         self._use("alu", 1, op)
 
+    def _need_residues(self, what, *slots):
+        """Fault unless every coefficient of the given coefficient lists is
+        a residue in [0, q); the fault names the first one that is not."""
+        q = self.q
+        if all(0 <= min(v) and max(v) < q for v in slots):
+            return
+        try:
+            for vals in zip(*slots):
+                modmath._check_residues(q, *vals)
+        except modmath.ModMathError as exc:
+            raise MachineFault(f"{what}: {exc}", self.pc) from None
+
     def _exec_transform(self, a, op):
         self._need_slot(a["poly_src"])
         self._need_slot(a["poly_dst"])
         if self.consts is None:
             raise MachineFault(
                 f"transform with q={self.q}: no 2n-th root of unity", self.pc)
+        self._need_residues(op, self.cache.data[a["poly_src"]])
         try:
             nttcore.ntt(self.cfg, self.consts, self.cache,
                         a["poly_dst"], a["poly_src"], a["mode"])
@@ -318,6 +333,7 @@ class Machine:
         if self.consts is None:
             raise MachineFault(f"mult_psi with q={self.q}: no NTT constants",
                                self.pc)
+        self._need_residues(op, self.cache.data[a["poly"]])
         fn = nttcore.mult_psi if op == "mult_psi" else nttcore.mult_psi_inv
         fn(self.cfg, self.consts, self.cache, a["poly"])
         self._use("ntt", self.n + 1, op)
@@ -329,14 +345,16 @@ class Machine:
             return self.c1
         return spec
 
-    def _run_sampler(self, a, op, draw):
-        self._need_slot(a["poly"])
-        seed = self.r0 if a["seed"] == "r0" else self.r1
-        prng = keccak.sampler_prng(a["prng"], seed,
-                                   self._counter_value(a["c0"]),
-                                   self._counter_value(a["c1"]))
+    def _exec_sample(self, a, op):
+        name, build = _SAMPLERS[op]
         try:
-            values = draw(prng)
+            kwargs = build(self, a)
+            self._need_slot(a["poly"])
+            seed = self.r0 if a["seed"] == "r0" else self.r1
+            prng = keccak.sampler_prng(a["prng"], seed,
+                                       self._counter_value(a["c0"]),
+                                       self._counter_value(a["c1"]))
+            values = getattr(sampler, name)(self.n, prng=prng, **kwargs)
         except sampler.SamplerError as exc:
             raise MachineFault(f"{op}: {exc}", self.pc) from None
         self.cache.access("write", (a["poly"],))
@@ -344,49 +362,14 @@ class Machine:
         self._use("keccak", 24 * prng.permutes, op)
         self._use("sampler", prng.words_out + self.n, op)
 
-    def _exec_bin_sample(self, a, op):
-        self._run_sampler(
-            a, op, lambda p: sampler.bin_sample(self.n, a["k"], self.q, p))
-
-    def _exec_cdt_sample(self, a, op):
-        r, s = a["r"], a["s"]
-        try:
-            table = sampler.CdtTable(tuple(self.cdt_ram[:s]), s, r)
-        except sampler.SamplerError as exc:
-            raise MachineFault(f"cdt_sample: {exc}", self.pc) from None
-        self._run_sampler(
-            a, op, lambda p: sampler.cdt_sample(self.n, table, p, q=self.q))
-
-    def _exec_rej_sample(self, a, op):
-        self._run_sampler(
-            a, op, lambda p: sampler.rej_sample(self.n, self.rej_plan, p))
-
-    def _exec_uni_sample(self, a, op):
-        self._run_sampler(
-            a, op, lambda p: sampler.uni_sample(self.n, a["eta"], a["bitlen"],
-                                                self.q, p))
-
-    def _exec_tri1(self, a, op):
-        self._run_sampler(
-            a, op, lambda p: sampler.tri_sample_fixed(self.n, a["m"], self.q, p))
-
-    def _exec_tri2(self, a, op):
-        self._run_sampler(
-            a, op, lambda p: sampler.tri_sample_split(self.n, a["m0"], a["m1"],
-                                                      self.q, p))
-
-    def _exec_tri3(self, a, op):
-        self._run_sampler(
-            a, op, lambda p: sampler.tri_sample_prob(self.n, a["rho"], self.q, p))
-
     def _exec_init(self, a, op):
         self._need_slot(a["poly"])
         self.cache.slot_clear(a["poly"])
         self._use("ntt", self.n + 1, op)
 
     def _operands(self, kind, dst, src):
-        """Flat coefficient lists of dst and src after accounting a
-        two-slot schedule of the given kind."""
+        """Flat coefficient lists of two operand slots, (dst, src) or
+        (a, b), after accounting a two-slot schedule of the given kind."""
         self._need_slot(dst)
         self._need_slot(src)
         self.cache.access(kind, (dst, src))
@@ -405,13 +388,8 @@ class Machine:
             y[:] = [x[nttcore.bit_reverse(i, lgn)] for i in range(self.n)]
         elif kind in ("ADD", "SUB", "MUL"):
             y, x = self._operands("zip", dst, src)
+            self._need_residues(f"poly_op {kind}", x, y)
             q = self.q
-            try:
-                if not (0 <= min(x) and max(x) < q and 0 <= min(y) and max(y) < q):
-                    for u, v in zip(x, y):   # name the first non-residue
-                        modmath._check_residues(q, u, v)
-            except modmath.ModMathError as exc:
-                raise MachineFault(f"poly_op {kind}: {exc}", self.pc) from None
             if kind == "ADD":
                 y[:] = [t - (q & -(t >= q)) for t in map(operator.add, x, y)]
             elif kind == "SUB":
@@ -448,15 +426,9 @@ class Machine:
         self._use("ntt", self.n + 1, op)
 
     def _exec_eq_check(self, a, op):
-        self._need_slot(a["poly_a"])
-        self._need_slot(a["poly_b"])
-        x, y = self.cache.data[a["poly_a"]], self.cache.data[a["poly_b"]]
-        # the comparison stops at the first differing pair
-        stop = None if x == y else next(
-            i for i, (u, v) in enumerate(zip(x, y)) if u != v)
-        self.cache.access("compare", (a["poly_a"], a["poly_b"]),
-                          None if stop is None else 2 * stop + 2)
-        self.flag = 1 if stop is None else 0
+        # the whole compare schedule runs whatever the data
+        x, y = self._operands("compare", a["poly_a"], a["poly_b"])
+        self.flag = 1 if x == y else 0
         self._use("ntt", self.n + 1, op)
 
     def _exec_inf_norm(self, a, op):
@@ -529,13 +501,7 @@ class Machine:
         "transform": _exec_transform,
         "mult_psi": _exec_mult_psi,
         "mult_psi_inv": _exec_mult_psi,
-        "bin_sample": _exec_bin_sample,
-        "cdt_sample": _exec_cdt_sample,
-        "rej_sample": _exec_rej_sample,
-        "uni_sample": _exec_uni_sample,
-        "tri_sample_1": _exec_tri1,
-        "tri_sample_2": _exec_tri2,
-        "tri_sample_3": _exec_tri3,
+        **dict.fromkeys(_SAMPLERS, _exec_sample),
         "init": _exec_init,
         "poly_copy": _exec_poly_copy,
         "poly_op": _exec_poly_op,

@@ -50,67 +50,78 @@ SPECIALIZED_PARAMS = {
 def _reduce_7681(x):
     t = ((x << 8) + (x << 4) + x) >> 21
     t = (t << 13) - (t << 9) + t
-    return x - t
+    r = x - t
+    return r - (7681 & -(r >= 7681))
 
 
 def _reduce_12289(x):
     t = (10921 * x) >> 27
     t = (t << 13) + (t << 12) + t
-    return x - t
+    r = x - t
+    return r - (12289 & -(r >= 12289))
 
 
 def _reduce_40961(x):
     t = (52427 * x) >> 31
     t = (t << 15) + (t << 13) + t
-    return x - t
+    r = x - t
+    return r - (40961 & -(r >= 40961))
 
 
 def _reduce_120833(x):
     t = (71089 * x) >> 33
     t = (t << 17) - (t << 14) + (t << 13) - (t << 11) + t
-    return x - t
+    r = x - t
+    return r - (120833 & -(r >= 120833))
 
 
 def _reduce_133121(x):
     t = ((x << 16) - (x << 10) + (x << 4) - x) >> 33
     t = (t << 17) + (t << 11) + t
-    return x - t
+    r = x - t
+    return r - (133121 & -(r >= 133121))
 
 
 def _reduce_184321(x):
     t = (46603 * x) >> 33
     t = (t << 17) + (t << 15) + (t << 14) + (t << 12) + t
-    return x - t
+    r = x - t
+    return r - (184321 & -(r >= 184321))
 
 
 def _reduce_8380417(x):
     t = ((x << 23) + (x << 13) + (x << 3) - x) >> 46
     t = (t << 23) - (t << 13) + t
-    return x - t
+    r = x - t
+    return r - (8380417 & -(r >= 8380417))
 
 
 def _reduce_8058881(x):
     t = (8731825 * x) >> 46
     t = 8058881 * t
-    return x - t
+    r = x - t
+    return r - (8058881 & -(r >= 8058881))
 
 
 def _reduce_4205569(x):
     t = (4183069 * x) >> 44
     t = (t << 22) + (t << 13) + (t << 11) + (t << 10) + t
-    return x - t
+    r = x - t
+    return r - (4205569 & -(r >= 4205569))
 
 
 def _reduce_4206593(x):
     t = ((x << 21) - (x << 13) + (x << 11) + (x << 4) + x) >> 43
     t = (t << 22) + (t << 13) + (t << 12) + t
-    return x - t
+    r = x - t
+    return r - (4206593 & -(r >= 4206593))
 
 
 def _reduce_8404993(x):
     t = ((x << 22) - (x << 13) + (x << 4) - x) >> 45
     t = (t << 23) + (t << 14) + t
-    return x - t
+    r = x - t
+    return r - (8404993 & -(r >= 8404993))
 
 
 _SPECIALIZED_CORE = {
@@ -210,6 +221,12 @@ class ModulusProfile:
             return cls.specialized(q)
         return cls.generic(q)
 
+    @functools.cached_property
+    def _reduce(self):
+        # reducer(self), kept on the profile: hashing the profile for the
+        # lru_cache on every reduce() call would double its cost
+        return reducer(self)
+
 
 def _check_residues(q, *vals):
     for v in vals:
@@ -235,20 +252,9 @@ def mod_sub(x, y, p):
 
 def reduce(z, p):
     """Reduce z in [0, q^2) to [0, q) using the profile's strategy."""
-    q = p.q
-    if not 0 <= z < q * q:
-        raise ModMathError(f"reduction input {z} out of range [0, {q * q})")
-    if p.strategy == POWER_OF_TWO:
-        return z & (q - 1)
-    if p.strategy == FERMAT_65537:
-        r = (z & 0xFFFF) - ((z >> 16) & 0xFFFF) + (z >> 32)
-        return r + (q & -(r < 0))
-    if p.strategy == SPECIALIZED_BARRETT:
-        r = _SPECIALIZED_CORE[q](z)
-    else:
-        t = (z * p.m) >> p.k
-        r = z - t * q
-    return r - (q & -(r >= q))
+    if not 0 <= z < p.q * p.q:
+        raise ModMathError(f"reduction input {z} out of range [0, {p.q * p.q})")
+    return p._reduce(z)
 
 
 def mod_mul(x, y, p):
@@ -259,10 +265,12 @@ def mod_mul(x, y, p):
 
 @functools.lru_cache(maxsize=None)
 def reducer(p):
-    """Closure computing reduce(z, p) without the range check.
+    """The one implementation of each reduction strategy: a closure
+    reducing z in [0, q^2) to [0, q), without reduce()'s range check.
 
-    Used by the transform and sampler inner loops, where the input range
-    is guaranteed structurally and per-call dispatch would dominate.
+    The transform and sampler inner loops call it directly, where the
+    input range is guaranteed structurally and per-call dispatch would
+    dominate.
     """
     q = p.q
     if p.strategy == POWER_OF_TWO:
@@ -274,12 +282,7 @@ def reducer(p):
             return r + (q & -(r < 0))
         return _fermat
     if p.strategy == SPECIALIZED_BARRETT:
-        core = _SPECIALIZED_CORE[q]
-
-        def _specialized(z):
-            r = core(z)
-            return r - (q & -(r >= q))
-        return _specialized
+        return _SPECIALIZED_CORE[q]
     m, k = p.m, p.k
 
     def _generic(z):

@@ -33,13 +33,13 @@ from itertools import chain, repeat
 from operator import add, mul, sub
 
 from . import modmath, polycache
+from .isa import TRANSFORM_MODES  # noqa: F401  (DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT)
 from .polycache import bit_reverse  # noqa: F401  (the transform's index order)
 
 DIF_NTT = "DIF_NTT"
 DIT_NTT = "DIT_NTT"
 DIF_INTT = "DIF_INTT"
 DIT_INTT = "DIT_INTT"
-TRANSFORM_MODES = (DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT)
 
 
 class NttError(ValueError):

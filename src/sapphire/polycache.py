@@ -24,7 +24,6 @@ on.
 """
 
 import functools
-import itertools
 import operator
 
 SRAM_ROWS = 1024
@@ -223,19 +222,13 @@ class PolynomialCache:
 
     # Access schedules: audited once per shape, replayed only when tracing.
 
-    def access(self, kind, slots, cycles=None):
-        """Account the memory cycles of one op on the given operand slots.
-
-        ``cycles`` cuts the schedule short (an op that stops early); by
-        default the op runs the whole schedule.
-        """
-        full = schedule_cycles(kind, self.n, tuple(map(self.slot_bank, slots)))
-        if cycles is None:
-            cycles = full
+    def access(self, kind, slots):
+        """Account the memory cycles of one op on the given operand slots."""
+        cycles = schedule_cycles(kind, self.n, tuple(map(self.slot_bank, slots)))
         if self.trace_enabled:
             where = [[address(self.n, s, i) for i in range(self.n)] for s in slots]
             cyc = self.mem_cycle
-            for cycle in itertools.islice(schedule(kind, self.n), cycles):
+            for cycle in schedule(kind, self.n):
                 for k, i, rw in cycle:
                     self.ledger.append((cyc, *where[k][i], rw))
                 cyc += 1

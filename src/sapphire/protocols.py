@@ -64,23 +64,6 @@ def decode_message(coeffs, n, q=NEWHOPE_Q):
     return bytes(out)
 
 
-def vector_to_hex(values):
-    """Interchange form for keys/ciphertexts: 3 LE bytes per coefficient."""
-    out = bytearray()
-    for v in values:
-        if not 0 <= v < (1 << 24):
-            raise ValueError(f"coefficient {v} does not fit 24 bits")
-        out += v.to_bytes(3, "little")
-    return out.hex()
-
-
-def vector_from_hex(text):
-    raw = bytes.fromhex(text.strip())
-    if len(raw) % 3:
-        raise ValueError("hex vector length is not a multiple of 3 bytes")
-    return [int.from_bytes(raw[i:i + 3], "little") for i in range(0, len(raw), 3)]
-
-
 # ----------------------------------------------------------------- NewHope
 
 @dataclass

@@ -171,7 +171,7 @@ OPS_8PT_INPUTS = {
 
 def test_golden_ledger_8pt_ops_frozen():
     """One traced 8-point program with every op kind once (eq_check twice:
-    equal, and stopping at index 3).  Its memory cycles, cycle report,
+    equal, and differing at index 3).  Its memory cycles, cycle report,
     slots and ledger are frozen."""
     m = Machine()
     m.write_seed("r0", bytes(range(32)))

@@ -1,7 +1,12 @@
+import json
+import os
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sapphire import isa
+from conftest import DATA_DIR
+from sapphire import isa, protocols
 from sapphire.isa import AsmError, DecodeError, Instruction, assemble
 from sapphire.protocols import _program_text
 
@@ -97,10 +102,16 @@ def test_every_mnemonic_assembles_and_round_trips():
 
 
 def test_mnemonics_have_unique_opcodes():
-    codes = list(isa.FORMATS)
-    assert len(set(codes)) == len(codes)
-    mnems = [m for m, _ in isa.FORMATS.values()]
-    assert len(set(mnems)) == len(mnems)
+    # one opcode per mnemonic and one mnemonic per opcode; the forms of an
+    # opcode share one field layout
+    op_of = {f.code: f.op for f in isa.FORMS}
+    assert len(set(op_of.values())) == len(op_of)
+    assert all(op_of[f.code] == f.op for f in isa.FORMS)
+    for form in isa.FORMS:
+        first = next(f for f in isa.FORMS if f.code == form.code)
+        assert [(f.name, f.width) for f in form.fields] == \
+            [(f.name, f.width) for f in first.fields]
+        assert sum(f.width for f in form.fields) <= form.top
 
 
 def test_config_examples():
@@ -233,3 +244,139 @@ def test_decode_rejects_out_of_range_branch():
     words = isa.encode(prog)
     with pytest.raises(DecodeError):
         isa.decode(words[:1] + [words[1] | 0xFF])   # target 255 > length
+
+
+def test_encoding_is_frozen():
+    """The words of COVERAGE_LINES and of every checked-in program, with
+    its templates filled the way the protocol drivers fill them, as the
+    assembler before the table-driven one encoded them."""
+    with open(os.path.join(DATA_DIR, "frozen_words.json")) as fh:
+        frozen = json.load(fh)
+    words = isa.encode(assemble("\n".join(COVERAGE_LINES)))
+    assert [f"{w:08x}" for w in words] == frozen["coverage_lines"]
+    for entry in frozen["programs"]:
+        prog = protocols.load_program(entry["program"], **entry["params"])
+        assert [f"{w:08x}" for w in isa.encode(prog)] == entry["words"], entry
+    shipped = os.listdir(os.path.join(os.path.dirname(isa.__file__), "programs"))
+    assert {e["program"] for e in frozen["programs"]} == \
+        {name for name in shipped if name.endswith(".sph")}
+
+
+_SHA3_INIT = 28 << 27
+
+
+def _form_words(op):
+    """Words of one mnemonic's opcode: each field holds the fixed value of
+    one of its forms or random bits, sometimes with the bits below the
+    fields set."""
+    @st.composite
+    def words(draw):
+        form = draw(st.sampled_from([f for f in isa.FORMS if f.op == op]))
+        word, pos = form.code << form.top, form.top
+        for f in form.fields:
+            pos -= f.width
+            if f.name in form.fixed and draw(st.booleans()):
+                bits = f.enc(form.fixed[f.name])
+            else:
+                bits = draw(st.integers(0, (1 << f.width) - 1))
+            word |= bits << pos
+        if pos and draw(st.integers(0, 3)) == 0:
+            word |= draw(st.integers(1, (1 << pos) - 1))
+        return word
+    return words()
+
+
+@pytest.mark.parametrize("op", sorted({f.op for f in isa.FORMS}))
+def test_every_decodable_word_round_trips(op):
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_form_words(op))
+    def round_trip(word):
+        # a branch needs its target inside the program
+        words = [word] + [_SHA3_INIT] * ((word & 0xFF) if op == "branch" else 0)
+        try:
+            prog = isa.decode(words)
+        except DecodeError:
+            return
+        assert isa.encode(assemble(isa.disassemble(prog))) == words
+    round_trip()
+
+
+@pytest.mark.parametrize("word", [
+    0x36000009,              # regop ALU op 9
+    (6 << 27) | (1 << 26) | (1 << 24),             # reg = tmp, target tmp
+    (6 << 27) | (1 << 24) | 5,                      # reg = tmp, immediate 5
+    (6 << 27) | (2 << 24),                          # ALU on target reg
+    (8 << 27) | (2 << 20) | (1 << 18) | 7,          # reg = (poly = 2)[c0], index 7
+    (9 << 27) | (2 << 20) | (2 << 18) | 7,          # (poly = 2)[c1] = reg, index 7
+    (30 << 27) | (1 << 26) | (1 << 25),             # r0 || r1 digest with dest r1
+    (29 << 27) | (1 << 25) | (3 << 18),             # absorb from r0 with poly 3
+    (29 << 27) | (1 << 26) | (2 << 24) | (5 << 17), # absorb from r1 with poly 5
+])
+def test_decoder_rejects_fields_the_listing_cannot_express(word):
+    with pytest.raises(DecodeError):
+        isa.decode_instruction(word, 0)
+
+
+ALTERNATE_SPELLINGS = {
+    # positional call operands
+    "transform (DIF_NTT, 16, 4)":
+        Instruction("transform", {"mode": "DIF_NTT", "poly_dst": 16, "poly_src": 4}),
+    "bin_sample (SHAKE-256, r1, c0, 1, 8, 2)":
+        Instruction("bin_sample", {"prng": "SHAKE-256", "seed": "r1", "c0": "c0",
+                                   "c1": 1, "k": 8, "poly": 2}),
+    "flag = eq_check (1, 2)": Instruction("eq_check", {"poly_a": 1, "poly_b": 2}),
+    "sha3_256_absorb (3)":
+        Instruction("sha3_absorb", {"bits": 256, "source": "poly", "poly": 3}),
+    # poly as the key of either eq_check operand
+    "flag = eq_check (poly = 1, poly = 2)":
+        Instruction("eq_check", {"poly_a": 1, "poly_b": 2}),
+    "flag = eq_check (poly_a = 1, poly = 2)":
+        Instruction("eq_check", {"poly_a": 1, "poly_b": 2}),
+    # max/sum_elems without "reg ="
+    "max_elems (poly = 3)": Instruction("elems", {"fn": "max", "poly": 3}),
+    # one integer rule for every operand
+    "mult_psi (poly = 0x1)": Instruction("mult_psi", {"poly": 1}),
+    "init (poly = 1_0)": Instruction("init", {"poly": 10}),
+    "reg = (poly = 2)[0x7]":
+        Instruction("poly_get", {"poly": 2, "sel": "imm", "index": 7}),
+    "reg = (poly = 02)[7]":
+        Instruction("poly_get", {"poly": 2, "sel": "imm", "index": 7}),
+    "tmp = 0x10": Instruction("regop", {"target": "tmp", "mode": "imm", "value": 16}),
+    "c1 = c1 - 0b11": Instruction("cnt", {"counter": "c1", "mode": "sub", "value": 3}),
+    # spaces are optional where no two words meet
+    "c0=c0+1": Instruction("cnt", {"counter": "c0", "mode": "add", "value": 1}),
+    "reg=tmp": Instruction("regop", {"target": "reg", "mode": "copy", "value": 0}),
+    "(poly=2)[c0]=reg": Instruction("poly_set", {"poly": 2, "sel": "c0", "index": 0}),
+    "r0||r1=sha3_512_digest":
+        Instruction("sha3_digest", {"bits": 512, "dest": "r0"}),
+    "config(n=8,q=257)": Instruction("config", {"n": 8, "q": 257}),
+}
+
+
+def test_alternate_spellings():
+    for line, insn in ALTERNATE_SPELLINGS.items():
+        assert assemble(line).instructions == [insn], line
+    prog = assemble("if(flag==+01)goto end\nend:")
+    assert prog.instructions == [
+        Instruction("branch", {"sense": "==", "flag": 1, "target": 1})]
+    for line in ("tmp = tmpADDreg", "if (flag == 0) gotoend\nend:",
+                 "transform (mode = DIF_NTT, poly = 16, poly_src = 4)",
+                 "flag = eq_check (poly_b = 1, poly_a = 2)",
+                 "flag = compare (reg, value = 3)", "reg = (2)[7]",
+                 "sha3_0x100_absorb (r0)", "reg = (poly = 2)[imm]",
+                 "if (flag == 2) goto end\nend:"):
+        with pytest.raises(AsmError) as err:
+            assemble("c0 = 0\n" + line)
+        assert err.value.line == 2, line
+
+
+def test_readme_encoding_table_matches_the_spec():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Instruction encoding (frozen)")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| (\d+) +\| [^|]+\| ([^|]+)\|$", section, re.M)
+    documented = {int(op): [int(w) for w in re.findall(r"\((\d+)", fields)]
+                  for op, fields in rows if "decode error" not in fields}
+    spec = {f.code: [fld.width for fld in f.fields] for f in isa.FORMS if f.code}
+    assert len(documented) == 27
+    assert documented == spec

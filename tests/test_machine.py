@@ -323,6 +323,28 @@ class TestFlags:
         m.run()
         assert m.flag == 0
 
+    def test_eq_check_memory_trace_is_data_independent(self):
+        # equal operands and operands differing at each index run the same
+        # compare schedule: same memory cycles, same ledger
+        traces = set()
+        for differ in (None, 0, 3, 63):
+            m = Machine()
+            m.configure(64, 7681)
+            a = list(range(64))
+            b = list(a)
+            if differ is not None:
+                b[differ] += 1
+            m.write_slot(1, a)
+            m.write_slot(40, b)
+            m.load_program("config (n = 64, q = 7681)\n"
+                           "flag = eq_check (poly_a = 1, poly_b = 40)")
+            m.cache.trace_enabled = True
+            m.run()
+            assert m.flag == (1 if differ is None else 0)
+            traces.add((m.cache.mem_cycle, tuple(m.trace())))
+        assert len(traces) == 1
+        assert next(iter(traces))[0] == 2 * 64
+
     def test_inf_norm_boundary_values(self):
         q = 7681
         m = Machine()
@@ -455,6 +477,29 @@ class TestFaults:
         m = Machine()
         with pytest.raises(MachineFault):
             m.read_seed("r0")
+
+    # CONST_OR writes 16000000 | v: 24-bit words far above q, which the
+    # transform once turned into a 28-bit word (OverflowError at the
+    # absorb) and psi-multiply into silent non-residues
+    NON_RESIDUES = ("config (n = 8, q = 7681)\n"
+                    "reg = 16000000\n"
+                    "poly_op (op = CONST_OR, poly_dst = 0, poly_src = 0)\n")
+
+    def test_transform_of_non_residues_faults(self):
+        m = seeded()
+        m.load_program(self.NON_RESIDUES
+                       + "transform (mode = DIF_NTT, poly_dst = 70, poly_src = 0)\n"
+                       "sha3_256_absorb (poly = 70)")
+        with pytest.raises(MachineFault, match="transform: residue 16000000"):
+            m.run()
+
+    @pytest.mark.parametrize("op", ["mult_psi", "mult_psi_inv"])
+    def test_psi_multiply_of_non_residues_faults(self, op):
+        m = seeded()
+        m.load_program(self.NON_RESIDUES + f"{op} (poly = 0)")
+        with pytest.raises(MachineFault, match=f"{op}: residue 16000000"):
+            m.run()
+        assert m.read_slot(0) == [16000000] * 8
 
 
 class TestHostInterface:

@@ -193,20 +193,3 @@ def test_frodo_full_scale_640():
     m = machine.Machine()
     assert protocols.frodo_as_plus_e(m, prof, sa, ss) == \
         protocols.frodo_as_plus_e_oracle(prof, sa, ss)
-
-
-class TestHexInterchange:
-    def test_round_trip(self):
-        rng = random.Random(6)
-        v = [rng.randrange(1 << 24) for _ in range(257)]
-        assert protocols.vector_from_hex(protocols.vector_to_hex(v)) == v
-
-    def test_layout_is_three_le_bytes(self):
-        assert protocols.vector_to_hex([0x010203]) == "030201"
-        assert protocols.vector_from_hex("030201") == [0x010203]
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            protocols.vector_to_hex([1 << 24])
-        with pytest.raises(ValueError):
-            protocols.vector_from_hex("0302")
