@@ -54,7 +54,15 @@ def cmd_asm(args):
         print(f"{args.source}:{exc}", file=sys.stderr)
         return EXIT_USAGE
     out = args.output or (os.path.splitext(args.source)[0] + ".bin")
-    isa.write_binary(out, program)
+    try:
+        isa.write_binary(out, program)
+    except OSError as exc:
+        _usage(str(exc))
+    except ValueError as exc:
+        # e.g. a branch to the end of a 256-instruction program: the machine
+        # runs target 256 as a halt, but the 8-bit target field cannot hold it
+        print(f"{args.source}: cannot encode: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"{len(program)} instructions")
     return EXIT_OK
 

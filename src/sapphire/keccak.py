@@ -1,14 +1,18 @@
-"""Keccak-f[1600] permutation, SHA3-256/512 digests and SHAKE-128/256 XOF.
+"""SHA3-256/512 digests and SHAKE-128/256 XOF, plus the Keccak-f[1600]
+permutation in pure Python as the reference model.
 
 The sponge state doubles as the CS-PRNG of the emulated processor: samplers
 pull pseudo-random bits out of a seeded SHAKE state 32 bits at a time.
-Each state keeps counters of permutations run and 32-bit words shifted out,
-which the machine's cycle model reads back (24 cycles per permutation, one
-cycle per word).
+``hashlib`` supplies the bytes; each state derives from its byte counts the
+permutations run and 32-bit words shifted out, which the machine's cycle
+model reads back (24 cycles per permutation, one cycle per word).
 
 Lane layout follows FIPS-202: lane (x, y) sits at flat index x + 5*y and is
 serialized as 8 little-endian bytes.
 """
+
+import hashlib
+import struct
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,7 +40,7 @@ def keccak_f1600(lanes):
     """All 24 rounds over a 25-lane list (index x + 5*y). Returns a new list.
 
     The round body is unrolled across the 25 lanes; only the round loop
-    remains, which keeps the permutation fast enough to drive the samplers.
+    remains.
     """
     (a00, a10, a20, a30, a40,
      a01, a11, a21, a31, a41,
@@ -119,90 +123,81 @@ def keccak_f1600(lanes):
             a04, a14, a24, a34, a44]
 
 
+_SPONGES = {
+    (SHAKE128_RATE_BITS, DOMAIN_SHAKE): hashlib.shake_128,
+    (SHAKE256_RATE_BITS, DOMAIN_SHAKE): hashlib.shake_256,
+    (SHA3_256_RATE_BITS, DOMAIN_SHA3): hashlib.sha3_256,
+    (SHA3_512_RATE_BITS, DOMAIN_SHA3): hashlib.sha3_512,
+}
+
+
 class KeccakState:
     """One sponge instance: absorb bytes, then squeeze bits.
 
-    Fields mirror the hardware PRNG datapath: ``permutes`` counts
-    Keccak-f[1600] runs (24 cycles each), ``words_out`` counts 32-bit
-    shift-outs (one cycle each).
+    Counters mirror the hardware PRNG datapath: ``permutes`` counts the
+    Keccak-f[1600] runs needed so far (24 cycles each), ``words_out`` counts
+    32-bit shift-outs (one cycle each).
     """
 
     def __init__(self, rate_bits, domain_suffix):
-        if rate_bits % 64 or not 0 < rate_bits < 1600:
-            raise ValueError(f"invalid rate {rate_bits}")
+        if (rate_bits, domain_suffix) not in _SPONGES:
+            raise ValueError(f"no sponge of rate {rate_bits}, domain {domain_suffix}")
+        self._hash = _SPONGES[rate_bits, domain_suffix]()
         self.rate_bits = rate_bits
         self.domain_suffix = domain_suffix
-        self.lanes = [0] * 25
-        self.absorbed = 0          # bytes absorbed into the current block
         self.phase = "absorbing"
-        self.squeeze_cursor = 0    # bit offset into the current output block
-        self._block = b""
-        self.permutes = 0
+        self._absorbed = 0         # bytes
+        self._squeezed = 0         # bits
+        self._out = b""            # output stream computed so far
+        self._words = ()           # _out as little-endian 32-bit words
         self.words_out = 0
 
-    def _permute(self):
-        self.lanes = keccak_f1600(self.lanes)
-        self.permutes += 1
-
-    def permute(self):
-        """Run the bare permutation (exposed for tests and register use)."""
-        self._permute()
+    @property
+    def permutes(self):
+        """One per full input block, one for the padded last block, one per
+        further output block started."""
+        count = self._absorbed // (self.rate_bits // 8)
+        if self.phase == "squeezing":
+            count += 1 + max(self._squeezed - 1, 0) // self.rate_bits
+        return count
 
     def absorb(self, data):
         if self.phase != "absorbing":
             raise ValueError("cannot absorb after squeezing started")
-        rate_bytes = self.rate_bits // 8
-        for byte in data:
-            lane, off = divmod(self.absorbed, 8)
-            self.lanes[lane] ^= byte << (8 * off)
-            self.absorbed += 1
-            if self.absorbed == rate_bytes:
-                self._permute()
-                self.absorbed = 0
+        self._hash.update(data)
+        self._absorbed += len(data)
         return self
 
     def finalize(self):
         """Apply the domain-separation suffix and padding; start squeezing."""
-        if self.phase != "absorbing":
-            return self
-        rate_bytes = self.rate_bits // 8
-        lane, off = divmod(self.absorbed, 8)
-        self.lanes[lane] ^= self.domain_suffix << (8 * off)
-        lane, off = divmod(rate_bytes - 1, 8)
-        self.lanes[lane] ^= 0x80 << (8 * off)
-        self._permute()
-        self.phase = "squeezing"
-        self.squeeze_cursor = 0
-        self._refill_block()
+        if self.phase == "absorbing":
+            self.phase = "squeezing"
+            self._extend(1)
         return self
 
-    def _refill_block(self):
-        rate_bytes = self.rate_bits // 8
-        out = bytearray()
-        for lane in self.lanes[: (rate_bytes + 7) // 8]:
-            out += lane.to_bytes(8, "little")
-        self._block = bytes(out[:rate_bytes])
+    def _extend(self, nbytes):
+        """Compute at least nbytes of output.  SHAKE output is prefix-stable,
+        so its stream grows by recomputing it at twice the length."""
+        if self.domain_suffix == DOMAIN_SHA3:
+            if nbytes > self._hash.digest_size:
+                raise ValueError("cannot squeeze past the SHA3 digest")
+            self._out = self._hash.digest()
+        else:
+            rate_bytes = self.rate_bits // 8
+            blocks = -(-max(nbytes, 2 * len(self._out)) // rate_bytes)
+            self._out = self._hash.digest(blocks * rate_bytes)
+        self._words = struct.unpack(f"<{len(self._out) // 4}I", self._out)
 
     def squeeze_bits(self, nbits):
         """Next nbits of output as an int (stream bit j = bit j of result)."""
         if self.phase != "squeezing":
             self.finalize()
-        result = 0
-        got = 0
-        while got < nbits:
-            if self.squeeze_cursor == self.rate_bits:
-                self._permute()
-                self.squeeze_cursor = 0
-                self._refill_block()
-            take = min(nbits - got, self.rate_bits - self.squeeze_cursor)
-            byte0 = self.squeeze_cursor // 8
-            byte1 = (self.squeeze_cursor + take + 7) // 8
-            chunk = int.from_bytes(self._block[byte0:byte1], "little")
-            chunk >>= self.squeeze_cursor - 8 * byte0
-            result |= (chunk & ((1 << take) - 1)) << got
-            self.squeeze_cursor += take
-            got += take
-        return result
+        start, stop = self._squeezed, (self._squeezed + nbits + 7) // 8
+        if stop > len(self._out):
+            self._extend(stop)
+        self._squeezed += nbits
+        chunk = int.from_bytes(self._out[start // 8:stop], "little")
+        return (chunk >> (start % 8)) & ((1 << nbits) - 1)
 
     def squeeze(self, nbytes):
         return self.squeeze_bits(8 * nbytes).to_bytes(nbytes, "little")
@@ -210,6 +205,10 @@ class KeccakState:
     def next_word(self):
         """Shift out one 32-bit word, as the sampler datapath does."""
         self.words_out += 1
+        pos = self._squeezed
+        if not pos % 32 and pos // 32 < len(self._words):
+            self._squeezed = pos + 32
+            return self._words[pos // 32]
         return self.squeeze_bits(32)
 
 
@@ -223,14 +222,11 @@ def shake256(data=b""):
 
 def sha3_digest(data, bits=256):
     """SHA3-256 or SHA3-512 digest of a byte string."""
-    if bits == 256:
-        s = KeccakState(SHA3_256_RATE_BITS, DOMAIN_SHA3)
-    elif bits == 512:
-        s = KeccakState(SHA3_512_RATE_BITS, DOMAIN_SHA3)
-    else:
+    if bits not in (256, 512):
         raise ValueError(f"unsupported SHA-3 digest size {bits}")
-    s.absorb(data).finalize()
-    return s.squeeze(bits // 8)
+    rate = SHA3_256_RATE_BITS if bits == 256 else SHA3_512_RATE_BITS
+    state = KeccakState(rate, DOMAIN_SHA3).absorb(data).finalize()
+    return state.squeeze(bits // 8)
 
 
 def sampler_prng(mode, seed, c0, c1):

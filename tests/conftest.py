@@ -8,6 +8,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from sapphire import keccak  # noqa: E402
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -26,6 +28,70 @@ class NumpyWords:
                 0, 1 << 32, size=1 << 16, dtype=np.uint64).tolist()
         self.words_out += 1
         return self.buf.pop()
+
+
+class ReferenceSponge:
+    """The FIPS-202 sponge over the pure-Python ``keccak_f1600``: absorb,
+    pad, squeeze, counting permutations and 32-bit words as the hardware
+    does.  The oracle for ``keccak.KeccakState``."""
+
+    def __init__(self, rate_bits, domain_suffix):
+        self.rate_bits = rate_bits
+        self.domain_suffix = domain_suffix
+        self.lanes = [0] * 25
+        self.absorbed = 0          # bytes in the current input block
+        self.squeezing = False
+        self.block = 0             # current output block, as an int
+        self.cursor = 0            # bits of it squeezed
+        self.permutes = 0
+        self.words_out = 0
+
+    def _permute(self):
+        self.lanes = keccak.keccak_f1600(self.lanes)
+        self.permutes += 1
+        self.block = sum(lane << 64 * i for i, lane
+                         in enumerate(self.lanes[:self.rate_bits // 64]))
+
+    def _xor_byte(self, pos, byte):
+        self.lanes[pos // 8] ^= byte << 8 * (pos % 8)
+
+    def absorb(self, data):
+        assert not self.squeezing
+        for byte in data:
+            self._xor_byte(self.absorbed, byte)
+            self.absorbed += 1
+            if self.absorbed == self.rate_bits // 8:
+                self._permute()
+                self.absorbed = 0
+        return self
+
+    def finalize(self):
+        if not self.squeezing:
+            self._xor_byte(self.absorbed, self.domain_suffix)
+            self._xor_byte(self.rate_bits // 8 - 1, 0x80)
+            self._permute()
+            self.squeezing = True
+        return self
+
+    def squeeze_bits(self, nbits):
+        self.finalize()
+        result = got = 0
+        while got < nbits:
+            if self.cursor == self.rate_bits:
+                self._permute()
+                self.cursor = 0
+            take = min(nbits - got, self.rate_bits - self.cursor)
+            result |= (self.block >> self.cursor & (1 << take) - 1) << got
+            self.cursor += take
+            got += take
+        return result
+
+    def squeeze(self, nbytes):
+        return self.squeeze_bits(8 * nbytes).to_bytes(nbytes, "little")
+
+    def next_word(self):
+        self.words_out += 1
+        return self.squeeze_bits(32)
 
 
 def bitrev(i, bits):

@@ -35,6 +35,24 @@ def test_asm_parse_error_exit_2(tmp_path, capsys):
     assert "2" in err and "frobnicate" in err
 
 
+def test_asm_unencodable_branch_target_exit_2(tmp_path, capsys):
+    # assembles (a branch to the end halts), but target 256 has no encoding
+    src = tmp_path / "long.sph"
+    src.write_text("c0 = 0\n" * 255 + "if (flag == 0) goto end\nend:\n")
+    out = tmp_path / "long.bin"
+    assert run_cli("asm", str(src), "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "256" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_asm_unwritable_output_exit_2(tmp_path, capsys):
+    src = tmp_path / "p.sph"
+    src.write_text("c0 = 0\n")
+    assert run_cli("asm", str(src), "-o", str(tmp_path / "no" / "p.bin")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_structured_report_and_determinism(tmp_path, capsys):
     src = tmp_path / "p.sph"
     src.write_text("""

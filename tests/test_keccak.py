@@ -1,11 +1,21 @@
 import hashlib
+import itertools
 import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ReferenceSponge
 from sapphire import keccak
+
+SPONGES = {
+    "SHA3-256": (keccak.SHA3_256_RATE_BITS, keccak.DOMAIN_SHA3),
+    "SHA3-512": (keccak.SHA3_512_RATE_BITS, keccak.DOMAIN_SHA3),
+    "SHAKE-128": (keccak.SHAKE128_RATE_BITS, keccak.DOMAIN_SHAKE),
+    "SHAKE-256": (keccak.SHAKE256_RATE_BITS, keccak.DOMAIN_SHAKE),
+}
+DIGEST_BITS = {"SHA3-256": 256, "SHA3-512": 512}
 
 
 def test_permute_zero_state_vector():
@@ -46,17 +56,23 @@ def test_digests_match_hashlib(nbytes):
         hashlib.shake_256(msg).digest(73)
 
 
-def test_kat_file():
+def kat_cases():
     path = os.path.join(os.path.dirname(__file__), "..", "src", "sapphire",
                         "data", "fips202_kat.txt")
-    count = 0
-    for raw in open(path):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        mode, msg_hex, want_hex = line.split()
-        msg = bytes.fromhex(msg_hex) if msg_hex != "-" else b""
-        want = bytes.fromhex(want_hex)
+    cases = []
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                mode, msg_hex, want_hex = line.split()
+                msg = bytes.fromhex(msg_hex) if msg_hex != "-" else b""
+                cases.append((mode, msg, bytes.fromhex(want_hex)))
+    assert len(cases) >= 24
+    return cases
+
+
+def test_kat_file():
+    for mode, msg, want in kat_cases():
         if mode == "SHA3-256":
             got = keccak.sha3_digest(msg, 256)
         elif mode == "SHA3-512":
@@ -65,17 +81,62 @@ def test_kat_file():
             got = keccak.shake128(msg).finalize().squeeze(len(want))
         else:
             got = keccak.shake256(msg).finalize().squeeze(len(want))
-        assert got == want, f"{mode}({msg_hex})"
-        count += 1
-    assert count >= 24
+        assert got == want, f"{mode}({msg.hex()})"
+
+
+def test_kat_file_reference_sponge():
+    """The known answers through the pure-Python permutation."""
+    for mode, msg, want in kat_cases():
+        got = ReferenceSponge(*SPONGES[mode]).absorb(msg).squeeze(len(want))
+        assert got == want, f"{mode}({msg.hex()})"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(SPONGES)), st.data())
+def test_sponge_matches_reference(name, data):
+    """Random absorb chunkings (empty chunks and whole rate blocks among
+    them), then random squeeze widths and words: equal output and equal
+    counters after every call."""
+    mode = SPONGES[name]
+    rate_bytes = mode[0] // 8
+    fast, ref = keccak.KeccakState(*mode), ReferenceSponge(*mode)
+    chunk = st.one_of(
+        st.binary(max_size=2 * rate_bytes),
+        st.integers(0, 2).flatmap(lambda k: st.binary(min_size=k * rate_bytes,
+                                                      max_size=k * rate_bytes)))
+    for piece in data.draw(st.lists(chunk, max_size=4), "absorbs"):
+        fast.absorb(piece)
+        ref.absorb(piece)
+        assert fast.permutes == ref.permutes
+    # SHA3 output ends at its digest; a None is one next_word() call
+    room = DIGEST_BITS.get(name, 1 << 20)
+    width = st.one_of(st.integers(0, 3000), st.integers(1000, 3000),
+                      st.sampled_from([0, 8, 32, 64, 1088, 1344]))
+    step = st.one_of(width.map(lambda w: [w]),
+                     st.integers(1, 80).map(lambda k: [None] * k))
+    steps = data.draw(st.lists(step, min_size=1, max_size=8), "squeezes")
+    for w in itertools.chain(*steps):
+        if w is None and room >= 32:
+            got, want = fast.next_word(), ref.next_word()
+            room -= 32
+        elif w is not None:
+            w = min(w, room)
+            got, want = fast.squeeze_bits(w), ref.squeeze_bits(w)
+            room -= w
+        else:
+            continue
+        assert (got, fast.permutes, fast.words_out) == \
+            (want, ref.permutes, ref.words_out)
 
 
 def test_rate_block_consumption():
     # squeezing exactly one SHAKE-128 rate block (1344 bits) costs no extra
-    # permutation; the next bit triggers one
-    s = keccak.shake128(b"x").finalize()
+    # permutation, nor does a zero-width squeeze; the next bit triggers one
+    s = keccak.shake128(b"x")
+    assert s.squeeze_bits(0) == 0
     before = s.permutes
     s.squeeze_bits(1344)
+    assert s.squeeze_bits(0) == 0
     assert s.permutes == before
     s.squeeze_bits(1)
     assert s.permutes == before + 1
@@ -126,7 +187,37 @@ def test_absorb_after_squeeze_rejected():
     s = keccak.shake128(b"a").finalize()
     with pytest.raises(ValueError):
         s.absorb(b"more")
+    s = keccak.shake256(b"a")
+    s.squeeze_bits(5)
+    with pytest.raises(ValueError):
+        s.absorb(b"")
 
 
 def test_digest_deterministic():
     assert keccak.sha3_digest(b"same", 256) == keccak.sha3_digest(b"same", 256)
+
+
+def test_unsupported_sponge_rejected():
+    with pytest.raises(ValueError):
+        keccak.KeccakState(keccak.SHAKE128_RATE_BITS, keccak.DOMAIN_SHA3)
+    with pytest.raises(ValueError):
+        keccak.KeccakState(1024, keccak.DOMAIN_SHAKE)
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+def test_sha3_squeeze_past_digest_rejected(bits):
+    mode = SPONGES[f"SHA3-{bits}"]
+    s = keccak.KeccakState(*mode).absorb(b"x")
+    assert s.squeeze(bits // 8) == keccak.sha3_digest(b"x", bits)
+    with pytest.raises(ValueError):
+        s.squeeze_bits(1)
+    with pytest.raises(ValueError):
+        keccak.KeccakState(*mode).squeeze_bits(bits + 1)
+
+
+@pytest.mark.parametrize("mode", sorted(SPONGES))
+def test_one_full_block_then_padding_block(mode):
+    rate_bits, domain = SPONGES[mode]
+    s = keccak.KeccakState(rate_bits, domain).absorb(bytes(rate_bits // 8))
+    assert s.permutes == 1
+    assert s.finalize().permutes == 2
