@@ -2,7 +2,8 @@
 permutation in pure Python as the reference model.
 
 The sponge state doubles as the CS-PRNG of the emulated processor: samplers
-pull pseudo-random bits out of a seeded SHAKE state 32 bits at a time.
+pull pseudo-random bits out of a seeded SHAKE state as 32-bit words, many at
+a time (``KeccakState.words``).
 ``hashlib`` supplies the bytes; each state derives from its byte counts the
 permutations run and 32-bit words shifted out, which the machine's cycle
 model reads back (24 cycles per permutation, one cycle per word).
@@ -149,7 +150,6 @@ class KeccakState:
         self._absorbed = 0         # bytes
         self._squeezed = 0         # bits
         self._out = b""            # output stream computed so far
-        self._words = ()           # _out as little-endian 32-bit words
         self.words_out = 0
 
     @property
@@ -186,7 +186,6 @@ class KeccakState:
             rate_bytes = self.rate_bits // 8
             blocks = -(-max(nbytes, 2 * len(self._out)) // rate_bytes)
             self._out = self._hash.digest(blocks * rate_bytes)
-        self._words = struct.unpack(f"<{len(self._out) // 4}I", self._out)
 
     def squeeze_bits(self, nbits):
         """Next nbits of output as an int (stream bit j = bit j of result)."""
@@ -202,14 +201,17 @@ class KeccakState:
     def squeeze(self, nbytes):
         return self.squeeze_bits(8 * nbytes).to_bytes(nbytes, "little")
 
+    def words(self, count):
+        """Shift out count 32-bit words at once, exactly as count next_word()
+        calls would, at any bit alignment of the stream."""
+        if not count:
+            return ()
+        self.words_out += count
+        return struct.unpack(f"<{count}I", self.squeeze(4 * count))
+
     def next_word(self):
         """Shift out one 32-bit word, as the sampler datapath does."""
-        self.words_out += 1
-        pos = self._squeezed
-        if not pos % 32 and pos // 32 < len(self._words):
-            self._squeezed = pos + 32
-            return self._words[pos // 32]
-        return self.squeeze_bits(32)
+        return self.words(1)[0]
 
 
 def shake128(data=b""):

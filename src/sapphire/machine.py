@@ -35,6 +35,24 @@ WORD_MASK = (1 << 24) - 1
 _ALU = (operator.add, operator.sub, operator.mul, operator.and_, operator.or_,
         operator.xor, lambda x, y: x >> (y & 31), lambda x, y: x << (y & 31))
 
+# poly_op kind -> whole-slot kernel (src x, dst y, reg r, q) -> new dst;
+# the CONST_* kinds take their scalar operand from reg.  Python % equals
+# every reduction strategy of modmath.reducer on [0, q^2).
+_POLY_OPS = {
+    "ADD": lambda x, y, r, q: [(a + b) % q for a, b in zip(x, y)],
+    "SUB": lambda x, y, r, q: [(a - b) % q for a, b in zip(x, y)],
+    "MUL": lambda x, y, r, q: [a * b % q for a, b in zip(x, y)],
+    "BITREV": lambda x, y, r, q: [x[i] for i in polycache.bit_reversal(len(x))],
+    "CONST_ADD": lambda x, y, r, q: [(a + r) % q for a in x],
+    "CONST_SUB": lambda x, y, r, q: [(a - r) % q for a in x],
+    "CONST_MUL": lambda x, y, r, q: [a * r % q for a in x],
+    "CONST_AND": lambda x, y, r, q: [a & r for a in x],
+    "CONST_OR": lambda x, y, r, q: [(a | r) & WORD_MASK for a in x],
+    "CONST_XOR": lambda x, y, r, q: [(a ^ r) & WORD_MASK for a in x],
+    "CONST_RSHIFT": lambda x, y, r, q: [a >> (r & 31) for a in x],
+    "CONST_LSHIFT": lambda x, y, r, q: [(a << (r & 31)) & WORD_MASK for a in x],
+}
+
 # sampler instruction -> (function of the sampler module, its keyword
 # arguments other than n and prng); the function is looked up per call
 _SAMPLERS = {
@@ -381,39 +399,13 @@ class Machine:
         self._use("ntt", self.n + 1, op)
 
     def _exec_poly_op(self, a, op):
-        dst, src, kind = a["poly_dst"], a["poly_src"], a["op"]
-        if kind == "BITREV":
-            y, x = self._operands("bitrev", dst, src)
-            lgn = self.cfg.lg_n
-            y[:] = [x[nttcore.bit_reverse(i, lgn)] for i in range(self.n)]
-        elif kind in ("ADD", "SUB", "MUL"):
-            y, x = self._operands("zip", dst, src)
+        kind = a["op"]
+        ring = kind in ("ADD", "SUB", "MUL")
+        schedule = "zip" if ring else "bitrev" if kind == "BITREV" else "map"
+        y, x = self._operands(schedule, a["poly_dst"], a["poly_src"])
+        if ring:
             self._need_residues(f"poly_op {kind}", x, y)
-            q = self.q
-            if kind == "ADD":
-                y[:] = [t - (q & -(t >= q)) for t in map(operator.add, x, y)]
-            elif kind == "SUB":
-                y[:] = [d + (q & -(d < 0)) for d in map(operator.sub, x, y)]
-            else:
-                y[:] = list(map(modmath.reducer(self.profile),
-                                map(operator.mul, x, y)))
-        else:
-            # CONST_* family: scalar operand comes from reg
-            y, x = self._operands("map", dst, src)
-            q, r, red = self.q, self.reg, modmath.reducer(self.profile)
-            rq = r % q
-            sh = r & 31
-            fn = {
-                "CONST_ADD": lambda v: red(v % q + rq),
-                "CONST_SUB": lambda v: (v % q - rq) % q,
-                "CONST_MUL": lambda v: red(v % q * rq),
-                "CONST_AND": lambda v: v & r,
-                "CONST_OR": lambda v: (v | r) & WORD_MASK,
-                "CONST_XOR": lambda v: (v ^ r) & WORD_MASK,
-                "CONST_RSHIFT": lambda v: v >> sh,
-                "CONST_LSHIFT": lambda v: (v << sh) & WORD_MASK,
-            }[kind]
-            y[:] = list(map(fn, x))
+        y[:] = _POLY_OPS[kind](x, y, self.reg, self.q)
         self._use("ntt", self.n + 1, op)
 
     def _exec_shift_poly(self, a, op):
@@ -434,7 +426,7 @@ class Machine:
     def _exec_inf_norm(self, a, op):
         values = self._scan_slot(a["poly"])
         q, half = self.q, self.q // 2
-        worst = max(v if v <= half else abs(v - q) for v in values)
+        worst = max([v if v <= half else abs(v - q) for v in values])
         self.flag = 1 if worst <= a["bound"] else 0
         self._use("ntt", self.n + 1, op)
 

@@ -268,9 +268,11 @@ def reducer(p):
     """The one implementation of each reduction strategy: a closure
     reducing z in [0, q^2) to [0, q), without reduce()'s range check.
 
-    The transform and sampler inner loops call it directly, where the
-    input range is guaranteed structurally and per-call dispatch would
-    dominate.
+    It is the hardware model behind reduce() and mod_mul().  The
+    whole-polynomial kernels (transform, psi-multiply, poly_op, samplers)
+    reduce with Python % instead: on [0, q^2) every strategy returns
+    exactly z mod q, as the profile's parameter check and acceptance
+    criterion 2 establish.
     """
     q = p.q
     if p.strategy == POWER_OF_TWO:

@@ -17,7 +17,14 @@ exponent
 with omega^k for forward modes; inverse modes derive omega^-k from the
 forward table as q - omega[n/2 - k] (and 1 for k = 0), so no inverse table
 is stored.  Stored constants are exactly omega^j for j < n/2, psi^i and
-n^-1 * psi^-i for i < n.
+n^-1 * psi^-i for i < n.  Each constants object expands these into one
+twiddle vector per stage on first use (``NttConstants.stage_twiddles``).
+
+Every stage and the psi-multiply are whole-slot list comprehensions over
+sliced operands, with no function call per coefficient, reducing with
+Python ``%``.  For inputs in [0, q^2) that equals each hardware reduction
+strategy of ``modmath.reducer``, which acceptance criterion 2 sweeps, so
+the results are those of the hardware datapath.
 
 Stages ping-pong between the src and dst slot regions (the src slot is
 consumed as scratch).  The final stage always lands in dst; when lg n is
@@ -30,7 +37,6 @@ machine as (n/2 + 1) * lg n.
 import functools
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, mul, sub
 
 from . import modmath, polycache
 from .isa import TRANSFORM_MODES  # noqa: F401  (DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT)
@@ -78,6 +84,22 @@ class NttConstants:
     psi_powers: tuple       # psi^i, i in [0, n)
     psi_inv_scaled: tuple   # n^-1 * psi^-i, i in [0, n)
 
+    @functools.cached_property
+    def stage_twiddles(self):
+        """Transform mode -> one twiddle vector per stage, entry j the
+        factor of butterfly j: table[k] for k = j rounded down to a multiple
+        of 2^(s-1) (DIF) or 2^(lg n - s) (DIT) at stage s."""
+        half = self.n >> 1
+        fwd = self.omega_powers
+        inv = (1,) + tuple(self.q - fwd[half - k] for k in range(1, half))
+
+        def by_run_length(table):       # runs of 1, 2, 4, ..., n/2
+            return [list(chain.from_iterable(repeat(table[k], size)
+                                             for k in range(0, half, size)))
+                    for size in (1 << t for t in range(half.bit_length()))]
+        f, i = by_run_length(fwd), by_run_length(inv)
+        return {DIF_NTT: f, DIT_NTT: f[::-1], DIF_INTT: i, DIT_INTT: i[::-1]}
+
 
 def find_psi(n, q):
     """Smallest primitive 2n-th root of unity mod q (psi^n = -1)."""
@@ -124,35 +146,23 @@ def ntt(cfg, consts, cache, dst, src, mode):
     if mode not in TRANSFORM_MODES:
         raise NttError(f"unknown transform mode {mode!r}")
     _check_slots(cache, cfg, src, dst)
-    n, lgn, q = cfg.n, cfg.lg_n, cfg.q
-    half = n >> 1
-    red = modmath.reducer(cfg.profile)
+    half, q = cfg.n >> 1, cfg.q
     dif = mode in (DIF_NTT, DIF_INTT)
-    omega = consts.omega_powers
-    if mode in (DIF_NTT, DIT_NTT):
-        table = omega
-    else:
-        table = (1,) + tuple(q - omega[half - k] for k in range(1, half))
     cache.access("dif" if dif else "dit", (dst, src))
-    regions = [cache.data[(dst, src)[r]] for r in polycache.transform_regions(lgn)]
-    for s in range(1, lgn + 1):
-        # the inputs are sliced out before any write, so a stage whose
-        # region is both read and written (lg n even) needs no extra pass
-        inp, out = regions[s - 1], regions[s]
-        # butterfly j uses table[k], k = j rounded down to a multiple of size
-        size = 1 << ((s - 1) if dif else (lgn - s))
-        w = list(chain.from_iterable(repeat(table[k], size)
-                                     for k in range(0, half, size)))
+    regions = [cache.data[(dst, src)[r]]
+               for r in polycache.transform_regions(cfg.lg_n)]
+    # stage s reads regions[s - 1] and writes regions[s]; the inputs are
+    # sliced out before any write, so a stage whose region is both read
+    # and written (lg n even) needs no extra pass
+    for inp, out, w in zip(regions, regions[1:], consts.stage_twiddles[mode]):
         if dif:
             v0, v1 = inp[:half], inp[half:]
-            y0 = [u - (q & -(u >= q)) for u in map(add, v0, v1)]
-            y1 = list(map(red, map(mul, [d + (q & -(d < 0)) for d in map(sub, v0, v1)], w)))
-            out[0::2] = y0
-            out[1::2] = y1
+            out[0::2] = [(a + b) % q for a, b in zip(v0, v1)]
+            out[1::2] = [(a - b) * c % q for a, b, c in zip(v0, v1, w)]
         else:
-            v0, t = inp[0::2], list(map(red, map(mul, inp[1::2], w)))
-            out[:half] = [u - (q & -(u >= q)) for u in map(add, v0, t)]
-            out[half:] = [d + (q & -(d < 0)) for d in map(sub, v0, t)]
+            v0, t = inp[0::2], [b * c for b, c in zip(inp[1::2], w)]
+            out[:half] = [(a + b) % q for a, b in zip(v0, t)]
+            out[half:] = [(a - b) % q for a, b in zip(v0, t)]
 
 
 def _scale_slot(cfg, cache, slot, table):
@@ -166,7 +176,8 @@ def _scale_slot(cfg, cache, slot, table):
         raise NttError("cache configured for a different dimension")
     cache.access("scale", (slot,))
     values = cache.data[slot]
-    values[:] = list(map(modmath.reducer(cfg.profile), map(mul, values, table)))
+    q = cfg.q
+    values[:] = [v * c % q for v, c in zip(values, table)]
 
 
 def mult_psi(cfg, consts, cache, slot):

@@ -51,6 +51,13 @@ def bit_reverse(i, bits):
     return r
 
 
+@functools.lru_cache(maxsize=None)
+def bit_reversal(n):
+    """The bit-reversal permutation of range(n), for n a power of two."""
+    lg_n = n.bit_length() - 1
+    return tuple(bit_reverse(i, lg_n) for i in range(n))
+
+
 def transform_regions(lg_n):
     """Operand (0 = dst, 1 = src) holding the data between transform stages.
 
@@ -107,9 +114,8 @@ def schedule(kind, n):
             yield ((0, i, READ),)
             yield ((1, i, READ),)
     elif kind in ("gather", "bitrev"):   # shift_poly, poly_op BITREV
-        lg_n = n.bit_length() - 1
-        for i in range(n):
-            yield ((1, bit_reverse(i, lg_n) if kind == "bitrev" else i, READ),)
+        for i in bit_reversal(n) if kind == "bitrev" else range(n):
+            yield ((1, i, READ),)
         for i in range(n):
             yield ((0, i, WRITE),)
     elif kind == "scale":           # mult_psi: read i, write back i - 1

@@ -42,13 +42,8 @@ def encode_message(msg, n, q=NEWHOPE_Q):
         raise ValueError("message must be 32 bytes")
     if n % 256:
         raise ValueError("ring dimension must be a multiple of 256")
-    half = q // 2
-    coeffs = [0] * n
-    for i in range(256):
-        if (msg[i >> 3] >> (i & 7)) & 1:
-            for t in range(n // 256):
-                coeffs[i + 256 * t] = half
-    return coeffs
+    bits = int.from_bytes(msg, "little")      # bit i = msg[i >> 3] bit i & 7
+    return [q // 2 * (bits >> i & 1) for i in range(256)] * (n // 256)
 
 
 def decode_message(coeffs, n, q=NEWHOPE_Q):
@@ -56,12 +51,11 @@ def decode_message(coeffs, n, q=NEWHOPE_Q):
     floor(q/2) stays at or below (n/256) * q/4 (ties decode to 1)."""
     half = q // 2
     threshold = ((n // 256) * q) // 4
-    out = bytearray(32)
-    for i in range(256):
-        total = sum(abs(coeffs[i + 256 * t] - half) for t in range(n // 256))
-        if total <= threshold:
-            out[i >> 3] |= 1 << (i & 7)
-    return bytes(out)
+    dist = [abs(c - half) for c in coeffs[:n]]
+    # group i holds coefficients i, i + 256, ...: the columns of n/256 rows
+    totals = map(sum, zip(*[dist[t:t + 256] for t in range(0, n, 256)]))
+    bits = sum(1 << i for i, total in enumerate(totals) if total <= threshold)
+    return bits.to_bytes(32, "little")
 
 
 # ----------------------------------------------------------------- NewHope

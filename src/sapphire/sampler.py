@@ -1,17 +1,27 @@
 """Discrete-distribution samplers fed by 32-bit PRNG words.
 
 Every sampler pulls whole 32-bit words from the PRNG (any object with a
-``next_word()`` method, normally a seeded KeccakState) and masks them down
-to the width it needs; leftover bits within a word are discarded.  Signed
-outputs are stored immediately in canonical residue form [0, q).
+``words(count)`` method returning the next count words, normally a seeded
+KeccakState) and masks them down to the width it needs; leftover bits
+within a word are discarded.  Signed outputs are stored immediately in
+canonical residue form [0, q).
+
+Each sampler draws its words in bulk and works on the whole list.  The
+fixed-rate samplers (binomial, CDT, probabilistic trinary) draw all their
+words in one call.  The rejection-style ones draw as many candidates as
+they still need, again and again: no round can accept more than it needs,
+so they consume exactly the words that one draw per candidate would.
 
 Rejection sampling over [0, q) scales the acceptance bound from q to k*q
 to cut the rejection probability, then folds accepted candidates back into
-[0, q) with a small dedicated Barrett reduction.
+[0, q) with a small dedicated Barrett reduction (``RejectionPlan.fold``,
+the hardware model; the sampler itself folds with Python %, which equals
+it on [0, k*q) for every plan).
 """
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 # Default bound-scaling factors per modulus.  Moduli not listed use 1.
 SCALE_FACTORS = {
@@ -47,6 +57,13 @@ class RejectionPlan:
     def __post_init__(self):
         if self.scale * self.q > 1 << self.cand_bits:
             raise SamplerError("k*q exceeds 2^cand_bits")
+        m, k = self.reduce_m, self.reduce_k
+        if m is None:
+            if self.q & (self.q - 1):
+                raise SamplerError(f"q={self.q} needs Barrett fold parameters")
+        elif m != (1 << k) // self.q or \
+                (self.bound - 1) * ((1 << k) % self.q) >= self.q << k:
+            raise SamplerError(f"(m={m}, k={k}) does not fold [0, {self.bound})")
 
     @property
     def bound(self):
@@ -86,16 +103,11 @@ class RejectionPlan:
 
 def rej_sample(n, plan, prng):
     """n residues uniform over [0, q); one word drawn per candidate."""
-    mask = (1 << plan.cand_bits) - 1
-    bound = plan.bound
-    fold = plan.fold
-    next_word = prng.next_word
+    mask, bound, q = (1 << plan.cand_bits) - 1, plan.bound, plan.q
     out = []
-    append = out.append
     while len(out) < n:
-        cand = next_word() & mask
-        if cand < bound:
-            append(fold(cand))
+        cands = [w & mask for w in prng.words(n - len(out))]
+        out += [c % q for c in cands if c < bound]
     return out
 
 
@@ -110,20 +122,12 @@ def bin_sample(n, k, q, prng):
     if k >= q:
         raise SamplerError(f"binomial parameter k={k} must be < q={q}")
     mask = (1 << k) - 1
-    next_word = prng.next_word
-    out = []
     if k <= 16:
-        for _ in range(n):
-            w = next_word()
-            v = (w & mask).bit_count() - ((w >> k) & mask).bit_count()
-            out.append(v + (q & -(v < 0)))
-    else:
-        for _ in range(n):
-            a = next_word() & mask
-            b = next_word() & mask
-            v = a.bit_count() - b.bit_count()
-            out.append(v + (q & -(v < 0)))
-    return out
+        return [((w & mask).bit_count() - (w >> k & mask).bit_count()) % q
+                for w in prng.words(n)]
+    ws = prng.words(2 * n)
+    return [((a & mask).bit_count() - (b & mask).bit_count()) % q
+            for a, b in zip(ws[0::2], ws[1::2])]
 
 
 @dataclass(frozen=True)
@@ -200,30 +204,20 @@ def cdt_sample(n, table, prng, q=None):
     """n inversion samples from the CDT.
 
     Each draw consumes two words: a sign bit r0 and an r-bit value r1;
-    the full table is scanned with a constant trip count.  Signed results
-    are returned raw when q is None, else as residues mod q.
+    the full table is scanned with a constant trip count, one comparison
+    pass over all n values per entry.  Signed results are returned raw
+    when q is None, else as residues mod q.
     """
     if q is not None and table.support >= q:
         raise SamplerError(f"support bound s={table.support} must be < q={q}")
-    entries = table.entries
     rmask = (1 << table.precision) - 1
-    next_word = prng.next_word
-    out = []
-    scans = 0
-    for _ in range(n):
-        r0 = next_word() & 1
-        r1 = next_word() & rmask
-        e = 0
-        for t in entries:          # full scan, no early exit
-            e += r1 > t
-        scans += len(entries)
-        if r0:
-            e = -e
-        if q is not None:
-            e += q & -(e < 0)
-        out.append(e)
-    assert scans == n * table.support
-    return out
+    ws = prng.words(2 * n)
+    r1 = [w & rmask for w in ws[1::2]]
+    e = [0] * n
+    for t in table.entries:        # full scan, no early exit
+        e = [a + (v > t) for a, v in zip(e, r1)]
+    e = [-v if w & 1 else v for v, w in zip(e, ws[0::2])]
+    return e if q is None else [v % q for v in e]
 
 
 def uni_sample(n, eta, bitlen, q, prng):
@@ -236,18 +230,22 @@ def uni_sample(n, eta, bitlen, q, prng):
         raise SamplerError(f"bitlen={bitlen} outside [1, 32]")
     mask = (1 << bitlen) - 1
     limit = 2 * eta + 1
-    next_word = prng.next_word
     out = []
     while len(out) < n:
-        cand = next_word() & mask
-        if cand < limit:
-            v = cand - eta
-            out.append(v + (q & -(v < 0)))
+        cands = [w & mask for w in prng.words(n - len(out))]
+        out += [(c - eta) % q for c in cands if c < limit]
     return out
 
 
-def _store_sign(value, q):
-    return value + (q & -(value < 0))
+def _place(seq, positions, values):
+    """Write each value at its position, in turn, where that position is
+    still free; returns how many were written."""
+    placed = 0
+    for pos, value in zip(positions, values):
+        if not seq[pos]:
+            seq[pos] = value
+            placed += 1
+    return placed
 
 
 def tri_sample_fixed(n, m, q, prng):
@@ -261,15 +259,13 @@ def tri_sample_fixed(n, m, q, prng):
     if n & (n - 1):
         raise SamplerError("trinary sampling requires power-of-two n")
     pos_mask = n - 1
-    next_word = prng.next_word
+    signed = (1, q - 1)            # sign word bit 0 -> +1 / -1 mod q
     seq = [0] * n
     placed = 0
     while placed < m:
-        pos = next_word() & pos_mask
-        sign = next_word() & 1
-        if seq[pos] == 0:
-            seq[pos] = _store_sign(1 if sign == 0 else -1, q)
-            placed += 1
+        ws = prng.words(2 * (m - placed))
+        placed += _place(seq, [w & pos_mask for w in ws[0::2]],
+                         [signed[w & 1] for w in ws[1::2]])
     return seq
 
 
@@ -280,19 +276,12 @@ def tri_sample_split(n, m0, m1, q, prng):
     if n & (n - 1):
         raise SamplerError("trinary sampling requires power-of-two n")
     pos_mask = n - 1
-    next_word = prng.next_word
     seq = [0] * n
     placed = 0
-    while placed < m0:
-        pos = next_word() & pos_mask
-        if seq[pos] == 0:
-            seq[pos] = 1
-            placed += 1
-    while placed < m0 + m1:
-        pos = next_word() & pos_mask
-        if seq[pos] == 0:
-            seq[pos] = _store_sign(-1, q)
-            placed += 1
+    for target, value in ((m0, 1), (m0 + m1, q - 1)):
+        while placed < target:
+            ws = prng.words(target - placed)
+            placed += _place(seq, [w & pos_mask for w in ws], repeat(value))
     return seq
 
 
@@ -305,10 +294,5 @@ def tri_sample_prob(n, k, q, prng):
     if not 1 <= k <= 7:
         raise SamplerError(f"trinary k={k} outside [1, 7]")
     mask = (1 << k) - 1
-    next_word = prng.next_word
-    qm1 = _store_sign(-1, q)
-    out = []
-    for _ in range(n):
-        x = next_word() & mask
-        out.append(1 if x == 0 else (qm1 if x == 1 else 0))
-    return out
+    value = [1, q - 1] + [0] * (mask - 1)     # x -> stored entry
+    return [value[w & mask] for w in prng.words(n)]

@@ -22,12 +22,18 @@ class NumpyWords:
         self.words_out = 0
         self.permutes = 0
 
-    def next_word(self):
-        if not self.buf:
-            self.buf = self.rng.integers(
-                0, 1 << 32, size=1 << 16, dtype=np.uint64).tolist()
-        self.words_out += 1
-        return self.buf.pop()
+    def words(self, count):
+        """The next count words, in the order ``buf.pop()`` yields them."""
+        out = []
+        while len(out) < count:
+            if not self.buf:
+                self.buf = self.rng.integers(
+                    0, 1 << 32, size=1 << 16, dtype=np.uint64).tolist()
+            take = min(count - len(out), len(self.buf))
+            out += reversed(self.buf[-take:])
+            del self.buf[-take:]
+        self.words_out += count
+        return out
 
 
 class ReferenceSponge:

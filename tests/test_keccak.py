@@ -46,14 +46,25 @@ def test_shake_empty_prefix():
 
 @pytest.mark.parametrize("nbytes", [0, 1, 3, 135, 136, 137, 168, 169, 500])
 def test_digests_match_hashlib(nbytes):
-    data = bytes(range(256)) * 2
-    msg = data[:nbytes]
-    assert keccak.sha3_digest(msg, 256) == hashlib.sha3_256(msg).digest()
-    assert keccak.sha3_digest(msg, 512) == hashlib.sha3_512(msg).digest()
+    """The emulator's sponge (whose bytes come from hashlib) and hashlib
+    both agree with the pure-Python reference sponge, on inputs around the
+    rate-block boundaries."""
+    msg = (bytes(range(256)) * 2)[:nbytes]
+    for mode, length, stdlib in (
+            ("SHA3-256", 32, hashlib.sha3_256(msg).digest()),
+            ("SHA3-512", 64, hashlib.sha3_512(msg).digest()),
+            ("SHAKE-128", 73, hashlib.shake_128(msg).digest(73)),
+            ("SHAKE-256", 73, hashlib.shake_256(msg).digest(73))):
+        want = ReferenceSponge(*SPONGES[mode]).absorb(msg).squeeze(length)
+        assert stdlib == want, mode
+    assert keccak.sha3_digest(msg, 256) == \
+        ReferenceSponge(*SPONGES["SHA3-256"]).absorb(msg).squeeze(32)
+    assert keccak.sha3_digest(msg, 512) == \
+        ReferenceSponge(*SPONGES["SHA3-512"]).absorb(msg).squeeze(64)
     assert keccak.shake128(msg).finalize().squeeze(73) == \
-        hashlib.shake_128(msg).digest(73)
+        ReferenceSponge(*SPONGES["SHAKE-128"]).absorb(msg).squeeze(73)
     assert keccak.shake256(msg).finalize().squeeze(73) == \
-        hashlib.shake_256(msg).digest(73)
+        ReferenceSponge(*SPONGES["SHAKE-256"]).absorb(msg).squeeze(73)
 
 
 def kat_cases():
@@ -95,8 +106,10 @@ def test_kat_file_reference_sponge():
 @given(st.sampled_from(sorted(SPONGES)), st.data())
 def test_sponge_matches_reference(name, data):
     """Random absorb chunkings (empty chunks and whole rate blocks among
-    them), then random squeeze widths and words: equal output and equal
-    counters after every call."""
+    them), then random squeeze widths, single words and bulk draws of 0 to
+    600 words, often right after a squeeze that leaves the stream off a
+    word boundary: equal output and equal counters after every call, a
+    bulk draw of k words equal to k ``next_word()`` calls."""
     mode = SPONGES[name]
     rate_bytes = mode[0] // 8
     fast, ref = keccak.KeccakState(*mode), ReferenceSponge(*mode)
@@ -108,23 +121,31 @@ def test_sponge_matches_reference(name, data):
         fast.absorb(piece)
         ref.absorb(piece)
         assert fast.permutes == ref.permutes
-    # SHA3 output ends at its digest; a None is one next_word() call
+    # SHA3 output ends at its digest
     room = DIGEST_BITS.get(name, 1 << 20)
     width = st.one_of(st.integers(0, 3000), st.integers(1000, 3000),
                       st.sampled_from([0, 8, 32, 64, 1088, 1344]))
-    step = st.one_of(width.map(lambda w: [w]),
-                     st.integers(1, 80).map(lambda k: [None] * k))
+    step = st.one_of(width.map(lambda w: [("bits", w)]),
+                     st.integers(1, 80).map(lambda k: [("word", 1)] * k),
+                     st.integers(0, 600).map(lambda k: [("words", k)]),
+                     st.tuples(st.integers(1, 31), st.integers(0, 600)).map(
+                         lambda p: [("bits", p[0]), ("words", p[1])]))
     steps = data.draw(st.lists(step, min_size=1, max_size=8), "squeezes")
-    for w in itertools.chain(*steps):
-        if w is None and room >= 32:
-            got, want = fast.next_word(), ref.next_word()
-            room -= 32
-        elif w is not None:
+    for kind, w in itertools.chain(*steps):
+        if kind == "bits":
             w = min(w, room)
             got, want = fast.squeeze_bits(w), ref.squeeze_bits(w)
-            room -= w
         else:
-            continue
+            w = min(w, room // 32)
+            if kind == "word" and w:
+                got, want = fast.next_word(), ref.next_word()
+            elif kind == "words":
+                got = fast.words(w)
+                want = tuple(ref.next_word() for _ in range(w))
+            else:
+                continue
+            w *= 32
+        room -= w
         assert (got, fast.permutes, fast.words_out) == \
             (want, ref.permutes, ref.words_out)
 

@@ -9,7 +9,11 @@ from sapphire.nttcore import (
 )
 from conftest import bitrev, iterative_ntt, schoolbook_negacyclic
 
-CONFIGS = [(64, 7681), (256, 7681), (256, 12289), (512, 12289), (1024, 12289)]
+# every strategy the transform meets: specialized Barrett (7681, 12289,
+# 40961, 8380417) and the Fermat prime 65537, from n = 8 to n = 2048
+CONFIGS = [(8, 7681), (64, 7681), (256, 7681), (256, 12289), (512, 12289),
+           (1024, 12289), (2048, 12289), (64, 40961), (2048, 40961),
+           (8, 65537), (1024, 65537), (256, 8380417), (2048, 8380417)]
 
 
 def make(n, q):
@@ -93,7 +97,7 @@ class TestConstants:
 
 
 class TestTransform:
-    @pytest.mark.parametrize("n,q", [(64, 7681), (256, 12289)])
+    @pytest.mark.parametrize("n,q", CONFIGS)
     def test_dif_matches_iterative_oracle(self, n, q):
         cfg, consts, cache = make(n, q)
         omega = consts.psi * consts.psi % q
@@ -106,7 +110,7 @@ class TestTransform:
             out = cache.dump_slot(cache.slots_per_bank)
             assert [out[bitrev(i, cfg.lg_n)] for i in range(n)] == ref
 
-    @pytest.mark.parametrize("n,q", [(64, 7681), (256, 12289)])
+    @pytest.mark.parametrize("n,q", CONFIGS)
     def test_dit_matches_iterative_oracle(self, n, q):
         cfg, consts, cache = make(n, q)
         omega = consts.psi * consts.psi % q

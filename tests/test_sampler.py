@@ -24,6 +24,17 @@ TABLE4 = {
 }
 
 
+class WordSource:
+    """Base of the scripted word streams: ``words(count)`` is count
+    ``next_word()`` calls, counted in ``words_out``."""
+
+    words_out = permutes = 0
+
+    def words(self, count):
+        self.words_out += count
+        return [self.next_word() for _ in range(count)]
+
+
 def centered(values, q):
     a = np.asarray(values, dtype=np.int64)
     return np.where(a > q // 2, a - q, a)
@@ -54,15 +65,13 @@ class TestRejection:
 
     def test_candidates_above_bound_rejected(self):
         # feed one word above the bound then accepted ones
-        class Scripted:
-            def __init__(self, words):
-                self.words, self.i, self.words_out, self.permutes = words, 0, 0, 0
+        class Scripted(WordSource):
+            def __init__(self, script):
+                self.script, self.i = script, 0
 
             def next_word(self):
-                w = self.words[self.i]
                 self.i += 1
-                self.words_out += 1
-                return w
+                return self.script[self.i - 1]
 
         plan = RejectionPlan.for_modulus(12289)
         stream = Scripted([61445, 61444, 5])    # reject, accept, accept
@@ -90,9 +99,7 @@ class TestRejection:
 
 class TestBinomial:
     def test_chunk_examples(self):
-        class One:
-            words_out = permutes = 0
-
+        class One(WordSource):
             def __init__(self, w):
                 self.w = w
 
@@ -134,9 +141,7 @@ class TestCdt:
     def test_scan_extremes(self):
         table = CdtTable((10, 20, 30), 3, 8)
 
-        class Two:
-            words_out = permutes = 0
-
+        class Two(WordSource):
             def __init__(self, w0, w1):
                 self.seq = [w0, w1]
 
@@ -187,9 +192,7 @@ class TestCdt:
 
 class TestUniform:
     def test_exhaustive_eta1(self):
-        class Cycle:
-            words_out = permutes = 0
-
+        class Cycle(WordSource):
             def __init__(self):
                 self.i = 0
 
@@ -235,9 +238,7 @@ class TestTrinary:
 
     def test_prob_k1_exhaustive(self):
         # k=1 draws x in {0,1}: 0 -> +1, 1 -> -1, zero never occurs
-        class Alternate:
-            words_out = permutes = 0
-
+        class Alternate(WordSource):
             def __init__(self):
                 self.i = 0
 
