@@ -77,14 +77,6 @@ class MachineFault(RuntimeError):
 
 
 @dataclass
-class ExecutionEvent:
-    pc: int
-    op: str
-    cycles: int
-    halted: bool
-
-
-@dataclass
 class CycleReport:
     total: int
     per_unit: dict
@@ -103,7 +95,7 @@ class CycleReport:
 class Machine:
     """One crypto-processor instance: cache, registers and cycle ledger."""
 
-    def __init__(self, strict_gating=False, debug=False):
+    def __init__(self, strict_gating=False):
         self.cache = polycache.PolynomialCache()
         self.r0 = bytes(32)
         self.r1 = bytes(32)
@@ -118,11 +110,9 @@ class Machine:
         self.halted = True
         self.gate_config = {"keccak": True, "ntt": True, "sampler": True}
         self.strict_gating = strict_gating
-        self.debug = debug
         self.program = None
         self.n = None
         self.q = None
-        self.profile = None
         self.consts = None
         self.rej_plan = None
         self.sha3 = None
@@ -158,21 +148,17 @@ class Machine:
         else:
             raise MachineFault(f"unknown seed register {which!r}")
 
-    def read_seed(self, which):
-        if not self.debug:
-            raise MachineFault("seed registers are write-only (set debug=True)")
-        return {"r0": self.r0, "r1": self.r1}[which]
-
     def configure(self, n, q):
         """Host-side parameter setup, equivalent to the config instruction
         but free of program cycles; needed before host data movement on a
         fresh machine."""
         try:
+            # the profile rejects a q that has no valid Barrett (m, k) pair
             profile = modmath.ModulusProfile.for_modulus(q)
             cfg = nttcore.LatticeConfig(n, q, profile)
         except (modmath.ModMathError, nttcore.NttError) as exc:
             raise MachineFault(f"configure: {exc}") from None
-        self.n, self.q, self.profile = n, q, profile
+        self.n, self.q = n, q
         self.cfg = cfg
         try:
             self.consts = nttcore.gen_constants(cfg)
@@ -234,7 +220,6 @@ class Machine:
             raise MachineFault("no program loaded")
         pc = self.pc
         insn = self.program.instructions[pc]
-        before = self.cycles
         next_pc = pc + 1
         try:
             handler = self._HANDLERS[insn.op]
@@ -248,7 +233,6 @@ class Machine:
         self.pc = next_pc
         if next_pc == len(self.program.instructions):
             self.halted = True
-        return ExecutionEvent(pc, insn.op, self.cycles - before, self.halted)
 
     def run(self, max_cycles=None):
         while not self.halted:
@@ -356,22 +340,15 @@ class Machine:
         fn(self.cfg, self.consts, self.cache, a["poly"])
         self._use("ntt", self.n + 1, op)
 
-    def _counter_value(self, spec):
-        if spec == "c0":
-            return self.c0
-        if spec == "c1":
-            return self.c1
-        return spec
-
     def _exec_sample(self, a, op):
         name, build = _SAMPLERS[op]
         try:
             kwargs = build(self, a)
             self._need_slot(a["poly"])
             seed = self.r0 if a["seed"] == "r0" else self.r1
-            prng = keccak.sampler_prng(a["prng"], seed,
-                                       self._counter_value(a["c0"]),
-                                       self._counter_value(a["c1"]))
+            c0, c1 = (getattr(self, c) if c in ("c0", "c1") else c
+                      for c in (a["c0"], a["c1"]))   # register or literal
+            prng = keccak.sampler_prng(a["prng"], seed, c0, c1)
             values = getattr(sampler, name)(self.n, prng=prng, **kwargs)
         except sampler.SamplerError as exc:
             raise MachineFault(f"{op}: {exc}", self.pc) from None

@@ -6,7 +6,7 @@ one of four strategies:
 
   * generic-barrett     -- Barrett reduction with runtime (m, k) parameters
   * specialized-barrett -- per-prime shift/add Barrett routines for the
-                           twelve supported primes
+                           eleven supported primes
   * power-of-two        -- bitwise AND with q - 1
   * fermat-65537        -- x0 - x1 + x2 digit folding for q = 2^16 + 1
 
@@ -139,22 +139,26 @@ _SPECIALIZED_CORE = {
 }
 
 
-def barrett_params(q, min_k=16, max_k=48):
+# Shift range of the Barrett datapath.
+MIN_K, MAX_K = 16, 48
+
+
+def barrett_params(q):
     """Smallest (m, k) with m = floor(2^k / q) valid for all inputs < q*q.
 
     Validity: the quotient estimate floor(z*m / 2^k) must undershoot
     floor(z/q) by at most 1, which holds when (q^2 - 1)(2^k mod q) < q*2^k.
-    The shifter supports 16 <= k <= 48.
+    The shifter supports MIN_K <= k <= MAX_K.
     """
-    for k in range(max(min_k, q.bit_length()), max_k + 1):
+    for k in range(max(MIN_K, q.bit_length()), MAX_K + 1):
         if (q * q - 1) * ((1 << k) % q) < q * (1 << k):
             return (1 << k) // q, k
-    raise ModMathError(f"no valid Barrett (m, k) for q={q} with k <= {max_k}")
+    raise ModMathError(f"no valid Barrett (m, k) for q={q} with k <= {MAX_K}")
 
 
 def _validate_barrett(q, m, k):
-    if not 16 <= k <= 48:
-        raise ModMathError(f"Barrett shift k={k} outside [16, 48]")
+    if not MIN_K <= k <= MAX_K:
+        raise ModMathError(f"Barrett shift k={k} outside [{MIN_K}, {MAX_K}]")
     if m != (1 << k) // q:
         raise ModMathError(f"m={m} is not floor(2^{k}/{q})")
     if m >= 1 << 24:
@@ -181,8 +185,7 @@ class ModulusProfile:
                 raise ModMathError(f"{self.strategy} requires m and k")
             _validate_barrett(self.q, self.m, self.k)
             if self.strategy == SPECIALIZED_BARRETT and self.q not in _SPECIALIZED_CORE:
-                if self.q != 65537:
-                    raise ModMathError(f"no specialized reduction routine for q={self.q}")
+                raise ModMathError(f"no specialized reduction routine for q={self.q}")
         elif self.strategy == POWER_OF_TWO:
             if self.q & (self.q - 1):
                 raise ModMathError(f"q={self.q} is not a power of two")
@@ -215,9 +218,7 @@ class ModulusProfile:
         """Preferred profile for q: mask, dedicated routine, or generic."""
         if q & (q - 1) == 0:
             return cls.power_of_two(q)
-        if q == 65537:
-            return cls(q, FERMAT_65537)
-        if q in SPECIALIZED_PARAMS:
+        if q == 65537 or q in SPECIALIZED_PARAMS:
             return cls.specialized(q)
         return cls.generic(q)
 

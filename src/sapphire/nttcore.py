@@ -39,13 +39,10 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 from . import modmath, polycache
-from .isa import TRANSFORM_MODES  # noqa: F401  (DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT)
+from .isa import TRANSFORM_MODES
 from .polycache import bit_reverse  # noqa: F401  (the transform's index order)
 
-DIF_NTT = "DIF_NTT"
-DIT_NTT = "DIT_NTT"
-DIF_INTT = "DIF_INTT"
-DIT_INTT = "DIT_INTT"
+DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT = TRANSFORM_MODES
 
 
 class NttError(ValueError):

@@ -9,8 +9,8 @@ i inside a slot lives at
 so that both butterfly pair shapes, (2j, 2j+1) and (j, j+n/2), always land
 in two different SRAMs.
 
-Slot-to-bank assignment: slots [0, slots_per_bank) live in the left bank,
-the rest in the right bank.
+Slot-to-bank assignment: slots [0, slots_per_bank(n)) live in the left
+bank, the rest in the right bank.
 
 Data and access schedule are kept apart.  The data of each slot is one
 flat list of n coefficients, which the ops read and write in bulk.  The
@@ -135,13 +135,18 @@ def slot_count(n):
     return min(TOTAL_WORDS // n, MAX_SLOTS)
 
 
+def slots_per_bank(n):
+    """Slots in the left bank at dimension n; the first right-bank slot."""
+    return slot_count(n) // 2
+
+
 def address(n, slot, i):
     """The address map: (bank, sram, row) of coefficient i of a slot at
     dimension n.  Callers check the ranges of slot and i."""
-    slots_per_bank = slot_count(n) // 2
-    bank = 0 if slot < slots_per_bank else 1
+    left = slots_per_bank(n)
+    bank = 0 if slot < left else 1
     sram = 2 * (i >> (n.bit_length() - 2)) + (i & 1)
-    row = (slot - bank * slots_per_bank) * (n >> 2) + ((i >> 1) & ((n >> 2) - 1))
+    row = (slot - bank * left) * (n >> 2) + ((i >> 1) & ((n >> 2) - 1))
     return bank, sram, row
 
 
@@ -197,7 +202,7 @@ class PolynomialCache:
                     self.image[w] = v
         self.n = n
         self.slots = slot_count(n)
-        self.slots_per_bank = self.slots // 2
+        self.slots_per_bank = slots_per_bank(n)
         self.data = ([[self.image[w] for w in words] for words in self._words()]
                      if spill else [[0] * n for _ in range(self.slots)])
         return self
@@ -275,17 +280,6 @@ class PolynomialCache:
     def dump_slot(self, slot):
         self.slot_bank(slot)
         return list(self.data[slot])
-
-    def audit_hazards(self):
-        """Re-check the recorded ledger: one access per (bank, sram, cycle)."""
-        seen = set()
-        for cycle, bank, sram, _row, _rw in self.ledger:
-            key = (cycle, bank, sram)
-            if key in seen:
-                raise HazardFault(
-                    f"ledger violation at cycle {cycle}: bank {bank} sram {sram}")
-            seen.add(key)
-        return len(self.ledger)
 
     def trace_lines(self):
         """Render the ledger, one access per line: cycle bank sram row R|W."""

@@ -12,7 +12,7 @@ import secrets
 from dataclasses import dataclass
 from importlib import resources
 
-from . import isa, keccak, nttcore, sampler
+from . import isa, keccak, nttcore, polycache, sampler
 
 NEWHOPE_Q = 12289
 KYBER_Q = 7681
@@ -79,10 +79,6 @@ class DriverError(RuntimeError):
     pass
 
 
-def _right_bank(n):
-    return (8192 // n) // 2
-
-
 def _newhope_check(n):
     if n not in (512, 1024):
         raise DriverError(f"CPA-PKE supports n in (512, 1024), got {n}")
@@ -94,7 +90,7 @@ def newhope_keygen(m, seed, n=1024, k=8):
     expanded = keccak.shake256(seed).finalize().squeeze(64)
     m.write_seed("r0", expanded[:32])
     m.write_seed("r1", expanded[32:])
-    rb = _right_bank(n)
+    rb = polycache.slots_per_bank(n)
     m.load_program(load_program("newhope_keygen.sph", n=n, k=k,
                                 r0=rb, r1=rb + 1, r2=rb + 2))
     m.run()
@@ -105,7 +101,7 @@ def newhope_encrypt(m, pk, coin, msg, k=8):
     """Encrypt a 32-byte message under pk using coin as the noise seed."""
     n = pk.n
     _newhope_check(n)
-    rb = _right_bank(n)
+    rb = polycache.slots_per_bank(n)
     m.configure(n, NEWHOPE_Q)
     m.load_program(load_program("newhope_encrypt.sph", n=n, k=k,
                                 r0=rb, r1=rb + 1, r2=rb + 2))
@@ -120,7 +116,7 @@ def newhope_encrypt(m, pk, coin, msg, k=8):
 def newhope_decrypt(m, sk, ct):
     n = ct.n
     _newhope_check(n)
-    rb = _right_bank(n)
+    rb = polycache.slots_per_bank(n)
     m.configure(n, NEWHOPE_Q)
     m.load_program(load_program("newhope_decrypt.sph", n=n, r0=rb))
     m.write_slot(0, ct.u_hat)
@@ -198,10 +194,6 @@ def intt_direct(hat_bitrev, n, q):
             acc += nat[u] * wpow[(t * u) % n]
         out.append(acc % q * consts.psi_inv_scaled[t] % q)
     return out
-
-
-def _centered(v, q):
-    return v - q if v > q // 2 else v
 
 
 def kyber_as_plus_e(m, seed_a, seed_s):

@@ -14,9 +14,13 @@ so they consume exactly the words that one draw per candidate would.
 
 Rejection sampling over [0, q) scales the acceptance bound from q to k*q
 to cut the rejection probability, then folds accepted candidates back into
-[0, q) with a small dedicated Barrett reduction (``RejectionPlan.fold``,
-the hardware model; the sampler itself folds with Python %, which equals
-it on [0, k*q) for every plan).
+[0, q).  The hardware folds with a small Barrett reduction; the emulator
+folds with Python %, which every strategy of ``modmath.reducer`` equals
+on [0, q^2), and so on [0, k*q).
+
+The rejection-style samplers stop with ``SamplerError`` rather than draw
+more than ``word_budget(n)`` words in one call; the budget is checked
+before each draw, so a call that stays within it draws the same words.
 """
 
 import math
@@ -44,70 +48,49 @@ class SamplerError(ValueError):
     """Sampler configuration violates a precondition."""
 
 
+def word_budget(n):
+    """Most words one rejection-style sampler call may draw for n samples."""
+    return max(1 << 20, 64 * n)
+
+
+def _draw(prng, count, left):
+    """The next count words and the budget left after them; faults rather
+    than overdraw the budget."""
+    if count > left:
+        raise SamplerError(f"word budget exhausted: {count} more words "
+                           f"needed, {left} left")
+    return prng.words(count), left - count
+
+
 @dataclass(frozen=True)
 class RejectionPlan:
-    """Candidate width, acceptance bound k*q and fold-back parameters."""
+    """Rejection over [0, q) with the acceptance bound scaled to k*q."""
 
     q: int
     scale: int
-    cand_bits: int
-    reduce_m: int | None   # absent for power-of-two q (mask fold)
-    reduce_k: int | None
-
-    def __post_init__(self):
-        if self.scale * self.q > 1 << self.cand_bits:
-            raise SamplerError("k*q exceeds 2^cand_bits")
-        m, k = self.reduce_m, self.reduce_k
-        if m is None:
-            if self.q & (self.q - 1):
-                raise SamplerError(f"q={self.q} needs Barrett fold parameters")
-        elif m != (1 << k) // self.q or \
-                (self.bound - 1) * ((1 << k) % self.q) >= self.q << k:
-            raise SamplerError(f"(m={m}, k={k}) does not fold [0, {self.bound})")
 
     @property
     def bound(self):
         return self.scale * self.q
 
     @property
-    def acceptance_probability(self):
-        return self.bound / (1 << self.cand_bits)
+    def cand_bits(self):
+        return (self.bound - 1).bit_length()
 
     @classmethod
-    def for_modulus(cls, q, scale=None):
-        if scale is None:
-            scale = 1 if q & (q - 1) == 0 else SCALE_FACTORS.get(q, 1)
-        if scale < 1:
-            raise SamplerError(f"scale factor {scale} must be >= 1")
-        bound = scale * q
-        cand_bits = (bound - 1).bit_length()
-        if cand_bits > 32:
-            raise SamplerError(f"candidate width {cand_bits} exceeds one PRNG word")
-        if q & (q - 1) == 0:
-            return cls(q, scale, cand_bits, None, None)
-        # Smallest Barrett shift valid for inputs < k*q (much smaller than
-        # the q^2 range of the multiplier datapath).
-        for k in range(q.bit_length(), 64):
-            if (bound - 1) * ((1 << k) % q) < q * (1 << k):
-                return cls(q, scale, cand_bits, (1 << k) // q, k)
-        raise SamplerError(f"no fold parameters for q={q}, scale={scale}")
-
-    def fold(self, value):
-        """Map an accepted candidate in [0, k*q) to [0, q)."""
-        q = self.q
-        if self.reduce_m is None:
-            return value & (q - 1)
-        r = value - ((value * self.reduce_m) >> self.reduce_k) * q
-        return r - (q & -(r >= q))
+    def for_modulus(cls, q):
+        """The plan with q's default scale factor; for every q below 2^24
+        a candidate fits one PRNG word."""
+        return cls(q, SCALE_FACTORS.get(q, 1))
 
 
 def rej_sample(n, plan, prng):
     """n residues uniform over [0, q); one word drawn per candidate."""
     mask, bound, q = (1 << plan.cand_bits) - 1, plan.bound, plan.q
-    out = []
+    out, left = [], word_budget(n)
     while len(out) < n:
-        cands = [w & mask for w in prng.words(n - len(out))]
-        out += [c % q for c in cands if c < bound]
+        ws, left = _draw(prng, n - len(out), left)
+        out += [c % q for c in [w & mask for w in ws] if c < bound]
     return out
 
 
@@ -174,31 +157,6 @@ class CdtTable:
             acc += 2.0 * probs[z + 1]
         return cls(tuple(entries), support, precision)
 
-    def implied_pmf(self):
-        """Probability of each output in [-s, s] exactly as sampled."""
-        scale = 1 << self.precision
-        cum = list(self.entries) + [scale - 1]
-        # zero is produced for both signs, so its mass is not halved
-        pmf = {0: (cum[0] + 1) / scale}
-        for z in range(1, self.support + 1):
-            pz = (cum[z] - cum[z - 1]) / scale
-            pmf[z] = pz / 2.0
-            pmf[-z] = pz / 2.0
-        return pmf
-
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"{self.precision}\n{self.support}\n")
-            fh.write(" ".join(map(str, self.entries)) + "\n")
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as fh:
-            precision = int(fh.readline())
-            support = int(fh.readline())
-            entries = tuple(int(v) for v in fh.readline().split())
-        return cls(entries, support, precision)
-
 
 def cdt_sample(n, table, prng, q=None):
     """n inversion samples from the CDT.
@@ -230,10 +188,10 @@ def uni_sample(n, eta, bitlen, q, prng):
         raise SamplerError(f"bitlen={bitlen} outside [1, 32]")
     mask = (1 << bitlen) - 1
     limit = 2 * eta + 1
-    out = []
+    out, left = [], word_budget(n)
     while len(out) < n:
-        cands = [w & mask for w in prng.words(n - len(out))]
-        out += [(c - eta) % q for c in cands if c < limit]
+        ws, left = _draw(prng, n - len(out), left)
+        out += [(c - eta) % q for c in [w & mask for w in ws] if c < limit]
     return out
 
 
@@ -261,9 +219,9 @@ def tri_sample_fixed(n, m, q, prng):
     pos_mask = n - 1
     signed = (1, q - 1)            # sign word bit 0 -> +1 / -1 mod q
     seq = [0] * n
-    placed = 0
+    placed, left = 0, word_budget(n)
     while placed < m:
-        ws = prng.words(2 * (m - placed))
+        ws, left = _draw(prng, 2 * (m - placed), left)
         placed += _place(seq, [w & pos_mask for w in ws[0::2]],
                          [signed[w & 1] for w in ws[1::2]])
     return seq
@@ -277,10 +235,10 @@ def tri_sample_split(n, m0, m1, q, prng):
         raise SamplerError("trinary sampling requires power-of-two n")
     pos_mask = n - 1
     seq = [0] * n
-    placed = 0
+    placed, left = 0, word_budget(n)
     for target, value in ((m0, 1), (m0 + m1, q - 1)):
         while placed < target:
-            ws = prng.words(target - placed)
+            ws, left = _draw(prng, target - placed, left)
             placed += _place(seq, [w & pos_mask for w in ws], repeat(value))
     return seq
 

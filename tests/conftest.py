@@ -4,11 +4,10 @@ import os
 import sys
 
 import numpy as np
-import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from sapphire import keccak  # noqa: E402
+from sapphire import keccak, polycache  # noqa: E402
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -158,12 +157,29 @@ def chi_square_pvalue(observed, expected):
     return stats.chisquare(obs, exp).pvalue
 
 
-def fresh_machine(**kw):
-    from sapphire import machine
+def implied_pmf(table):
+    """Probability of each output in [-s, s] exactly as ``cdt_sample``
+    draws it from the CdtTable."""
+    scale = 1 << table.precision
+    cum = list(table.entries) + [scale - 1]
+    # zero is produced for both signs, so its mass is not halved
+    pmf = {0: (cum[0] + 1) / scale}
+    for z in range(1, table.support + 1):
+        pz = (cum[z] - cum[z - 1]) / scale
+        pmf[z] = pz / 2.0
+        pmf[-z] = pz / 2.0
+    return pmf
 
-    return machine.Machine(**kw)
 
+def audit_ledger(cache):
+    """Re-check a cache's recorded ledger, independently of the schedule
+    audit: one access per (bank, sram, cycle).  Returns the access count."""
+    seen = set()
+    for cycle, bank, sram, _row, _rw in cache.ledger:
+        key = (cycle, bank, sram)
+        if key in seen:
+            raise polycache.HazardFault(
+                f"ledger violation at cycle {cycle}: bank {bank} sram {sram}")
+        seen.add(key)
+    return len(cache.ledger)
 
-@pytest.fixture
-def numpy_words():
-    return NumpyWords

@@ -14,8 +14,8 @@ import pytest
 
 from sapphire import (isa, keccak, machine, modmath, nttcore, polycache,
                       protocols, sampler)
-from conftest import DATA_DIR, NumpyWords, ReferenceSponge, \
-    chi_square_pvalue, schoolbook_negacyclic
+from conftest import DATA_DIR, NumpyWords, ReferenceSponge, audit_ledger, \
+    chi_square_pvalue, implied_pmf, schoolbook_negacyclic
 
 
 @contextlib.contextmanager
@@ -117,7 +117,7 @@ def test_criterion_4_memory_model():
                 rng = random.Random(n)
                 cache.load_slot(0, [rng.randrange(q) for _ in range(n)])
                 nttcore.ntt(cfg, consts, cache, cache.slots_per_bank, 0, mode)
-                assert cache.audit_hazards() > 0
+                assert audit_ledger(cache) > 0
         cfg = nttcore.LatticeConfig.make(8, 257)
         consts = nttcore.gen_constants(cfg)
         for mode, fname in ((nttcore.DIT_NTT, "golden_trace_8pt_dit.txt"),
@@ -142,9 +142,9 @@ def test_criterion_5_rejection_probabilities():
     with criterion(5, "rejection rates vs published table", budget=60.0):
         for q, (p_plain, scale, p_scaled) in TABLE4.items():
             for plan_scale, expect in ((1, p_plain), (scale, p_scaled)):
-                plan = sampler.RejectionPlan.for_modulus(q, scale=plan_scale)
+                plan = sampler.RejectionPlan(q, plan_scale)
                 stream = NumpyWords(q * plan_scale)
-                want = round(1_000_000 * plan.acceptance_probability)
+                want = round(1_000_000 * plan.bound / 2 ** plan.cand_bits)
                 sampler.rej_sample(want, plan, stream)
                 rate = 1.0 - want / stream.words_out
                 assert abs(rate - expect) < 0.01, (q, plan_scale, rate)
@@ -167,7 +167,7 @@ def test_criterion_7_cdt_sampler():
                                    (2.30, 10, 16, 200_000),
                                    (25.0, 54, 32, 120_000)):
             table = sampler.CdtTable.from_sigma(sigma, s, r)
-            pmf = table.implied_pmf()
+            pmf = implied_pmf(table)
             # cdt_sample asserts the full-scan trip count internally on
             # every draw; a wrong count would raise
             vals = np.array(sampler.cdt_sample(nsamp, table,

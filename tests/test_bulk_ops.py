@@ -13,7 +13,7 @@ import pytest
 
 from sapphire import isa
 from sapphire.machine import Machine
-from conftest import DATA_DIR, bitrev
+from conftest import DATA_DIR, audit_ledger, bitrev
 
 WORD = (1 << 24) - 1
 Q_FOR_N = {8: 257, 256: 7681, 1024: 12289}
@@ -57,7 +57,7 @@ def run_both(n, slots, program, reg=0):
     assert plain.cache.mem_cycle == traced.cache.mem_cycle > 0
     assert plain.cache.ledger == []
     assert {e[0] for e in traced.cache.ledger} == set(range(traced.cache.mem_cycle))
-    traced.cache.audit_hazards()
+    audit_ledger(traced.cache)
     return plain
 
 

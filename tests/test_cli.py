@@ -79,6 +79,16 @@ def test_run_machine_fault_exit_3(tmp_path, capsys):
     assert "fault" in capsys.readouterr().err
 
 
+def test_run_sampler_word_budget_exit_3(tmp_path, capsys):
+    src = tmp_path / "budget.sph"
+    src.write_text("config (n = 1024, q = 12289)\n"
+                   "uni_sample (prng = SHAKE-128, seed = r0, c0 = 0, c1 = 0, "
+                   "eta = 0, bitlen = 16, poly = 1)\n")
+    assert run_cli("run", str(src), "--seed", SEED) == 3
+    err = capsys.readouterr().err
+    assert "word budget" in err and "Traceback" not in err
+
+
 def test_run_trace_matches_golden_8pt(tmp_path, capsys):
     src = tmp_path / "demo.sph"
     src.write_text("config (n = 8, q = 257)\n"

@@ -1,0 +1,62 @@
+"""Design guards: nothing in ``src/`` that only tests reach, one spec per
+instruction shared by the assembler and the machine, and every data file
+of the package shipped with it."""
+
+import ast
+import collections
+import pathlib
+import re
+
+import pytest
+
+from sapphire import isa
+from sapphire.machine import Machine
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sapphire"
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(tree):
+    """Every name a tree refers to: loaded or stored names, attributes, and
+    the parts of string constants that are identifiers or dotted names (as
+    ``"Class.method"`` entries and name tables are)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and DOTTED.fullmatch(node.value):
+            yield from node.value.split(".")
+
+
+def test_no_test_only_code_in_src():
+    """Every function and class of the package is referred to from src/,
+    perfbench/ or pyproject.toml outside its own definition."""
+    trees = {path: ast.parse(path.read_text())
+             for top in ("src", "perfbench") for path in (ROOT / top).rglob("*.py")}
+    refs = collections.Counter(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
+    for tree in trees.values():
+        refs.update(_names(tree))
+    unused = [f"{path.name}:{node.name}"
+              for path, tree in trees.items() if PACKAGE in path.parents
+              for node in ast.walk(tree)
+              if isinstance(node, DEFS) and not node.name.startswith("__")
+              and refs[node.name] <= sum(name == node.name for name in _names(node))]
+    assert unused == []
+
+
+def test_every_instruction_form_has_a_handler():
+    assert {f.op for f in isa.FORMS} == set(Machine._HANDLERS)
+
+
+def test_package_data_ships_every_data_file():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    globs = config["tool"]["setuptools"]["package-data"]["sapphire"]
+    files = [path.relative_to(PACKAGE) for sub in ("data", "programs")
+             for path in (PACKAGE / sub).iterdir()]
+    assert files
+    assert [f for f in files if not any(f.match(g) for g in globs)] == []

@@ -410,7 +410,6 @@ class TestSamplerInstructions:
 class TestSha3Instructions:
     def test_absorb_poly_digest(self):
         m = seeded()
-        m.debug = True
         m.configure(64, 7681)
         m.write_slot(1, list(range(64)))
         m.load_program("""
@@ -421,11 +420,10 @@ class TestSha3Instructions:
         """)
         m.run()
         data = b"".join(v.to_bytes(3, "little") for v in range(64))
-        assert m.read_seed("r0") == keccak.sha3_digest(data, 256)
+        assert m.r0 == keccak.sha3_digest(data, 256)
 
     def test_digest_512_fills_both_seeds(self):
         m = seeded()
-        m.debug = True
         m.load_program("""
         sha3_init
         sha3_512_absorb (r0)
@@ -433,7 +431,7 @@ class TestSha3Instructions:
         """)
         m.run()
         want = keccak.sha3_digest(bytes(range(32)), 512)
-        assert m.read_seed("r0") + m.read_seed("r1") == want
+        assert m.r0 + m.r1 == want
 
     def test_mode_mismatch_faults(self):
         m = seeded()
@@ -473,10 +471,16 @@ class TestFaults:
         with pytest.raises(MachineFault):
             m.run()
 
-    def test_seed_read_requires_debug(self):
-        m = Machine()
-        with pytest.raises(MachineFault):
-            m.read_seed("r0")
+    def test_sampler_word_budget(self):
+        # eta = 0 over 16-bit candidates accepts 1 word in 65536: about
+        # 67 M words for n = 1024, far past the 2^20-word budget
+        m = seeded()
+        m.load_program("""
+        config (n = 1024, q = 12289)
+        uni_sample (prng = SHAKE-128, seed = r0, c0 = 0, c1 = 0, eta = 0, bitlen = 16, poly = 1)
+        """)
+        with pytest.raises(MachineFault, match="pc=1: uni_sample: word budget"):
+            m.run()
 
     # CONST_OR writes 16000000 | v: 24-bit words far above q, which the
     # transform once turned into a 28-bit word (OverflowError at the
@@ -538,10 +542,10 @@ class TestHostInterface:
 def test_step_returns_execution_events():
     m = Machine()
     m.load_program("c0 = 1\nc0 = c0 + 1")
-    ev = m.step()
-    assert (ev.pc, ev.op, ev.cycles, ev.halted) == (0, "cnt", 1, False)
-    ev = m.step()
-    assert (ev.pc, ev.halted) == (1, True)
+    m.step()
+    assert (m.pc, m.cycles, m.per_insn, m.halted) == (1, 1, {"cnt": 1}, False)
+    m.step()
+    assert (m.pc, m.cycles, m.per_insn, m.halted) == (2, 2, {"cnt": 2}, True)
     assert m.c0 == 2
 
 

@@ -103,6 +103,8 @@ def test_configuration_errors():
         ModulusProfile(7681, modmath.GENERIC_BARRETT, m=999, k=21)
     with pytest.raises(ModMathError):
         ModulusProfile(7681, modmath.GENERIC_BARRETT)  # missing m, k
+    with pytest.raises(ModMathError):    # 65537 has the Fermat fold, no routine
+        ModulusProfile(65537, modmath.SPECIALIZED_BARRETT, *modmath.barrett_params(65537))
     with pytest.raises(ModMathError):
         ModulusProfile.power_of_two(12289)
     with pytest.raises(ModMathError):

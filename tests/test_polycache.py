@@ -7,7 +7,7 @@ from sapphire import nttcore, polycache
 from sapphire.polycache import (
     READ, WRITE, CacheError, HazardFault, PolynomialCache, address, audit,
 )
-from conftest import DATA_DIR
+from conftest import DATA_DIR, audit_ledger
 
 
 def test_total_capacity():
@@ -174,7 +174,7 @@ def test_hazard_freedom_full_transforms(n, mode):
     rng = random.Random(n)
     c.load_slot(0, [rng.randrange(q) for _ in range(n)])
     nttcore.ntt(cfg, consts, c, c.slots_per_bank, 0, mode)
-    assert c.audit_hazards() > 0
+    assert audit_ledger(c) > 0
 
 
 def test_golden_traces_frozen():
@@ -211,7 +211,7 @@ def test_mult_psi_pipelined_schedule_hazard_free():
     c.trace_enabled = True
     c.load_slot(0, list(range(64)))
     nttcore.mult_psi(cfg, consts, c, 0)
-    count = c.audit_hazards()
+    count = audit_ledger(c)
     assert count == 2 * 64   # one read and one write per coefficient
     cycles = {e[0] for e in c.ledger}
     assert len(cycles) == 65  # n + 1 memory cycles

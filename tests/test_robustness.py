@@ -175,7 +175,7 @@ def programs(draw):
 
 
 def _machine(n, q, loads, listing):
-    m = Machine(debug=True)
+    m = Machine()
     m.configure(n, q)
     for s, values in loads.items():
         m.write_slot(s, values)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from sapphire import keccak, sampler
 from sapphire.sampler import CdtTable, RejectionPlan, SamplerError
-from conftest import NumpyWords, chi_square_pvalue
+from conftest import NumpyWords, chi_square_pvalue, implied_pmf
 
 TABLE4 = {
     # q: (bit size, rej prob w/o scaling, scale, rej prob w/ scaling)
@@ -25,14 +26,17 @@ TABLE4 = {
 
 
 class WordSource:
-    """Base of the scripted word streams: ``words(count)`` is count
-    ``next_word()`` calls, counted in ``words_out``."""
+    """A scripted word stream: ``words(count)`` takes the next count words
+    of an iterable, counted in ``words_out``."""
 
     words_out = permutes = 0
 
+    def __init__(self, script):
+        self.script = iter(script)
+
     def words(self, count):
         self.words_out += count
-        return [self.next_word() for _ in range(count)]
+        return list(itertools.islice(self.script, count))
 
 
 def centered(values, q):
@@ -45,36 +49,19 @@ class TestRejection:
         for q, (bits, _, scale, _) in TABLE4.items():
             plan = RejectionPlan.for_modulus(q)
             assert plan.scale == scale
-            assert RejectionPlan.for_modulus(q, scale=1).cand_bits == bits
+            assert RejectionPlan(q, 1).cand_bits == bits
 
     def test_analytic_rates_match_table(self):
         for q, (_, p_plain, _, p_scaled) in TABLE4.items():
-            plain = RejectionPlan.for_modulus(q, scale=1)
-            scaled = RejectionPlan.for_modulus(q)
-            assert abs((1 - plain.acceptance_probability) - p_plain) < 0.005
-            assert abs((1 - scaled.acceptance_probability) - p_scaled) < 0.005
-
-    def test_fold_boundaries(self):
-        plan = RejectionPlan.for_modulus(12289)
-        assert plan.bound == 5 * 12289
-        assert plan.fold(61444) == 12288      # 5q-1 folds to q-1
-        assert plan.fold(0) == 0
-        assert plan.fold(12289) == 0
-        for cand in range(0, 61445, 997):
-            assert plan.fold(cand) == cand % 12289
+            for plan, p_reject in ((RejectionPlan(q, 1), p_plain),
+                                   (RejectionPlan.for_modulus(q), p_scaled)):
+                accept = plan.bound / 2 ** plan.cand_bits
+                assert abs((1 - accept) - p_reject) < 0.005
 
     def test_candidates_above_bound_rejected(self):
         # feed one word above the bound then accepted ones
-        class Scripted(WordSource):
-            def __init__(self, script):
-                self.script, self.i = script, 0
-
-            def next_word(self):
-                self.i += 1
-                return self.script[self.i - 1]
-
         plan = RejectionPlan.for_modulus(12289)
-        stream = Scripted([61445, 61444, 5])    # reject, accept, accept
+        stream = WordSource([61445, 61444, 5])    # reject, accept, accept
         out = sampler.rej_sample(2, plan, stream)
         assert out == [12288, 5]
         assert stream.words_out == 3
@@ -99,18 +86,11 @@ class TestRejection:
 
 class TestBinomial:
     def test_chunk_examples(self):
-        class One(WordSource):
-            def __init__(self, w):
-                self.w = w
-
-            def next_word(self):
-                return self.w
-
         q = 12289
         # low chunk 0xFF, high chunk 0x00 -> HW diff +8
-        assert sampler.bin_sample(1, 8, q, One(0x00FF)) == [8]
-        assert sampler.bin_sample(1, 8, q, One(0xFF00)) == [q - 8]
-        assert sampler.bin_sample(1, 8, q, One(0xAAAA)) == [0]  # equal chunks
+        assert sampler.bin_sample(1, 8, q, WordSource([0x00FF])) == [8]
+        assert sampler.bin_sample(1, 8, q, WordSource([0xFF00])) == [q - 8]
+        assert sampler.bin_sample(1, 8, q, WordSource([0xAAAA])) == [0]  # equal chunks
 
     def test_moments(self):
         for k in (4, 8):
@@ -141,17 +121,10 @@ class TestCdt:
     def test_scan_extremes(self):
         table = CdtTable((10, 20, 30), 3, 8)
 
-        class Two(WordSource):
-            def __init__(self, w0, w1):
-                self.seq = [w0, w1]
-
-            def next_word(self):
-                return self.seq.pop(0)
-
-        assert sampler.cdt_sample(1, table, Two(0, 0)) == [0]
+        assert sampler.cdt_sample(1, table, WordSource([0, 0])) == [0]
         # r1 = 255 exceeds every entry -> e = s; sign from r0
-        assert sampler.cdt_sample(1, table, Two(0, 255)) == [3]
-        assert sampler.cdt_sample(1, table, Two(1, 255)) == [-3]
+        assert sampler.cdt_sample(1, table, WordSource([0, 255])) == [3]
+        assert sampler.cdt_sample(1, table, WordSource([1, 255])) == [-3]
 
     def test_residue_storage(self):
         table = CdtTable((10, 20, 30), 3, 8)
@@ -173,7 +146,7 @@ class TestCdt:
                                            (25.0, 54, 32)])
     def test_goodness_of_fit(self, sigma, s, r):
         table = CdtTable.from_sigma(sigma, s, r)
-        pmf = table.implied_pmf()
+        pmf = implied_pmf(table)
         assert abs(sum(pmf.values()) - 1.0) < 1e-9
         n = 120_000
         vals = np.array(sampler.cdt_sample(n, table, NumpyWords(int(sigma * 7))))
@@ -183,25 +156,11 @@ class TestCdt:
         exp = [pmf[z] * n for z in support]
         assert chi_square_pvalue(obs, exp) > 0.001
 
-    def test_file_round_trip(self, tmp_path):
-        table = CdtTable.from_sigma(2.75, 11, 16)
-        path = tmp_path / "cdt.txt"
-        table.to_file(path)
-        assert CdtTable.from_file(path) == table
-
 
 class TestUniform:
     def test_exhaustive_eta1(self):
-        class Cycle(WordSource):
-            def __init__(self):
-                self.i = 0
-
-            def next_word(self):
-                self.i += 1
-                return self.i - 1
-
-        q = 12289
-        out = sampler.uni_sample(3, 1, 2, q, Cycle())   # candidates 0,1,2 (3 rejected)
+        q = 12289      # candidates 0, 1, 2, 3, ...; 3 is rejected
+        out = sampler.uni_sample(3, 1, 2, q, WordSource(itertools.count()))
         assert out == [q - 1, 0, 1]
 
     def test_degenerate_eta0(self):
@@ -238,16 +197,8 @@ class TestTrinary:
 
     def test_prob_k1_exhaustive(self):
         # k=1 draws x in {0,1}: 0 -> +1, 1 -> -1, zero never occurs
-        class Alternate(WordSource):
-            def __init__(self):
-                self.i = 0
-
-            def next_word(self):
-                self.i += 1
-                return self.i & 1
-
         q = 7681
-        seq = sampler.tri_sample_prob(100, 1, q, Alternate())
+        seq = sampler.tri_sample_prob(100, 1, q, WordSource(itertools.cycle((1, 0))))
         assert set(seq) == {1, q - 1}
 
     def test_prob_frequencies(self):
@@ -263,6 +214,24 @@ class TestTrinary:
             sampler.tri_sample_split(8, 4, 4, 7681, NumpyWords(0))
         with pytest.raises(SamplerError):
             sampler.tri_sample_prob(8, 8, 7681, NumpyWords(0))
+
+
+@pytest.mark.parametrize("n", [256, 1 << 15])
+@pytest.mark.parametrize("draw", [
+    lambda n, p: sampler.rej_sample(n, RejectionPlan.for_modulus(12289), p),
+    lambda n, p: sampler.uni_sample(n, 0, 16, 12289, p),
+    lambda n, p: sampler.tri_sample_fixed(n, n - 1, 12289, p),
+    lambda n, p: sampler.tri_sample_split(n, n // 2, n // 4, 12289, p),
+], ids=["rej", "uni", "tri_fixed", "tri_split"])
+def test_word_budget(draw, n):
+    # both candidate filters reject 0xFFFF, and every position it names
+    # after the first is taken
+    stream = WordSource(itertools.repeat(0xFFFF))
+    with pytest.raises(SamplerError, match="word budget"):
+        draw(n, stream)
+    budget = max(1 << 20, 64 * n)
+    assert sampler.word_budget(n) == budget
+    assert budget - 2 * n < stream.words_out <= budget
 
 
 def test_keccak_backed_determinism():
