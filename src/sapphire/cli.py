@@ -1,7 +1,9 @@
 """Command-line front end: assemble, run, verify and demo.
 
 Exit codes are a stable contract: 0 success, 1 test/demo failure,
-2 usage or parse error, 3 machine fault.
+2 usage or parse error, 3 machine fault.  ``main`` is the one place that
+maps errors to them: a ``MachineFault`` exits 3, any ``OSError`` or
+``ValueError`` exits 2, and a closed stdout exits 1 without a message.
 """
 
 import argparse
@@ -11,17 +13,13 @@ import secrets
 import sys
 from importlib import resources
 
-from . import isa, keccak, machine as machine_mod, modmath, nttcore, polycache, protocols
+from . import (isa, keccak, machine as machine_mod, modmath, nttcore, polycache,
+               protocols, sampler)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_FAULT = 3
-
-
-def _usage(msg):
-    print(f"error: {msg}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
 
 
 def _resolve_seed(arg):
@@ -34,52 +32,36 @@ def _resolve_seed(arg):
     except ValueError:
         raw = b""
     if len(raw) != 32:
-        _usage("seed must be 64 hex chars or 'os'")
+        raise ValueError("seed must be 64 hex chars or 'os'")
     return raw
 
 
-def _seed_registers(m, seed):
-    expanded = keccak.shake256(seed).finalize().squeeze(64)
-    m.write_seed("r0", expanded[:32])
-    m.write_seed("r1", expanded[32:])
+def _assemble_file(path):
+    with open(path, encoding="utf-8") as fh:
+        return isa.assemble(fh.read())
+
+
+def _load_any_program(path):
+    """The program in a .sph listing or an SPH1 binary; its parse errors
+    name the path."""
+    try:
+        return _assemble_file(path) if path.endswith(".sph") else isa.read_binary(path)
+    except ValueError as exc:    # AsmError, DecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_asm(args):
-    try:
-        with open(args.source) as fh:
-            program = isa.assemble(fh.read())
-    except OSError as exc:
-        _usage(str(exc))
-    except isa.AsmError as exc:
-        print(f"{args.source}:{exc}", file=sys.stderr)
-        return EXIT_USAGE
+    program = _assemble_file(args.source)
     out = args.output or (os.path.splitext(args.source)[0] + ".bin")
-    try:
-        isa.write_binary(out, program)
-    except OSError as exc:
-        _usage(str(exc))
-    except ValueError as exc:
-        # e.g. a branch to the end of a 256-instruction program: the machine
-        # runs target 256 as a halt, but the 8-bit target field cannot hold it
-        print(f"{args.source}: cannot encode: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # ValueError if unencodable: a branch to the end of 256 instructions
+    isa.write_binary(out, program)
     print(f"{len(program)} instructions")
     return EXIT_OK
 
 
-def _load_any_program(path):
-    if path.endswith(".sph"):
-        with open(path) as fh:
-            return isa.assemble(fh.read())
-    return isa.read_binary(path)
-
-
 def _apply_data_in(m, path):
-    try:
-        with open(path) as fh:
-            lines = list(fh)
-    except OSError as exc:
-        _usage(str(exc))
+    with open(path) as fh:
+        lines = list(fh)
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -90,48 +72,48 @@ def _apply_data_in(m, path):
                 m.write_slot(int(parts[1]), [int(v) for v in parts[2:]])
             elif kind == "seed":
                 m.write_seed(parts[1], bytes.fromhex(parts[2]))
-            elif kind == "cdt":
-                m.load_cdt([int(v) for v in parts[3:]])
+            elif kind == "cdt":     # cdt <r> <s> <entries...>
+                m.load_cdt(sampler.CdtTable(tuple(int(v) for v in parts[3:]),
+                                            int(parts[2]), int(parts[1])))
             else:
-                _usage(f"{path}:{lineno}: unknown data directive {kind!r}")
+                raise ValueError(f"unknown data directive {kind!r}")
         except (ValueError, IndexError, machine_mod.MachineFault) as exc:
-            # ValueError covers CacheError: bad slot, length or word
-            _usage(f"{path}:{lineno}: {exc}")
+            # ValueError covers CacheError (bad slot, length or word) and
+            # SamplerError (a table that does not match its r and s)
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def _write_lines(lines, path):
+    """Write the lines to the file at path, or else to stdout."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_run(args):
-    try:
-        program = _load_any_program(args.program)
-    except OSError as exc:
-        _usage(str(exc))
-    except (isa.AsmError, isa.DecodeError) as exc:
-        print(f"{args.program}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    program = _load_any_program(args.program)
     m = machine_mod.Machine(strict_gating=args.strict_gating)
-    _seed_registers(m, _resolve_seed(args.seed))
+    seeds = keccak.shake256(_resolve_seed(args.seed)).finalize().squeeze(64)
+    m.write_seed("r0", seeds[:32])
+    m.write_seed("r1", seeds[32:])
     m.load_program(program)
     if args.data_in:
         # host data movement needs the slot geometry; take it from the
         # program's first config instruction
-        for insn in program.instructions:
-            if insn.op == "config":
-                try:
-                    m.configure(insn.args["n"], insn.args["q"])
-                except machine_mod.MachineFault as exc:
-                    print(f"machine fault: {exc}", file=sys.stderr)
-                    return EXIT_FAULT
-                break
+        config = next((i.args for i in program.instructions if i.op == "config"), None)
+        if config:
+            m.configure(config["n"], config["q"])
         _apply_data_in(m, args.data_in)
     m.cache.trace_enabled = args.trace
+    report = m.run(max_cycles=args.cycles)
     try:
-        report = m.run(max_cycles=args.cycles)
-    except machine_mod.MachineFault as exc:
-        print(f"machine fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
-    try:
-        dumps = [(slot, m.read_slot(slot)) for slot in args.dump_slot]
+        dumps = [f"slot {slot} {' '.join(map(str, m.read_slot(slot)))}"
+                 for slot in args.dump_slot]
     except polycache.CacheError as exc:
-        _usage(f"--dump-slot: {exc}")
+        raise ValueError(f"--dump-slot: {exc}") from None
     if args.format == "structured":
         for line in report.lines():
             print(line)
@@ -139,20 +121,9 @@ def cmd_run(args):
         print(f"halted={report.halted} cycles={report.total} "
               f"per_unit={report.per_unit}")
     if args.trace:
-        lines = m.trace()
-        if args.trace_out:
-            with open(args.trace_out, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        else:
-            print("\n".join(lines))
+        _write_lines(m.trace(), args.trace_out)
     if dumps:
-        out = sys.stdout if not args.data_out else open(args.data_out, "w")
-        try:
-            for slot, values in dumps:
-                print(f"slot {slot} {' '.join(map(str, values))}", file=out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        _write_lines(dumps, args.data_out)
     return EXIT_OK
 
 
@@ -179,7 +150,7 @@ def cmd_kat(args):
         elif mode == "SHAKE-256":
             got = keccak.shake256(msg).finalize().squeeze(len(want))
         else:
-            _usage(f"unknown KAT mode {mode}")
+            raise ValueError(f"unknown KAT mode {mode}")
         count += 1
         if got != want:
             failures.append(f"{mode}({msg_hex})")
@@ -271,31 +242,29 @@ def _demo_masked(args, seed):
 
 
 def cmd_demo(args):
-    seed = _resolve_seed(args.seed)
-    try:
-        if args.which == "newhope":
-            return _demo_newhope(args, seed)
-        if args.which == "kyber":
-            return _demo_kyber(args, seed)
-        if args.which == "frodo":
-            return _demo_frodo(args, seed)
-        return _demo_masked(args, seed)
-    except machine_mod.MachineFault as exc:
-        print(f"machine fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
+    demo = {"newhope": _demo_newhope, "kyber": _demo_kyber,
+            "frodo": _demo_frodo, "masked": _demo_masked}[args.which]
+    return demo(args, _resolve_seed(args.seed))
 
 
 def cmd_gen_constants(args):
-    try:
-        cfg = nttcore.LatticeConfig.make(args.n, args.q)
-        consts = nttcore.gen_constants(cfg)
-    except (nttcore.NttError, modmath.ModMathError) as exc:
-        _usage(str(exc))
+    consts = nttcore.gen_constants(nttcore.LatticeConfig.make(args.n, args.q))
     path = args.output or f"ntt_constants_{args.n}_{args.q}.txt"
     nttcore.export_constants(consts, path)
     nttcore.import_constants(path)   # self-validation
     print(f"wrote {path} (psi = {consts.psi})")
     return EXIT_OK
+
+
+def _at_least(low):
+    """argparse type: an int no smaller than low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    parse.__name__ = "int"    # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser():
@@ -312,7 +281,7 @@ def build_parser():
     pr = sub.add_parser("run", help="run a program (.bin or .sph)")
     pr.add_argument("program")
     pr.add_argument("--seed", help="64 hex chars or 'os'")
-    pr.add_argument("--cycles", type=int, help="cycle limit")
+    pr.add_argument("--cycles", type=_at_least(0), help="cycle limit")
     pr.add_argument("--trace", action="store_true")
     pr.add_argument("--trace-out")
     pr.add_argument("--strict-gating", action="store_true")
@@ -323,12 +292,12 @@ def build_parser():
     pr.set_defaults(fn=cmd_run)
 
     pk = sub.add_parser("kat", help="run FIPS-202 and reduction known answers")
-    pk.add_argument("--reduction-samples", type=int, default=100_000)
+    pk.add_argument("--reduction-samples", type=_at_least(1), default=100_000)
     pk.set_defaults(fn=cmd_kat)
 
     pd = sub.add_parser("demo", help="run a protocol demonstration")
     pd.add_argument("which", choices=("newhope", "kyber", "frodo", "masked"))
-    pd.add_argument("--trials", type=int, default=None)
+    pd.add_argument("--trials", type=_at_least(1), default=None)
     pd.add_argument("--n", type=int, choices=(512, 1024), default=1024)
     pd.add_argument("--profile", default="desk640",
                     choices=sorted(protocols.FRODO_PROFILES))
@@ -348,7 +317,21 @@ def main(argv=None):
     if getattr(args, "trials", None) is None and args.command == "demo":
         args.trials = {"newhope": 1000, "kyber": 3,
                        "frodo": 1, "masked": 100}[args.which]
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: exit quietly, and send the interpreter's final
+        # flush of what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    except machine_mod.MachineFault as exc:
+        print(f"machine fault: {exc}", file=sys.stderr)
+        return EXIT_FAULT
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -22,6 +22,10 @@ and control), "ntt" (butterfly/polynomial datapath), "keccak"
 clock_config instruction gates buckets: a gated unit's cycles still count
 toward the total (functional behavior is unchanged) but stop accumulating
 in its bucket.  In strict gating mode, touching a gated unit faults.
+
+``Machine.step`` is the one fault boundary: the units check their own
+operands, and step turns any error an instruction raises into a
+``MachineFault`` carrying that instruction's pc.
 """
 
 import operator
@@ -30,6 +34,10 @@ from dataclasses import dataclass
 from . import isa, keccak, modmath, nttcore, polycache, sampler
 
 WORD_MASK = (1 << 24) - 1
+
+# what the units raise on a bad operand; step makes each a MachineFault
+_UNIT_ERRORS = (polycache.CacheError, nttcore.NttError, sampler.SamplerError,
+                modmath.ModMathError)
 
 # regop ALU operations on (tmp, reg), in isa.REG_ALU_OPS order
 _ALU = (operator.add, operator.sub, operator.mul, operator.and_, operator.or_,
@@ -126,6 +134,10 @@ class Machine:
             program = isa.assemble(program)
         if len(program.instructions) > isa.MAX_PROGRAM:
             raise MachineFault(f"program exceeds {isa.MAX_PROGRAM} instructions")
+        for index, insn in enumerate(program.instructions):
+            if insn.op not in self._HANDLERS:
+                raise MachineFault(
+                    f"instruction {index}: unimplemented opcode {insn.op!r}")
         self.program = program
         self.reset()
 
@@ -154,8 +166,7 @@ class Machine:
         fresh machine."""
         try:
             # the profile rejects a q that has no valid Barrett (m, k) pair
-            profile = modmath.ModulusProfile.for_modulus(q)
-            cfg = nttcore.LatticeConfig(n, q, profile)
+            cfg = nttcore.LatticeConfig.make(n, q)
         except (modmath.ModMathError, nttcore.NttError) as exc:
             raise MachineFault(f"configure: {exc}") from None
         self.n, self.q = n, q
@@ -195,39 +206,30 @@ class Machine:
     def _use(self, unit, cycles, op):
         if unit != "alu" and not self.gate_config[unit]:
             if self.strict_gating:
-                raise MachineFault(f"{op} drives clock-gated unit {unit!r}",
-                                   self.pc)
+                raise MachineFault(f"{op} drives clock-gated unit {unit!r}")
         else:
             self.per_unit[unit] += cycles
         self.cycles += cycles
         self.per_insn[op] = self.per_insn.get(op, 0) + cycles
 
-    def _need_config(self):
-        if self.n is None:
-            raise MachineFault("no config instruction executed", self.pc)
-
-    def _need_slot(self, slot):
-        self._need_config()
-        if not 0 <= slot < self.cache.slots:
-            raise MachineFault(
-                f"slot {slot} out of range for n={self.n} "
-                f"({self.cache.slots} slots)", self.pc)
+    def _slot(self, slot):
+        """The coefficient list of a range-checked slot, for a handler that
+        reads it before any cache access."""
+        self.cache.slot_bank(slot)
+        return self.cache.data[slot]
 
     def step(self):
         if self.halted:
             raise MachineFault("machine is halted")
-        if self.program is None:
-            raise MachineFault("no program loaded")
         pc = self.pc
         insn = self.program.instructions[pc]
-        next_pc = pc + 1
         try:
-            handler = self._HANDLERS[insn.op]
-        except KeyError:
-            raise MachineFault(f"unimplemented opcode {insn.op!r}", pc) from None
-        jump = handler(self, insn.args, insn.op)
-        if jump is not None:
-            next_pc = jump
+            jump = self._HANDLERS[insn.op](self, insn.args, insn.op)
+        except MachineFault as exc:
+            raise MachineFault(str(exc), pc) from None
+        except _UNIT_ERRORS as exc:
+            raise MachineFault(f"{insn.op}: {exc}", pc) from None
+        next_pc = pc + 1 if jump is None else jump
         if not 0 <= next_pc <= len(self.program.instructions):
             raise MachineFault(f"branch target {next_pc} out of range", pc)
         self.pc = next_pc
@@ -244,10 +246,7 @@ class Machine:
     # ----------------------------------------------------------- semantics
 
     def _exec_config(self, a, op):
-        try:
-            self.configure(a["n"], a["q"])
-        except MachineFault as exc:
-            raise MachineFault(str(exc), self.pc) from None
+        self.configure(a["n"], a["q"])
         self._use("alu", 1, op)
 
     def _exec_clock_config(self, a, op):
@@ -273,7 +272,6 @@ class Machine:
 
     def _scan_slot(self, slot):
         """Coefficients of one slot, read by a whole-slot read schedule."""
-        self._need_slot(slot)
         self.cache.access("read", (slot,))
         return self.cache.data[slot]
 
@@ -286,87 +284,62 @@ class Machine:
         self._use("ntt", self.n + 1, op)
 
     def _poly_index(self, a):
-        if a["sel"] == "imm":
-            idx = a["index"]
-        else:
-            idx = getattr(self, a["sel"])
-        if not 0 <= idx < self.n:
-            raise MachineFault(f"element index {idx} out of range", self.pc)
-        return idx
+        return a["index"] if a["sel"] == "imm" else getattr(self, a["sel"])
 
     def _exec_poly_get(self, a, op):
-        self._need_slot(a["poly"])
         self.reg = self.cache.slot_read(a["poly"], self._poly_index(a))
         self._use("alu", 1, op)
 
     def _exec_poly_set(self, a, op):
-        self._need_slot(a["poly"])
         self.cache.slot_write(a["poly"], self._poly_index(a), self.reg)
         self._use("alu", 1, op)
 
-    def _need_residues(self, what, *slots):
-        """Fault unless every coefficient of the given coefficient lists is
-        a residue in [0, q); the fault names the first one that is not."""
+    def _need_residues(self, *slots):
+        """Raise ModMathError unless every coefficient of the given lists is
+        a residue in [0, q); the error names the first one that is not."""
         q = self.q
-        if all(0 <= min(v) and max(v) < q for v in slots):
-            return
-        try:
+        if not all(0 <= min(v) and max(v) < q for v in slots):
             for vals in zip(*slots):
                 modmath._check_residues(q, *vals)
-        except modmath.ModMathError as exc:
-            raise MachineFault(f"{what}: {exc}", self.pc) from None
 
     def _exec_transform(self, a, op):
-        self._need_slot(a["poly_src"])
-        self._need_slot(a["poly_dst"])
+        src = self._slot(a["poly_src"])
         if self.consts is None:
-            raise MachineFault(
-                f"transform with q={self.q}: no 2n-th root of unity", self.pc)
-        self._need_residues(op, self.cache.data[a["poly_src"]])
-        try:
-            nttcore.ntt(self.cfg, self.consts, self.cache,
-                        a["poly_dst"], a["poly_src"], a["mode"])
-        except nttcore.NttError as exc:
-            raise MachineFault(str(exc), self.pc) from None
+            raise MachineFault(f"transform with q={self.q}: no 2n-th root of unity")
+        self._need_residues(src)
+        nttcore.ntt(self.cfg, self.consts, self.cache,
+                    a["poly_dst"], a["poly_src"], a["mode"])
         self._use("ntt", (self.n // 2 + 1) * self.cfg.lg_n, op)
 
     def _exec_mult_psi(self, a, op):
-        self._need_slot(a["poly"])
+        values = self._slot(a["poly"])
         if self.consts is None:
-            raise MachineFault(f"mult_psi with q={self.q}: no NTT constants",
-                               self.pc)
-        self._need_residues(op, self.cache.data[a["poly"]])
+            raise MachineFault(f"mult_psi with q={self.q}: no NTT constants")
+        self._need_residues(values)
         fn = nttcore.mult_psi if op == "mult_psi" else nttcore.mult_psi_inv
         fn(self.cfg, self.consts, self.cache, a["poly"])
         self._use("ntt", self.n + 1, op)
 
     def _exec_sample(self, a, op):
+        out = self._slot(a["poly"])
         name, build = _SAMPLERS[op]
-        try:
-            kwargs = build(self, a)
-            self._need_slot(a["poly"])
-            seed = self.r0 if a["seed"] == "r0" else self.r1
-            c0, c1 = (getattr(self, c) if c in ("c0", "c1") else c
-                      for c in (a["c0"], a["c1"]))   # register or literal
-            prng = keccak.sampler_prng(a["prng"], seed, c0, c1)
-            values = getattr(sampler, name)(self.n, prng=prng, **kwargs)
-        except sampler.SamplerError as exc:
-            raise MachineFault(f"{op}: {exc}", self.pc) from None
+        seed = self.r0 if a["seed"] == "r0" else self.r1
+        c0, c1 = (getattr(self, c) if c in ("c0", "c1") else c
+                  for c in (a["c0"], a["c1"]))   # register or literal
+        prng = keccak.sampler_prng(a["prng"], seed, c0, c1)
+        values = getattr(sampler, name)(self.n, prng=prng, **build(self, a))
         self.cache.access("write", (a["poly"],))
-        self.cache.data[a["poly"]][:] = values
+        out[:] = values
         self._use("keccak", 24 * prng.permutes, op)
         self._use("sampler", prng.words_out + self.n, op)
 
     def _exec_init(self, a, op):
-        self._need_slot(a["poly"])
         self.cache.slot_clear(a["poly"])
         self._use("ntt", self.n + 1, op)
 
     def _operands(self, kind, dst, src):
         """Flat coefficient lists of two operand slots, (dst, src) or
         (a, b), after accounting a two-slot schedule of the given kind."""
-        self._need_slot(dst)
-        self._need_slot(src)
         self.cache.access(kind, (dst, src))
         return self.cache.data[dst], self.cache.data[src]
 
@@ -381,7 +354,7 @@ class Machine:
         schedule = "zip" if ring else "bitrev" if kind == "BITREV" else "map"
         y, x = self._operands(schedule, a["poly_dst"], a["poly_src"])
         if ring:
-            self._need_residues(f"poly_op {kind}", x, y)
+            self._need_residues(x, y)
         y[:] = _POLY_OPS[kind](x, y, self.reg, self.q)
         self._use("ntt", self.n + 1, op)
 
@@ -429,8 +402,7 @@ class Machine:
             self.sha3 = (bits, keccak.KeccakState(rate, keccak.DOMAIN_SHA3))
         elif self.sha3[0] != bits:
             raise MachineFault(
-                f"sha3 mode {bits} does not match absorbed mode {self.sha3[0]}",
-                self.pc)
+                f"sha3 mode {bits} does not match absorbed mode {self.sha3[0]}")
         return self.sha3[1]
 
     def _exec_sha3_absorb(self, a, op):

@@ -161,6 +161,28 @@ def test_criterion_6_binomial_sampler():
             assert arr.min() >= -k and arr.max() <= k
 
 
+class CountedEntry(int):
+    """A CDT entry that counts the comparisons made with it: for a plain
+    int r1, ``r1 > entry`` calls ``entry.__lt__``, the reflected method of
+    the int subclass, first."""
+
+    compares = 0
+
+    def __lt__(self, other):
+        CountedEntry.compares += 1
+        return int.__lt__(self, other)
+
+
+class RepeatedWord:
+    """A word stream that draws one word over and over."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def words(self, count):
+        return [self.word] * count
+
+
 def test_criterion_7_cdt_sampler():
     with criterion(7, "CDT goodness of fit + constant scan"):
         for sigma, s, r, nsamp in ((2.75, 11, 16, 200_000),
@@ -168,8 +190,12 @@ def test_criterion_7_cdt_sampler():
                                    (25.0, 54, 32, 120_000)):
             table = sampler.CdtTable.from_sigma(sigma, s, r)
             pmf = implied_pmf(table)
-            # cdt_sample asserts the full-scan trip count internally on
-            # every draw; a wrong count would raise
+            # constant scan: s comparisons per sample, whatever the words
+            counted = sampler.CdtTable(tuple(map(CountedEntry, table.entries)), s, r)
+            for words in (NumpyWords(s), RepeatedWord(0), RepeatedWord((1 << 32) - 1)):
+                CountedEntry.compares = 0
+                sampler.cdt_sample(1000, counted, words)
+                assert CountedEntry.compares == s * 1000, (sigma, words)
             vals = np.array(sampler.cdt_sample(nsamp, table,
                                                NumpyWords(int(sigma * 13))))
             assert vals.min() >= -s and vals.max() <= s

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +8,7 @@ from sapphire import cli
 from sapphire.protocols import _program_text
 
 SEED = "11" * 32
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run_cli(*argv):
@@ -120,6 +123,8 @@ def test_run_data_in(tmp_path, capsys):
     "slot 1 " + " ".join(["x"] * 64),       # not an integer
     "slot 1 " + " ".join(["16777216"] * 64),  # wider than 24 bits
     "seed r0 abcd",                         # short seed
+    "cdt 16 2 1 2 3",                       # three entries, s = 2
+    "cdt",                                  # no r, s or entries
 ])
 def test_run_bad_data_in_is_usage_error(tmp_path, capsys, line):
     src = tmp_path / "p.sph"
@@ -129,6 +134,50 @@ def test_run_bad_data_in_is_usage_error(tmp_path, capsys, line):
     assert run_cli("run", str(src), "--seed", SEED, "--data-in", str(data)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data}:1: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["asm", "latin1.sph"], 2, id="asm-not-utf8"),
+    pytest.param(["run", "latin1.sph"], 2, id="run-not-utf8"),
+    pytest.param(["run", "p.sph", "--trace", "--trace-out", "no/dir/trace.txt"], 2,
+                 id="trace-out-missing-dir"),
+    pytest.param(["run", "p.sph", "--dump-slot", "0", "--data-out", "no/dir/data.txt"], 2,
+                 id="data-out-missing-dir"),
+    pytest.param(["gen-constants", "8", "257", "-o", "no/dir/c.txt"], 2,
+                 id="gen-constants-missing-dir"),
+    # about 290 kB of trace, more than a pipe holds, follow the first line
+    pytest.param(["run", "ntt.sph", "--trace"], 1, id="closed-stdout"),
+])
+def test_error_exits_without_traceback(tmp_path, argv, code):
+    (tmp_path / "latin1.sph").write_bytes(b"# caf\xe9\nc0 = 0\n")
+    (tmp_path / "p.sph").write_text("config (n = 8, q = 257)\n")
+    (tmp_path / "ntt.sph").write_text(
+        "config (n = 1024, q = 12289)\n"
+        "transform (mode = DIF_NTT, poly_dst = 4, poly_src = 0)\n")
+    env = dict(os.environ, PYTHONPATH=SRC, SAPPHIRE_EMU_SEED=SEED)
+    proc = subprocess.Popen([sys.executable, "-m", "sapphire.cli", *argv],
+                            cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.readline()
+    proc.stdout.close()         # a reader that stops after one line
+    err = proc.stderr.read().decode()
+    assert proc.wait() == code
+    assert "Traceback" not in err
+    if code == 1:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "newhope", "--trials", "-1"],
+    ["demo", "kyber", "--trials", "0"],
+    ["kat", "--reduction-samples", "0"],
+    ["run", "p.sph", "--cycles", "-1"],
+])
+def test_numeric_options_reject_out_of_range(argv, capsys):
+    assert run_cli(*argv) == 2
+    assert "is below" in capsys.readouterr().err
 
 
 def test_run_truncated_binary_is_usage_error(tmp_path, capsys):

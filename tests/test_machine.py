@@ -471,6 +471,14 @@ class TestFaults:
         with pytest.raises(MachineFault):
             m.run()
 
+    def test_unknown_op_faults_at_load(self):
+        m = Machine()
+        program = isa.Program([isa.Instruction("sha3_init", {}),
+                               isa.Instruction("frobnicate", {})])
+        with pytest.raises(MachineFault, match="instruction 1: unimplemented opcode"):
+            m.load_program(program)
+        assert m.program is None and m.halted
+
     def test_sampler_word_budget(self):
         # eta = 0 over 16-bit candidates accepts 1 word in 65536: about
         # 67 M words for n = 1024, far past the 2^20-word budget

@@ -18,6 +18,10 @@ transform is its scratch, whose contents the reference takes over from
 the machine; the frozen kernel digests cover them.  The same program run
 by ``Machine.run`` on a fresh machine must return or raise
 ``MachineFault``, and nothing else, and leave the same slots.
+
+``test_decodable_programs_return_or_fault`` checks the same contract on
+the whole ISA: programs decoded from words of every ``isa.FORMS`` form,
+branches, samplers, SHA-3 and clock gating included.
 """
 
 import hashlib
@@ -219,3 +223,65 @@ def test_programs_with_non_residues_match_reference(program):
     else:
         assert fault is None
     assert _slots(again) == _slots(m)
+
+
+
+# config's q comes from this list, not from all 24-bit values, because
+# nttcore.find_psi tries c = 2, 3, ... in turn: about q/n tries for a prime
+# q (0.7 s for q = 8380417 at n = 8) and all of [2, q) for a composite
+# q = 1 mod 2n (seconds).  The list has NTT moduli, moduli without a 2n-th
+# root, powers of two, tiny moduli and one with no Barrett (m, k) pair.
+MODULI = (257, 7681, 12289, 65537, 2, 3, 1 << 13, 16328465)
+# the first right-bank slot at some n, and slot 0, which is always left
+SLOTS = (0, 2, 4, 8, 16, 32, 64)
+MAX_CYCLES = 20_000
+
+
+def _operand(rng, form, field, length):
+    """A valid value of one operand field.  Slots and other integers are
+    often small, so that many instructions run rather than fault."""
+    if field.name.startswith("poly"):
+        return rng.choice(SLOTS) if rng.random() < 0.7 else rng.randrange(128)
+    if isinstance(field, isa.Label):
+        return rng.randrange(length)
+    if isinstance(field, isa.Log2):
+        return 1 << rng.randint(field.lo, field.hi)
+    if isinstance(field, isa.Counter):
+        return rng.choice((0, 1, 2, 3, "c0", "c1"))
+    if isinstance(field, isa.Enum):
+        return rng.choice(field.values)
+    if form.op == "config":
+        return rng.choice(MODULI)
+    return rng.randint(field.lo, rng.choice((field.hi, min(field.hi, field.lo + 7))))
+
+
+def _random_words(rng):
+    """Encoded words of a program: mostly a config first, then forms drawn
+    from the whole ISA."""
+    length = rng.randint(1, 12)
+    forms = [isa.FORMS[0]] if rng.random() < 0.9 else []
+    forms += rng.choices(isa.FORMS, k=length - len(forms))
+    return [form.pack({f.name: form.fixed[f.name] if f.name in form.fixed
+                       else _operand(rng, form, f, length) for f in form.fields})
+            for form in forms]
+
+
+def test_decodable_programs_return_or_fault():
+    for seed in range(600):
+        rng = random.Random(seed)
+        program = isa.decode(_random_words(rng))
+        m = Machine(strict_gating=rng.random() < 0.5)
+        # a valid CDT or arbitrary words
+        size = rng.randrange(65)
+        m.load_cdt(sorted(rng.choices(range(4), k=size)) if rng.random() < 0.5
+                   else [rng.getrandbits(32) for _ in range(size)])
+        m.load_program(program)
+        try:
+            m.run(max_cycles=MAX_CYCLES)
+        except MachineFault as exc:
+            assert exc.pc == m.pc, seed     # the instruction that faulted
+        except Exception as exc:
+            raise AssertionError(f"seed {seed}: {exc!r} escaped\n"
+                                 + isa.disassemble(program)) from exc
+        else:
+            assert m.halted or m.cycles >= MAX_CYCLES, seed
