@@ -59,6 +59,11 @@ def cmd_asm(args):
     return EXIT_OK
 
 
+# --data-in directive -> its leading operands, which every line must give
+_DATA_OPERANDS = {"slot": ("slot id",), "seed": ("register", "hex bytes"),
+                  "cdt": ("precision r", "support s")}
+
+
 def _apply_data_in(m, path):
     with open(path) as fh:
         lines = list(fh)
@@ -68,6 +73,9 @@ def _apply_data_in(m, path):
             continue
         kind = parts[0]
         try:
+            needed = _DATA_OPERANDS.get(kind, ())
+            if len(parts) <= len(needed):
+                raise ValueError(f"{kind}: missing {needed[len(parts) - 1]}")
             if kind == "slot":
                 m.write_slot(int(parts[1]), [int(v) for v in parts[2:]])
             elif kind == "seed":
@@ -77,7 +85,7 @@ def _apply_data_in(m, path):
                                             int(parts[2]), int(parts[1])))
             else:
                 raise ValueError(f"unknown data directive {kind!r}")
-        except (ValueError, IndexError, machine_mod.MachineFault) as exc:
+        except (ValueError, machine_mod.MachineFault) as exc:
             # ValueError covers CacheError (bad slot, length or word) and
             # SamplerError (a table that does not match its r and s)
             raise ValueError(f"{path}:{lineno}: {exc}") from None

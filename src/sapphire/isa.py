@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import functools
 import re
 import struct
+from types import MappingProxyType
 
 MAGIC = b"SPH1"
 MAX_PROGRAM = 256
@@ -64,11 +65,21 @@ class Instruction:
     args: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    instructions: list = field(default_factory=list)
+    """An assembled or decoded program.  Its instructions, labels and
+    spans are read-only, and nothing writes an instruction's args after
+    assembly, so one Program can be shared, as ``protocols.load_program``
+    shares its results."""
+
+    instructions: tuple = ()
     labels: dict = field(default_factory=dict)
-    spans: list = field(default_factory=list)   # (source line no, text)
+    spans: tuple = ()       # (source line no, text)
+
+    def __post_init__(self):
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
+        object.__setattr__(self, "spans", tuple(self.spans))
 
     def __len__(self):
         return len(self.instructions)
@@ -439,17 +450,17 @@ def encode(program):
 
 
 def decode(words):
-    prog = Program()
+    instructions, labels = [], {}
     for i, w in enumerate(words):
         insn = decode_instruction(w, i)
-        if insn.op == "branch" and insn.args["target"] >= len(words):
-            raise DecodeError(f"branch target {insn.args['target']} out of range", i)
-        prog.instructions.append(insn)
-        prog.spans.append((i, f"<word {i}>"))
-    for i, insn in enumerate(prog.instructions):
         if insn.op == "branch":
-            prog.labels.setdefault(f"L{insn.args['target']}", insn.args["target"])
-    return prog
+            target = insn.args["target"]
+            if target >= len(words):
+                raise DecodeError(f"branch target {target} out of range", i)
+            labels.setdefault(f"L{target}", target)
+        instructions.append(insn)
+    return Program(instructions, labels,
+                   [(i, f"<word {i}>") for i in range(len(instructions))])
 
 
 def write_binary(path, program):
@@ -498,36 +509,36 @@ def _parse_statement(text, line):
 
 def assemble(source):
     """Assemble listing text into a Program (two passes for labels)."""
-    prog = Program()
+    instructions, labels, spans = [], {}, []
     pending = []   # (instruction index, label, line) for branch fixups
     for lineno, raw in enumerate(source.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         while m := _LABEL_RE.match(text):
             label, text = m.group(1), m.group(2).strip()
-            if label in prog.labels:
+            if label in labels:
                 raise AsmError(f"duplicate label {label!r}", lineno)
-            prog.labels[label] = len(prog.instructions)
+            labels[label] = len(instructions)
         if not text:
             continue
         form, insn = _parse_statement(text, lineno)
         args = insn.args
         if insn.op == "branch":
-            pending.append((len(prog.instructions), args["target"], lineno))
+            pending.append((len(instructions), args["target"], lineno))
             args = {**args, "target": 0}    # the label resolves later
         # validate encodability now for line-precise diagnostics
         try:
             form.pack(args)
         except ValueError as exc:
             raise AsmError(str(exc), lineno) from None
-        prog.instructions.append(insn)
-        prog.spans.append((lineno, text))
-        if len(prog.instructions) > MAX_PROGRAM:
+        instructions.append(insn)
+        spans.append((lineno, text))
+        if len(instructions) > MAX_PROGRAM:
             raise AsmError(f"program exceeds {MAX_PROGRAM} instructions", lineno)
     for index, label, lineno in pending:
-        if label not in prog.labels:
+        if label not in labels:
             raise AsmError(f"unresolved label {label!r}", lineno)
-        prog.instructions[index].args["target"] = prog.labels[label]
-    return prog
+        instructions[index].args["target"] = labels[label]
+    return Program(instructions, labels, spans)
 
 
 def disassemble(program):

@@ -26,6 +26,12 @@ in its bucket.  In strict gating mode, touching a gated unit faults.
 ``Machine.step`` is the one fault boundary: the units check their own
 operands, and step turns any error an instruction raises into a
 ``MachineFault`` carrying that instruction's pc.
+
+The transform, the psi-multiplies and ``poly_op ADD/SUB/MUL`` fault on an
+operand word outside [0, q).  ``Machine.residues`` holds the slots known
+to contain only such residues, so that only the others are scanned: the
+writers that reduce mod q tag their dst, copies and permutations pass
+the tag of their src on, and every other write clears it.
 """
 
 import operator
@@ -42,6 +48,9 @@ _UNIT_ERRORS = (polycache.CacheError, nttcore.NttError, sampler.SamplerError,
 # regop ALU operations on (tmp, reg), in isa.REG_ALU_OPS order
 _ALU = (operator.add, operator.sub, operator.mul, operator.and_, operator.or_,
         operator.xor, lambda x, y: x >> (y & 31), lambda x, y: x << (y & 31))
+
+# poly_op kinds whose every result word is reduced mod q
+_REDUCING = frozenset(("ADD", "SUB", "MUL", "CONST_ADD", "CONST_SUB", "CONST_MUL"))
 
 # poly_op kind -> whole-slot kernel (src x, dst y, reg r, q) -> new dst;
 # the CONST_* kinds take their scalar operand from reg.  Python % equals
@@ -124,6 +133,7 @@ class Machine:
         self.consts = None
         self.rej_plan = None
         self.sha3 = None
+        self.residues = set()   # slots holding only words in [0, q)
         self.per_unit = {"alu": 0, "ntt": 0, "keccak": 0, "sampler": 0}
         self.per_insn = {}
 
@@ -169,6 +179,8 @@ class Machine:
             cfg = nttcore.LatticeConfig.make(n, q)
         except (modmath.ModMathError, nttcore.NttError) as exc:
             raise MachineFault(f"configure: {exc}") from None
+        if (n, q) != (self.n, self.q):
+            self.residues.clear()
         self.n, self.q = n, q
         self.cfg = cfg
         try:
@@ -179,6 +191,7 @@ class Machine:
         self.cache.configure(n)
 
     def write_slot(self, slot, values):
+        self.residues.discard(slot)
         self.cache.load_slot(slot, values)
 
     def read_slot(self, slot):
@@ -211,12 +224,6 @@ class Machine:
             self.per_unit[unit] += cycles
         self.cycles += cycles
         self.per_insn[op] = self.per_insn.get(op, 0) + cycles
-
-    def _slot(self, slot):
-        """The coefficient list of a range-checked slot, for a handler that
-        reads it before any cache access."""
-        self.cache.slot_bank(slot)
-        return self.cache.data[slot]
 
     def step(self):
         if self.halted:
@@ -292,49 +299,67 @@ class Machine:
 
     def _exec_poly_set(self, a, op):
         self.cache.slot_write(a["poly"], self._poly_index(a), self.reg)
+        self.residues.discard(a["poly"])
         self._use("alu", 1, op)
 
     def _need_residues(self, *slots):
-        """Raise ModMathError unless every coefficient of the given lists is
-        a residue in [0, q); the error names the first one that is not."""
-        q = self.q
-        if not all(0 <= min(v) and max(v) < q for v in slots):
-            for vals in zip(*slots):
-                modmath._check_residues(q, *vals)
+        """Raise ModMathError unless every coefficient of the given slots is
+        a residue in [0, q); the error names the first one that is not.
+        Only untagged slots are scanned, and a passing scan tags them."""
+        q, data = self.q, self.cache.data
+        scan = [s for s in slots if s not in self.residues]
+        if all(0 <= min(data[s]) and max(data[s]) < q for s in scan):
+            self.residues.update(scan)
+            return
+        for vals in zip(*(data[s] for s in slots)):
+            modmath._check_residues(q, *vals)
+
+    def _pass_tag(self, dst, src):
+        """Give dst the residue tag of src, after a copy or permutation."""
+        if src in self.residues:
+            self.residues.add(dst)
+        else:
+            self.residues.discard(dst)
 
     def _exec_transform(self, a, op):
-        src = self._slot(a["poly_src"])
+        dst, src = a["poly_dst"], a["poly_src"]
+        self.cache.slot_bank(src)       # range-check before the other faults
         if self.consts is None:
             raise MachineFault(f"transform with q={self.q}: no 2n-th root of unity")
         self._need_residues(src)
-        nttcore.ntt(self.cfg, self.consts, self.cache,
-                    a["poly_dst"], a["poly_src"], a["mode"])
+        nttcore.ntt(self.cfg, self.consts, self.cache, dst, src, a["mode"])
+        self.residues.update((dst, src))    # dst and its scratch src
         self._use("ntt", (self.n // 2 + 1) * self.cfg.lg_n, op)
 
     def _exec_mult_psi(self, a, op):
-        values = self._slot(a["poly"])
+        slot = a["poly"]
+        self.cache.slot_bank(slot)
         if self.consts is None:
-            raise MachineFault(f"mult_psi with q={self.q}: no NTT constants")
-        self._need_residues(values)
+            raise MachineFault(f"{op} with q={self.q}: no NTT constants")
+        self._need_residues(slot)
         fn = nttcore.mult_psi if op == "mult_psi" else nttcore.mult_psi_inv
-        fn(self.cfg, self.consts, self.cache, a["poly"])
+        fn(self.cfg, self.consts, self.cache, slot)
+        self.residues.add(slot)
         self._use("ntt", self.n + 1, op)
 
     def _exec_sample(self, a, op):
-        out = self._slot(a["poly"])
+        slot = a["poly"]
+        self.cache.slot_bank(slot)      # range-check before the draw
         name, build = _SAMPLERS[op]
         seed = self.r0 if a["seed"] == "r0" else self.r1
         c0, c1 = (getattr(self, c) if c in ("c0", "c1") else c
                   for c in (a["c0"], a["c1"]))   # register or literal
         prng = keccak.sampler_prng(a["prng"], seed, c0, c1)
         values = getattr(sampler, name)(self.n, prng=prng, **build(self, a))
-        self.cache.access("write", (a["poly"],))
-        out[:] = values
+        self.cache.access("write", (slot,))
+        self.cache.data[slot][:] = values
+        self.residues.add(slot)
         self._use("keccak", 24 * prng.permutes, op)
         self._use("sampler", prng.words_out + self.n, op)
 
     def _exec_init(self, a, op):
         self.cache.slot_clear(a["poly"])
+        self.residues.add(a["poly"])
         self._use("ntt", self.n + 1, op)
 
     def _operands(self, kind, dst, src):
@@ -346,16 +371,24 @@ class Machine:
     def _exec_poly_copy(self, a, op):
         y, x = self._operands("map", a["poly_dst"], a["poly_src"])
         y[:] = x
+        self._pass_tag(a["poly_dst"], a["poly_src"])
         self._use("ntt", self.n + 1, op)
 
     def _exec_poly_op(self, a, op):
         kind = a["op"]
         ring = kind in ("ADD", "SUB", "MUL")
         schedule = "zip" if ring else "bitrev" if kind == "BITREV" else "map"
-        y, x = self._operands(schedule, a["poly_dst"], a["poly_src"])
+        dst, src = a["poly_dst"], a["poly_src"]
+        y, x = self._operands(schedule, dst, src)
         if ring:
-            self._need_residues(x, y)
+            self._need_residues(src, dst)
         y[:] = _POLY_OPS[kind](x, y, self.reg, self.q)
+        if kind in _REDUCING:
+            self.residues.add(dst)
+        elif kind == "BITREV":
+            self._pass_tag(dst, src)
+        else:
+            self.residues.discard(dst)
         self._use("ntt", self.n + 1, op)
 
     def _exec_shift_poly(self, a, op):
@@ -365,6 +398,7 @@ class Machine:
         else:
             head = x[-1]
         y[:] = [head] + x[:-1]
+        self._pass_tag(a["poly_dst"], a["poly_src"])
         self._use("ntt", self.n + 1, op)
 
     def _exec_eq_check(self, a, op):

@@ -21,10 +21,10 @@ n^-1 * psi^-i for i < n.  Each constants object expands these into one
 twiddle vector per stage on first use (``NttConstants.stage_twiddles``).
 
 Every stage and the psi-multiply are whole-slot list comprehensions over
-sliced operands, with no function call per coefficient, reducing with
-Python ``%``.  For inputs in [0, q^2) that equals each hardware reduction
-strategy of ``modmath.reducer``, which acceptance criterion 2 sweeps, so
-the results are those of the hardware datapath.
+sliced operands, with no function call per coefficient; where they
+reduce, they use Python ``%``.  For inputs in [0, q^2) that equals each
+hardware reduction strategy of ``modmath.reducer``, which acceptance
+criterion 2 sweeps, so the results are those of the hardware datapath.
 
 Stages ping-pong between the src and dst slot regions (the src slot is
 consumed as scratch).  The final stage always lands in dst; when lg n is
@@ -32,11 +32,22 @@ even this makes the last stage read and write the same bank, which is
 modelled as a read pass followed by a write pass in the memory-cycle
 ledger.  The instruction cycle cost is accounted separately by the
 machine as (n/2 + 1) * lg n.
+
+Only two stages leave words that anyone can read: the last stage, in dst,
+and the last stage that writes the src slot, which is stage lg n - 1 for
+odd lg n and lg n - 2 for even lg n.  Those two reduce every word to
+[0, q).  The others reduce lazily (Longa and Naehrig, CANS 2016): a DIF
+stage leaves its sums unreduced, and a DIT stage reduces its twiddle
+products and leaves its sums and differences unreduced.  Every word stays
+congruent mod q to the fully reduced one, so the observable words are
+those of a datapath that reduces in every stage.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import add, sub
 
 from . import modmath, polycache
 from .isa import TRANSFORM_MODES
@@ -99,11 +110,22 @@ class NttConstants:
 
 
 def find_psi(n, q):
-    """Smallest primitive 2n-th root of unity mod q (psi^n = -1)."""
-    for c in range(2, q):
-        if pow(c, n, q) == q - 1:
-            return c
-    raise NttError(f"no 2n-th primitive root: q={q} is not 1 mod {2 * n}")
+    """Smallest primitive 2n-th root of unity mod a prime q (psi^n = -1).
+
+    For a quadratic non-residue x, psi0 = x^((q-1)/2n) has psi0^n = -1,
+    and the primitive 2n-th roots are psi0^j for odd j < 2n.
+    """
+    if q < 2 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+        raise NttError(f"q={q} is not prime; the transform needs a prime modulus")
+    if (q - 1) % (2 * n):
+        raise NttError(f"no 2n-th primitive root: q={q} is not 1 mod {2 * n}")
+    x = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
+    root = pow(x, (q - 1) // (2 * n), q)
+    step, best = root * root % q, root
+    for _ in range(n - 1):
+        root = root * step % q
+        best = min(best, root)
+    return best
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,8 +156,7 @@ def _check_slots(cache, cfg, src, dst):
     if cache.n != cfg.n:
         raise NttError("cache configured for a different dimension")
     if cache.slot_bank(src) == cache.slot_bank(dst):
-        raise NttError(
-            f"transform src slot {src} and dst slot {dst} share a bank")
+        raise NttError(f"src slot {src} and dst slot {dst} share a bank")
 
 
 def ntt(cfg, consts, cache, dst, src, mode):
@@ -143,23 +164,31 @@ def ntt(cfg, consts, cache, dst, src, mode):
     if mode not in TRANSFORM_MODES:
         raise NttError(f"unknown transform mode {mode!r}")
     _check_slots(cache, cfg, src, dst)
-    half, q = cfg.n >> 1, cfg.q
+    half, q, lg_n = cfg.n >> 1, cfg.q, cfg.lg_n
     dif = mode in (DIF_NTT, DIF_INTT)
     cache.access("dif" if dif else "dit", (dst, src))
-    regions = [cache.data[(dst, src)[r]]
-               for r in polycache.transform_regions(cfg.lg_n)]
+    regions = [cache.data[(dst, src)[r]] for r in polycache.transform_regions(lg_n)]
+    # the last stage to write the src slot (region 1), and the last stage
+    observable = (lg_n - 1 if lg_n & 1 else lg_n - 2, lg_n)
     # stage s reads regions[s - 1] and writes regions[s]; the inputs are
     # sliced out before any write, so a stage whose region is both read
     # and written (lg n even) needs no extra pass
-    for inp, out, w in zip(regions, regions[1:], consts.stage_twiddles[mode]):
+    stages = zip(regions, regions[1:], consts.stage_twiddles[mode])
+    for s, (inp, out, w) in enumerate(stages, 1):
+        exact = s in observable
         if dif:
             v0, v1 = inp[:half], inp[half:]
-            out[0::2] = [(a + b) % q for a, b in zip(v0, v1)]
+            out[0::2] = ([(a + b) % q for a, b in zip(v0, v1)] if exact
+                         else map(add, v0, v1))
             out[1::2] = [(a - b) * c % q for a, b, c in zip(v0, v1, w)]
-        else:
+        elif exact:
             v0, t = inp[0::2], [b * c for b, c in zip(inp[1::2], w)]
             out[:half] = [(a + b) % q for a, b in zip(v0, t)]
             out[half:] = [(a - b) % q for a, b in zip(v0, t)]
+        else:
+            v0, t = inp[0::2], [b * c % q for b, c in zip(inp[1::2], w)]
+            out[:half] = map(add, v0, t)
+            out[half:] = map(sub, v0, t)
 
 
 def _scale_slot(cfg, cache, slot, table):

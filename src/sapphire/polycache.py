@@ -156,6 +156,15 @@ def _srams(n):
     return tuple(address(n, 0, i)[1] for i in range(n))
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_words(n):
+    """Physical word of every coefficient of every slot at dimension n, in
+    slot order; words are indexed (bank * 4 + sram) * 1024 + row."""
+    return tuple(tuple((bank * SRAMS_PER_BANK + sram) * SRAM_ROWS + row
+                       for bank, sram, row in (address(n, slot, i) for i in range(n)))
+                 for slot in range(slot_count(n)))
+
+
 def audit(cycles, n, banks):
     """Check a schedule one cycle at a time: within a cycle each
     (bank, sram) may be touched at most once.  ``banks`` gives the bank of
@@ -182,8 +191,8 @@ class PolynomialCache:
         self.slots = 0
         self.slots_per_bank = 0
         self.data = []              # one flat list of n coefficients per slot
-        # physical words, indexed (bank * 4 + sram) * 1024 + row; they
-        # carry the contents across a repartition by configure()
+        # physical words, indexed as by _slot_words; they carry the
+        # contents across a repartition by configure()
         self.image = [0] * TOTAL_WORDS
         self.trace_enabled = False
         self.ledger = []            # (cycle, bank, sram, row, READ|WRITE)
@@ -197,21 +206,15 @@ class PolynomialCache:
             return self
         spill = self.n is not None  # before the first configure every word is 0
         if spill:
-            for values, words in zip(self.data, self._words()):
+            for values, words in zip(self.data, _slot_words(self.n)):
                 for w, v in zip(words, values):
                     self.image[w] = v
         self.n = n
         self.slots = slot_count(n)
         self.slots_per_bank = slots_per_bank(n)
-        self.data = ([[self.image[w] for w in words] for words in self._words()]
+        self.data = ([[self.image[w] for w in words] for words in _slot_words(n)]
                      if spill else [[0] * n for _ in range(self.slots)])
         return self
-
-    def _words(self):
-        """Physical word of every coefficient of every slot, in slot order."""
-        return [[(bank * SRAMS_PER_BANK + sram) * SRAM_ROWS + row
-                 for bank, sram, row in (address(self.n, slot, i) for i in range(self.n))]
-                for slot in range(self.slots)]
 
     def clear_ledger(self):
         self.ledger = []

@@ -8,6 +8,7 @@ the active dimension and slot numbers) and post-process results exactly
 the way the protocol host processor would.
 """
 
+import functools
 import secrets
 from dataclasses import dataclass
 from importlib import resources
@@ -23,7 +24,11 @@ def _program_text(name):
     return resources.files("sapphire").joinpath(f"programs/{name}").read_text()
 
 
+@functools.lru_cache(maxsize=256)
 def load_program(name, **params):
+    """The checked-in program ``name``, its template filled in with params;
+    assembled once per (name, params) and shared, as Programs are
+    immutable."""
     text = _program_text(name)
     if params:
         text = text.format(**params)

@@ -23,9 +23,10 @@ more than ``word_budget(n)`` words in one call; the budget is checked
 before each draw, so a call that stays within it draws the same words.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 # Default bound-scaling factors per modulus.  Moduli not listed use 1.
 SCALE_FACTORS = {
@@ -94,16 +95,31 @@ def rej_sample(n, plan, prng):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _bin_table(k, q):
+    """(HW(a) - HW(b)) mod q at index b * 2^k + a, for k-bit a and b: one
+    row of 2^k entries per weight of b, chained in the order of b."""
+    weights = [i.bit_count() for i in range(1 << k)]
+    rows = [[(w - hb) % q for w in weights] for hb in range(k + 1)]
+    return tuple(chain.from_iterable(rows[hb] for hb in weights))
+
+
 def bin_sample(n, k, q, prng):
     """n centered-binomial samples: HW(a) - HW(b) over k-bit chunks a, b.
 
     Standard deviation sqrt(k/2).  For k <= 16 both chunks come from one
-    32-bit word; wider k draws one word per chunk.
+    32-bit word, a from its low k bits and b from the k above; wider k
+    draws one word per chunk.  For k <= 8 (NewHope's 8, Kyber's 3) each
+    sample is one lookup of the word's low 2k bits in a 4^k-entry table of
+    residues, built once per (k, q).
     """
     if not 1 <= k <= 32:
         raise SamplerError(f"binomial parameter k={k} outside [1, 32]")
     if k >= q:
         raise SamplerError(f"binomial parameter k={k} must be < q={q}")
+    if k <= 8:
+        table, mask = _bin_table(k, q), (1 << 2 * k) - 1
+        return [table[w & mask] for w in prng.words(n)]
     mask = (1 << k) - 1
     if k <= 16:
         return [((w & mask).bit_count() - (w >> k & mask).bit_count()) % q

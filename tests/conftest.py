@@ -7,7 +7,8 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from sapphire import keccak, polycache  # noqa: E402
+from sapphire import keccak, modmath, polycache  # noqa: E402
+from sapphire.machine import Machine  # noqa: E402
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -183,3 +184,14 @@ def audit_ledger(cache):
         seen.add(key)
     return len(cache.ledger)
 
+
+class ScanningMachine(Machine):
+    """A Machine whose residue checks scan every operand slot on every
+    call and never consult ``Machine.residues``: the oracle for the tags."""
+
+    def _need_residues(self, *slots):
+        q = self.q
+        values = [self.cache.data[s] for s in slots]
+        if not all(0 <= min(v) and max(v) < q for v in values):
+            for vals in zip(*values):
+                modmath._check_residues(q, *vals)

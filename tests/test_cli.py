@@ -136,6 +136,22 @@ def test_run_bad_data_in_is_usage_error(tmp_path, capsys, line):
     assert err.startswith(f"error: {data}:1: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("line, message", [
+    ("slot", "slot: missing slot id"),
+    ("seed", "seed: missing register"),
+    ("seed r0", "seed: missing hex bytes"),
+    ("cdt", "cdt: missing precision r"),
+    ("cdt 16", "cdt: missing support s"),
+])
+def test_short_data_in_line_names_missing_operand(tmp_path, capsys, line, message):
+    src = tmp_path / "p.sph"
+    src.write_text("config (n = 64, q = 7681)\n")
+    data = tmp_path / "in.txt"
+    data.write_text(line + "\n")
+    assert run_cli("run", str(src), "--seed", SEED, "--data-in", str(data)) == 2
+    assert capsys.readouterr().err == f"error: {data}:1: {message}\n"
+
+
 @pytest.mark.parametrize("argv, code", [
     pytest.param(["asm", "latin1.sph"], 2, id="asm-not-utf8"),
     pytest.param(["run", "latin1.sph"], 2, id="run-not-utf8"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -116,7 +117,7 @@ def test_mnemonics_have_unique_opcodes():
 
 def test_config_examples():
     prog = assemble("config (n = 1024, q = 12289)")
-    assert prog.instructions == [Instruction("config", {"n": 1024, "q": 12289})]
+    assert prog.instructions == (Instruction("config", {"n": 1024, "q": 12289}),)
     word = isa.encode(prog)[0]
     assert word >> 29 == 0
     assert isa.decode_instruction(word).args == {"n": 1024, "q": 12289}
@@ -355,10 +356,10 @@ ALTERNATE_SPELLINGS = {
 
 def test_alternate_spellings():
     for line, insn in ALTERNATE_SPELLINGS.items():
-        assert assemble(line).instructions == [insn], line
+        assert assemble(line).instructions == (insn,), line
     prog = assemble("if(flag==+01)goto end\nend:")
-    assert prog.instructions == [
-        Instruction("branch", {"sense": "==", "flag": 1, "target": 1})]
+    assert prog.instructions == (
+        Instruction("branch", {"sense": "==", "flag": 1, "target": 1}),)
     for line in ("tmp = tmpADDreg", "if (flag == 0) gotoend\nend:",
                  "transform (mode = DIF_NTT, poly = 16, poly_src = 4)",
                  "flag = eq_check (poly_b = 1, poly_a = 2)",
@@ -380,3 +381,22 @@ def test_readme_encoding_table_matches_the_spec():
     spec = {f.code: [fld.width for fld in f.fields] for f in isa.FORMS if f.code}
     assert len(documented) == 27
     assert documented == spec
+
+
+def test_programs_are_immutable():
+    listing = "c0 = 1\nloop:\nc0 = c0 + 1\nif (flag == 0) goto loop"
+    for prog in (assemble(listing), isa.decode(isa.encode(assemble(listing)))):
+        with pytest.raises(AttributeError):
+            prog.instructions.append(Instruction("sha3_init", {}))
+        with pytest.raises(TypeError):
+            prog.spans[0] = (1, "c0 = 2")
+        with pytest.raises(TypeError):
+            prog.labels["end"] = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prog.instructions = ()
+
+
+def test_load_program_is_shared():
+    prog = protocols.load_program("newhope_decrypt.sph", n=1024, r0=32)
+    assert protocols.load_program("newhope_decrypt.sph", n=1024, r0=32) is prog
+    assert protocols.load_program("newhope_decrypt.sph", n=512, r0=16) is not prog

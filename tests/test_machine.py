@@ -468,8 +468,17 @@ class TestFaults:
         m = Machine()
         m.load_program("config (n = 1024, q = 12289)\n"
                        "transform (mode = DIF_NTT, poly_dst = 1, poly_src = 0)")
-        with pytest.raises(MachineFault):
+        with pytest.raises(MachineFault) as err:
             m.run()
+        assert str(err.value) == "pc=1: transform: src slot 0 and dst slot 1 share a bank"
+
+    def test_psi_multiply_fault_names_its_op(self):
+        for op in ("mult_psi", "mult_psi_inv"):
+            m = Machine()
+            m.load_program(f"config (n = 256, q = 32768)\n{op} (poly = 0)")
+            with pytest.raises(MachineFault) as err:
+                m.run()
+            assert str(err.value) == f"pc=1: {op} with q=32768: no NTT constants"
 
     def test_unknown_op_faults_at_load(self):
         m = Machine()

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from sapphire import nttcore, polycache
+from sapphire import modmath, nttcore, polycache
 from sapphire.nttcore import (
     DIF_INTT, DIF_NTT, DIT_INTT, DIT_NTT, LatticeConfig, NttError,
     gen_constants,
@@ -41,7 +42,31 @@ def pipeline_product(cfg, consts, cache, a, b):
     return cache.dump_slot(src)
 
 
+def scan_psi(n, q):
+    """The smallest c with c^n = -1 mod q, by trying c = 2, 3, ... in turn:
+    the oracle for ``find_psi``."""
+    return next(c for c in range(2, q) if pow(c, n, q) == q - 1)
+
+
 class TestConstants:
+    @pytest.mark.parametrize("q", sorted(modmath.SPECIALIZED_PARAMS))
+    def test_find_psi_matches_scan(self, q):
+        for n in (1 << lg for lg in range(3, 12)):
+            if (q - 1) % (2 * n) == 0:
+                assert nttcore.find_psi(n, q) == scan_psi(n, q), n
+
+    def test_find_psi_is_fast(self):
+        # the scan takes about 2.9 M pow calls here
+        start = time.perf_counter()
+        assert nttcore.find_psi(8, 8380417) == 2883726
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("q", [12766833, 15756609])
+    def test_composite_modulus_rejected(self, q):
+        # both are 1 mod 16, so the 1 mod 2n check lets them through
+        with pytest.raises(NttError, match=f"q={q} is not prime"):
+            gen_constants(LatticeConfig.make(8, q))
+
     def test_newhope_psi(self):
         cfg = LatticeConfig.make(1024, 12289)
         consts = gen_constants(cfg)
@@ -185,6 +210,21 @@ class TestTransform:
         cfg, consts, cache = make(256, 7681)
         with pytest.raises(NttError):
             nttcore.ntt(cfg, consts, cache, 1, 0, DIF_NTT)
+
+    @pytest.mark.parametrize("q", [12289, 8380417])
+    @pytest.mark.parametrize("mode", [DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT])
+    def test_observable_words_are_residues(self, mode, q):
+        # the lazy stages leave words outside [0, q); the stages whose
+        # words stay in dst and in the scratch src must reduce them all
+        rng = random.Random(q)
+        for n in (1 << lg for lg in range(3, 12)):
+            cfg, consts, cache = make(n, q)
+            dst = cache.slots_per_bank
+            for a in ([q - 1] * n, [rng.randrange(q) for _ in range(n)]):
+                cache.load_slot(0, a)
+                nttcore.ntt(cfg, consts, cache, dst, 0, mode)
+                for slot in (dst, 0):
+                    assert all(0 <= v < q for v in cache.dump_slot(slot)), (n, slot)
 
     def test_stagewise_equivalence_with_inplace_oracle(self):
         # intermediate stage outputs follow the in-place algorithm under

@@ -22,14 +22,19 @@ by ``Machine.run`` on a fresh machine must return or raise
 ``test_decodable_programs_return_or_fault`` checks the same contract on
 the whole ISA: programs decoded from words of every ``isa.FORMS`` form,
 branches, samplers, SHA-3 and clock gating included.
+
+``test_residue_tags_match_full_scans`` runs programs on a ``Machine`` and
+on ``conftest.ScanningMachine``, which scans every operand of every
+residue check: the residue tags must change no fault, slot or cycle.
 """
 
 import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bitrev, iterative_ntt
+from conftest import ScanningMachine, bitrev, iterative_ntt
 from sapphire import isa
 from sapphire.machine import Machine, MachineFault
 from test_bulk_ops import reference as poly_op_reference
@@ -226,11 +231,10 @@ def test_programs_with_non_residues_match_reference(program):
 
 
 
-# config's q comes from this list, not from all 24-bit values, because
-# nttcore.find_psi tries c = 2, 3, ... in turn: about q/n tries for a prime
-# q (0.7 s for q = 8380417 at n = 8) and all of [2, q) for a composite
-# q = 1 mod 2n (seconds).  The list has NTT moduli, moduli without a 2n-th
-# root, powers of two, tiny moduli and one with no Barrett (m, k) pair.
+# config's q comes from this list, not from all 24-bit values, so that
+# most programs that reach a transform can run it.  The list has NTT
+# moduli, moduli without a 2n-th root, powers of two, tiny moduli and one
+# with no Barrett (m, k) pair.
 MODULI = (257, 7681, 12289, 65537, 2, 3, 1 << 13, 16328465)
 # the first right-bank slot at some n, and slot 0, which is always left
 SLOTS = (0, 2, 4, 8, 16, 32, 64)
@@ -285,3 +289,113 @@ def test_decodable_programs_return_or_fault():
                                  + isa.disassemble(program)) from exc
         else:
             assert m.halted or m.cycles >= MAX_CYCLES, seed
+
+
+# n -> moduli with a 2n-th root of unity, largest first: a config often
+# shrinks q under slots tagged as residues of a larger one
+TAG_MODULI = {8: (65537, 7681, 257, 17), 64: (65537, 12289, 7681, 257)}
+
+
+def _tag_line(rng, n, spb):
+    """One instruction of a kind that writes a slot or checks residues."""
+    s, t = rng.choices((0, 1, 2, spb, spb + 1), k=2)
+    left, right = rng.choice((0, 1, 2)), rng.choice((spb, spb + 1))
+    dst, src = (left, right) if rng.random() < 0.5 else (right, left)
+    return rng.choice((
+        f"config (n = {n}, q = {rng.choice(TAG_MODULI[n])})",
+        f"reg = {rng.choice((rng.randrange(64), rng.randrange(WORD + 1)))}",
+        f"poly_op (op = {rng.choice(isa.POLY_OPS)}, poly_dst = {s}, poly_src = {t})",
+        f"poly_op (op = {rng.choice(('ADD', 'SUB', 'MUL'))}, poly_dst = {s}, poly_src = {t})",
+        f"transform (mode = {rng.choice(isa.TRANSFORM_MODES)}, "
+        f"poly_dst = {dst}, poly_src = {src})",
+        f"{rng.choice(('mult_psi', 'mult_psi_inv'))} (poly = {s})",
+        f"shift_poly (ring = {rng.choice(isa.RINGS)}, poly_dst = {s}, poly_src = {t})",
+        f"poly_copy (poly_dst = {s}, poly_src = {t})",
+        f"init (poly = {s})",
+        f"(poly = {s})[{rng.randrange(n)}] = reg",
+        f"bin_sample (prng = SHAKE-128, seed = r0, c0 = {rng.randrange(4)}, c1 = 0, "
+        f"k = {rng.randint(1, 8)}, poly = {s})",
+    ))
+
+
+def _outcome(m, program):
+    """Run a program from the machine's present state; everything the
+    residue checks can change."""
+    m.load_program(program)
+    try:
+        m.run(max_cycles=MAX_CYCLES)
+        fault = None
+    except MachineFault as exc:
+        fault = (exc.pc, str(exc))
+    return fault, _slots(m), m.cycle_report(), (m.n, m.q, m.reg, m.flag, m.r0, m.r1)
+
+
+def _host_writes(rng, machines):
+    """Host loads of residues, of words >= q or of any words, and now and
+    then a new q (or n) set from the host."""
+    m = machines[0]
+    if m.n not in TAG_MODULI or rng.random() < 0.3:
+        n = m.n if m.n in TAG_MODULI else rng.choice(list(TAG_MODULI))
+        q = rng.choice(TAG_MODULI[n])
+        for each in machines:
+            each.configure(n, q)
+    n, q, spb = m.n, m.q, m.cache.slots_per_bank
+    for s in rng.sample((0, 1, 2, spb, spb + 1), 2):
+        low, high = rng.choice(((0, q - 1), (q, WORD), (0, WORD)))
+        values = [rng.randint(low, high) for _ in range(n)]
+        for each in machines:
+            each.write_slot(s, values)
+
+
+def test_residue_tags_match_full_scans():
+    for seed in range(150):
+        rng = random.Random(seed)
+        machines = (Machine(), ScanningMachine())
+        for each in machines:
+            each.write_seed("r0", bytes(range(32)))
+        for round_ in range(4):
+            _host_writes(rng, machines)
+            m = machines[0]
+            if round_ == 3:     # the whole-ISA generator
+                program = isa.decode(_random_words(rng))
+            else:
+                program = "\n".join(_tag_line(rng, m.n, m.cache.slots_per_bank)
+                                    for _ in range(rng.randint(4, 14)))
+            tagged, scanned = (_outcome(each, program) for each in machines)
+            assert tagged == scanned, (seed, round_)
+
+
+# writers that leave a tagged slot 0 holding 16000000, a non-residue
+UNTAGGING = {
+    "CONST_OR": "reg = 16000000\npoly_op (op = CONST_OR, poly_dst = 0, poly_src = 0)",
+    "poly_set": "reg = 16000000\n(poly = 0)[3] = reg",
+    "write_slot": None,
+    "shift_poly": "shift_poly (ring = x^N-1, poly_dst = 0, poly_src = 5)",
+    "BITREV": "poly_op (op = BITREV, poly_dst = 0, poly_src = 5)",
+}
+
+
+@pytest.mark.parametrize("consumer", [
+    "poly_op (op = ADD, poly_dst = 1, poly_src = 0)",
+    "transform (mode = DIF_NTT, poly_dst = 64, poly_src = 0)",
+    "mult_psi (poly = 0)",
+])
+@pytest.mark.parametrize("writer", list(UNTAGGING))
+def test_writers_clear_residue_tags(writer, consumer):
+    outcomes = []
+    for m in (Machine(), ScanningMachine()):
+        m.configure(8, 7681)
+        m.write_slot(5, [16000000] * 8)         # untagged source
+        m.load_program("init (poly = 0)\ninit (poly = 1)\nmult_psi (poly = 0)")
+        m.run()
+        assert {0, 1} <= m.residues
+        if UNTAGGING[writer] is None:
+            m.write_slot(0, [16000000] * 8)
+        else:
+            m.load_program(UNTAGGING[writer])
+            m.run()
+        assert 0 not in m.residues
+        outcomes.append(_outcome(m, consumer))
+    assert outcomes[0] == outcomes[1]
+    fault = outcomes[0][0]
+    assert fault is not None and "residue 16000000 out of range" in fault[1]

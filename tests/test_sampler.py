@@ -92,6 +92,16 @@ class TestBinomial:
         assert sampler.bin_sample(1, 8, q, WordSource([0xFF00])) == [q - 8]
         assert sampler.bin_sample(1, 8, q, WordSource([0xAAAA])) == [0]  # equal chunks
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_table_matches_chunk_weights(self, k):
+        # every 2k-bit pattern below bits that the sample must ignore
+        mask = (1 << k) - 1
+        words = [(w | 0x5A5A5A5A << 2 * k) & 0xFFFFFFFF for w in range(1 << 2 * k)]
+        for q in (k + 1, 7681, 12289):
+            got = sampler.bin_sample(len(words), k, q, WordSource(words))
+            assert got == [((w & mask).bit_count() - (w >> k & mask).bit_count()) % q
+                           for w in words], q
+
     def test_moments(self):
         for k in (4, 8):
             vals = centered(sampler.bin_sample(300_000, k, 12289,
