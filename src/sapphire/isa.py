@@ -26,11 +26,12 @@ parenthesised operand list) each ``key = `` may be left out, and
 ``_int``.
 """
 
-from dataclasses import dataclass, field
 import functools
 import re
 import struct
 from types import MappingProxyType
+
+from .record import Frozen, Record
 
 MAGIC = b"SPH1"
 MAX_PROGRAM = 256
@@ -59,27 +60,26 @@ class DecodeError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass
-class Instruction:
-    op: str
-    args: dict
+class Instruction(Record):
+    _fields = ("op", "args")
+
+    def __init__(self, op, args):
+        self.op = op
+        self.args = args
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Frozen):
     """An assembled or decoded program.  Its instructions, labels and
     spans are read-only, and nothing writes an instruction's args after
     assembly, so one Program can be shared, as ``protocols.load_program``
     shares its results."""
 
-    instructions: tuple = ()
-    labels: dict = field(default_factory=dict)
-    spans: tuple = ()       # (source line no, text)
+    _fields = ("instructions", "labels", "spans")
 
-    def __post_init__(self):
-        object.__setattr__(self, "instructions", tuple(self.instructions))
-        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
-        object.__setattr__(self, "spans", tuple(self.spans))
+    def __init__(self, instructions=(), labels=None, spans=()):
+        vars(self).update(instructions=tuple(instructions),
+                          labels=MappingProxyType(dict(labels or {})),
+                          spans=tuple(spans))     # (source line no, text)
 
     def __len__(self):
         return len(self.instructions)

@@ -31,13 +31,14 @@ The transform, the psi-multiplies and ``poly_op ADD/SUB/MUL`` fault on an
 operand word outside [0, q).  ``Machine.residues`` holds the slots known
 to contain only such residues, so that only the others are scanned: the
 writers that reduce mod q tag their dst, copies and permutations pass
-the tag of their src on, and every other write clears it.
+the tag of their src on, a host load tags its slot when the scan of its
+range check finds no word >= q, and every other write clears it.
 """
 
 import operator
-from dataclasses import dataclass
 
 from . import isa, keccak, modmath, nttcore, polycache, sampler
+from .record import Record
 
 WORD_MASK = (1 << 24) - 1
 
@@ -93,12 +94,14 @@ class MachineFault(RuntimeError):
         super().__init__(message if pc is None else f"pc={pc}: {message}")
 
 
-@dataclass
-class CycleReport:
-    total: int
-    per_unit: dict
-    per_instruction: dict
-    halted: bool
+class CycleReport(Record):
+    _fields = ("total", "per_unit", "per_instruction", "halted")
+
+    def __init__(self, total, per_unit, per_instruction, halted):
+        self.total = total
+        self.per_unit = per_unit
+        self.per_instruction = per_instruction
+        self.halted = halted
 
     def lines(self):
         out = [f"cycles_total {self.total}", f"halted {int(self.halted)}"]
@@ -173,7 +176,9 @@ class Machine:
     def configure(self, n, q):
         """Host-side parameter setup, equivalent to the config instruction
         but free of program cycles; needed before host data movement on a
-        fresh machine."""
+        fresh machine.  A call that changes nothing returns at once."""
+        if (n, q) == (self.n, self.q) and self.cache.n == n:
+            return
         try:
             # the profile rejects a q that has no valid Barrett (m, k) pair
             cfg = nttcore.LatticeConfig.make(n, q)
@@ -192,7 +197,8 @@ class Machine:
 
     def write_slot(self, slot, values):
         self.residues.discard(slot)
-        self.cache.load_slot(slot, values)
+        if self.cache.load_slot(slot, values) < self.q:
+            self.residues.add(slot)
 
     def read_slot(self, slot):
         return self.cache.dump_slot(slot)

@@ -15,7 +15,8 @@ secret-dependent branch decides the result value.
 """
 
 import functools
-from dataclasses import dataclass
+
+from .record import Frozen
 
 WORD_MASK = (1 << 24) - 1
 
@@ -168,16 +169,13 @@ def _validate_barrett(q, m, k):
         raise ModMathError(f"(q={q}, m={m}, k={k}) needs more than one conditional subtract")
 
 
-@dataclass(frozen=True)
-class ModulusProfile:
+class ModulusProfile(Frozen):
     """A modulus plus its reduction strategy and Barrett parameters."""
 
-    q: int
-    strategy: str
-    m: int | None = None
-    k: int | None = None
+    _fields = ("q", "strategy", "m", "k")
 
-    def __post_init__(self):
+    def __init__(self, q, strategy, m=None, k=None):
+        vars(self).update(q=q, strategy=strategy, m=m, k=k)
         if not 2 <= self.q < (1 << 24):
             raise ModMathError(f"modulus q={self.q} outside [2, 2^24)")
         if self.strategy in (GENERIC_BARRETT, SPECIALIZED_BARRETT):

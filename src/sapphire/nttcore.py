@@ -45,13 +45,13 @@ those of a datapath that reduces in every stage.
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, sub
 
 from . import modmath, polycache
 from .isa import TRANSFORM_MODES
 from .polycache import bit_reverse  # noqa: F401  (the transform's index order)
+from .record import Frozen
 
 DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT = TRANSFORM_MODES
 
@@ -60,15 +60,13 @@ class NttError(ValueError):
     """Configuration or operand error in the transform engine."""
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
+class LatticeConfig(Frozen):
     """Active ring parameters: dimension, modulus and reduction profile."""
 
-    n: int
-    q: int
-    profile: modmath.ModulusProfile
+    _fields = ("n", "q", "profile")
 
-    def __post_init__(self):
+    def __init__(self, n, q, profile):
+        vars(self).update(n=n, q=q, profile=profile)
         if self.n & (self.n - 1) or not 8 <= self.n <= 2048:
             raise NttError(f"ring dimension n={self.n} unsupported")
         if self.profile.q != self.q:
@@ -83,14 +81,14 @@ class LatticeConfig:
         return cls(n, q, modmath.ModulusProfile.for_modulus(q))
 
 
-@dataclass(frozen=True)
-class NttConstants:
-    n: int
-    q: int
-    psi: int
-    omega_powers: tuple     # omega^j, j in [0, n/2)
-    psi_powers: tuple       # psi^i, i in [0, n)
-    psi_inv_scaled: tuple   # n^-1 * psi^-i, i in [0, n)
+class NttConstants(Frozen):
+    _fields = ("n", "q", "psi", "omega_powers", "psi_powers", "psi_inv_scaled")
+
+    def __init__(self, n, q, psi, omega_powers, psi_powers, psi_inv_scaled):
+        vars(self).update(n=n, q=q, psi=psi,
+                          omega_powers=omega_powers,       # omega^j, j in [0, n/2)
+                          psi_powers=psi_powers,           # psi^i, i in [0, n)
+                          psi_inv_scaled=psi_inv_scaled)   # n^-1 * psi^-i, i in [0, n)
 
     @functools.cached_property
     def stage_twiddles(self):

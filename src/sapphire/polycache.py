@@ -14,17 +14,25 @@ bank, the rest in the right bank.
 
 Data and access schedule are kept apart.  The data of each slot is one
 flat list of n coefficients, which the ops read and write in bulk.  The
-memory cycles of an op come from ``schedule(kind, n)``, a pure function
-of the op kind and n that lists, cycle by cycle, which operand slot and
-coefficient each access touches.  ``PolynomialCache.access`` has each
-schedule shape (kind, n, bank of each operand) hazard-audited once per
-process, on first use, advances ``mem_cycle`` by the op's cycle count,
-and replays the schedule into the ledger only while ``trace_enabled`` is
-on.
+memory cycles of an op are stated once, by ``phases(kind, n)``, as a few
+phases: runs of cycles with one access shape, each access given as an
+operand, a column of coefficient indices and READ or WRITE.  A transform
+of lg n stages has at most four distinct phases, as its stages share
+three (read region, write region) pairs and the in-place last stage is
+two passes.  ``schedule(kind, n)`` expands the phases cycle by cycle.
+
+``PolynomialCache.access`` has each schedule shape (kind, n, bank of each
+operand) hazard-audited once per process, on first use, traced or not.
+The audit checks each distinct phase once, comparing whole sram columns
+of its same-bank accesses, and names the first cycle in which two
+accesses hit one SRAM.  ``access`` then advances ``mem_cycle`` by the
+op's cycle count, and replays the schedule into the ledger only while
+``trace_enabled`` is on.
 """
 
 import functools
 import operator
+from itertools import chain, combinations, compress, count, repeat
 
 SRAM_ROWS = 1024
 SRAMS_PER_BANK = 4
@@ -68,65 +76,68 @@ def transform_regions(lg_n):
     return [1] + [0 if t & 1 else 1 for t in range(1, lg_n)] + [0]
 
 
-def _transform_schedule(n, dif):
+def _transform_phases(n, dif):
     """One butterfly per cycle: DIF reads (j, j+n/2) and writes (2j, 2j+1),
     DIT the reverse.  A stage that reads and writes the same slot is a
-    read pass followed by a write pass."""
+    read pass followed by a write pass.  Stages with the same (read
+    region, write region) share one phase object."""
     half = n >> 1
-    pairs = [((j, j + half), (2 * j, 2 * j + 1)) for j in range(half)]
+    ins, outs = (range(half), range(half, n)), (range(0, n, 2), range(1, n, 2))
     if not dif:
-        pairs = [(outs, ins) for ins, outs in pairs]
-    reads = [[((k, a, READ), (k, b, READ)) for (a, b), _ in pairs] for k in (0, 1)]
-    writes = [[((k, c, WRITE), (k, d, WRITE)) for _, (c, d) in pairs] for k in (0, 1)]
+        ins, outs = outs, ins
+    reads = [tuple((k, c, READ) for c in ins) for k in (0, 1)]
+    writes = [tuple((k, c, WRITE) for c in outs) for k in (0, 1)]
     regions = transform_regions(n.bit_length() - 1)
+    fused, out = {}, []
     for r, w in zip(regions, regions[1:]):
         if r == w:
-            yield from reads[r]
-            yield from writes[w]
+            out += [(True, reads[r]), (True, writes[w])]
         else:
-            yield from map(operator.add, reads[r], writes[w])
+            out.append(fused.setdefault((r, w), (True, reads[r] + writes[w])))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def phases(kind, n):
+    """The access schedule of one op, as phases in order.
+
+    A phase is a run of cycles with one access shape, ``(together,
+    accesses)``.  Each access is (operand, index column, READ or WRITE),
+    and all index columns of a phase have the same length.  Step t of a
+    phase touches coefficient column[t] of every access: in one cycle if
+    ``together``, else in one cycle per access, in turn.  Operand k is the
+    op's k-th slot; two-slot ops name (dst, src), or (a, b) for
+    "compare".  A phase that recurs is the same object each time.
+    """
+    every = range(n)
+    if kind == "read":              # elems, inf_norm_check, sha3 absorb
+        return ((True, ((0, every, READ),)),)
+    if kind == "write":             # init, sampler results
+        return ((True, ((0, every, WRITE),)),)
+    if kind == "map":               # poly_copy, poly_op CONST_*
+        return ((False, ((1, every, READ), (0, every, WRITE))),)
+    if kind == "zip":               # poly_op ADD, SUB, MUL
+        return ((False, ((1, every, READ), (0, every, READ), (0, every, WRITE))),)
+    if kind == "compare":           # eq_check
+        return ((False, ((0, every, READ), (1, every, READ))),)
+    if kind in ("gather", "bitrev"):    # shift_poly, poly_op BITREV
+        order = bit_reversal(n) if kind == "bitrev" else every
+        return ((True, ((1, order, READ),)), (True, ((0, every, WRITE),)))
+    if kind == "scale":             # mult_psi: read i, write back i - 1
+        return ((True, ((0, range(1), READ),)),
+                (True, ((0, range(1, n), READ), (0, range(n - 1), WRITE))),
+                (True, ((0, range(n - 1, n), WRITE),)))
+    if kind in ("dif", "dit"):
+        return _transform_phases(n, kind == "dif")
+    raise CacheError(f"unknown access schedule {kind!r}")
 
 
 def schedule(kind, n):
-    """Memory cycles of one op, in order.
-
-    Each cycle is a tuple of accesses (operand, coefficient index, READ or
-    WRITE); operand k is the op's k-th slot.  Two-slot ops name (dst, src),
-    or (a, b) for "compare".
-    """
-    if kind == "read":              # elems, inf_norm_check, sha3 absorb
-        for i in range(n):
-            yield ((0, i, READ),)
-    elif kind == "write":           # init, sampler results
-        for i in range(n):
-            yield ((0, i, WRITE),)
-    elif kind == "map":             # poly_copy, poly_op CONST_*
-        for i in range(n):
-            yield ((1, i, READ),)
-            yield ((0, i, WRITE),)
-    elif kind == "zip":             # poly_op ADD, SUB, MUL
-        for i in range(n):
-            yield ((1, i, READ),)
-            yield ((0, i, READ),)
-            yield ((0, i, WRITE),)
-    elif kind == "compare":         # eq_check
-        for i in range(n):
-            yield ((0, i, READ),)
-            yield ((1, i, READ),)
-    elif kind in ("gather", "bitrev"):   # shift_poly, poly_op BITREV
-        for i in bit_reversal(n) if kind == "bitrev" else range(n):
-            yield ((1, i, READ),)
-        for i in range(n):
-            yield ((0, i, WRITE),)
-    elif kind == "scale":           # mult_psi: read i, write back i - 1
-        yield ((0, 0, READ),)
-        for i in range(1, n):
-            yield ((0, i, READ), (0, i - 1, WRITE))
-        yield ((0, n - 1, WRITE),)
-    elif kind in ("dif", "dit"):
-        yield from _transform_schedule(n, kind == "dif")
-    else:
-        raise CacheError(f"unknown access schedule {kind!r}")
+    """Memory cycles of one op, in order: each cycle is a tuple of
+    accesses (operand, coefficient index, READ or WRITE)."""
+    for together, accesses in phases(kind, n):
+        steps = zip(*[zip(repeat(k), column, repeat(rw)) for k, column, rw in accesses])
+        yield from steps if together else zip(chain.from_iterable(steps))
 
 
 def slot_count(n):
@@ -165,24 +176,36 @@ def _slot_words(n):
                  for slot in range(slot_count(n)))
 
 
-def audit(cycles, n, banks):
-    """Check a schedule one cycle at a time: within a cycle each
-    (bank, sram) may be touched at most once.  ``banks`` gives the bank of
-    each operand.  Returns the number of cycles."""
-    ports = [[bank * SRAMS_PER_BANK + sram for sram in _srams(n)] for bank in banks]
-    count = 0
-    for cycle in cycles:
-        if len(cycle) > 1 and len({ports[k][i] for k, i, _rw in cycle}) != len(cycle):
-            raise HazardFault(
-                f"schedule cycle {count}: two accesses to one single-port SRAM")
-        count += 1
-    return count
+def audit(run, n, banks):
+    """Check a schedule given as phases: within a cycle each (bank, sram)
+    may be touched at most once.  ``banks`` gives the bank of each
+    operand.  Each phase object is checked once, however often it recurs,
+    by comparing the sram columns of its same-bank accesses pair by pair;
+    a phase of one access per cycle cannot conflict.  Returns the number
+    of cycles."""
+    srams = _srams(n)
+    checked, start = set(), 0
+    for phase in run:
+        together, accesses = phase
+        if together and len(accesses) > 1 and id(phase) not in checked:
+            checked.add(id(phase))
+            columns = [(banks[k], list(map(srams.__getitem__, column)))
+                       for k, column, _rw in accesses]
+            clashes = [t for (bank_a, a), (bank_b, b) in combinations(columns, 2)
+                       if bank_a == bank_b
+                       for t in compress(count(), map(operator.eq, a, b))]
+            if clashes:
+                raise HazardFault(f"schedule cycle {start + min(clashes)}: "
+                                  "two accesses to one single-port SRAM")
+        steps = len(accesses[0][1])
+        start += steps if together else steps * len(accesses)
+    return start
 
 
 @functools.lru_cache(maxsize=None)
 def schedule_cycles(kind, n, banks):
     """Cycle count of one schedule shape, hazard-audited on first use."""
-    return audit(schedule(kind, n), n, banks)
+    return audit(phases(kind, n), n, banks)
 
 
 class PolynomialCache:
@@ -272,13 +295,16 @@ class PolynomialCache:
     # Host-side (memory-mapped) data movement: no cycles, no ledger.
 
     def load_slot(self, slot, values):
+        """Load a slot's n words from the host; returns the largest."""
         self.slot_bank(slot)
         if len(values) != self.n:
             raise CacheError(f"expected {self.n} coefficients, got {len(values)}")
-        for value in (min(values), max(values)):
+        high = max(values)
+        for value in (min(values), high):
             if not 0 <= value < (1 << 24):
                 raise CacheError(f"value {value} does not fit a 24-bit word")
         self.data[slot][:] = values
+        return high
 
     def dump_slot(self, slot):
         self.slot_bank(slot)

@@ -10,10 +10,10 @@ the way the protocol host processor would.
 
 import functools
 import secrets
-from dataclasses import dataclass
 from importlib import resources
 
 from . import isa, keccak, nttcore, polycache, sampler
+from .record import Frozen, Record
 
 NEWHOPE_Q = 12289
 KYBER_Q = 7681
@@ -65,19 +65,23 @@ def decode_message(coeffs, n, q=NEWHOPE_Q):
 
 # ----------------------------------------------------------------- NewHope
 
-@dataclass
-class CpaKeyPair:
-    n: int
-    a_hat: list
-    b_hat: list
-    s_hat: list
+class CpaKeyPair(Record):
+    _fields = ("n", "a_hat", "b_hat", "s_hat")
+
+    def __init__(self, n, a_hat, b_hat, s_hat):
+        self.n = n
+        self.a_hat = a_hat
+        self.b_hat = b_hat
+        self.s_hat = s_hat
 
 
-@dataclass
-class CpaCiphertext:
-    n: int
-    u_hat: list
-    v_prime: list
+class CpaCiphertext(Record):
+    _fields = ("n", "u_hat", "v_prime")
+
+    def __init__(self, n, u_hat, v_prime):
+        self.n = n
+        self.u_hat = u_hat
+        self.v_prime = v_prime
 
 
 class DriverError(RuntimeError):
@@ -256,17 +260,20 @@ def tile_plan(n):
     return plans[n]
 
 
-@dataclass(frozen=True)
-class FrodoProfile:
-    name: str
-    n: int                 # logical matrix dimension
-    q: int
-    tiles: tuple           # ((array_len, zeroed_tail), ...)
-    two_cols: bool         # generate S two columns/rows at a time
-    nbar: int
-    sigma: float
-    s: int                 # CDT support bound
-    r: int                 # CDT precision
+class FrodoProfile(Frozen):
+    _fields = ("name", "n", "q", "tiles", "two_cols", "nbar", "sigma", "s", "r")
+
+    def __init__(self, name, n, q, tiles, two_cols, nbar, sigma, s, r):
+        vars(self).update(
+            name=name,
+            n=n,                # logical matrix dimension
+            q=q,
+            tiles=tiles,        # ((array_len, zeroed_tail), ...)
+            two_cols=two_cols,  # generate S two columns/rows at a time
+            nbar=nbar,
+            sigma=sigma,
+            s=s,                # CDT support bound
+            r=r)                # CDT precision
 
     @property
     def chunk(self):

@@ -25,8 +25,9 @@ before each draw, so a call that stays within it draws the same words.
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
+
+from .record import Frozen
 
 # Default bound-scaling factors per modulus.  Moduli not listed use 1.
 SCALE_FACTORS = {
@@ -63,12 +64,13 @@ def _draw(prng, count, left):
     return prng.words(count), left - count
 
 
-@dataclass(frozen=True)
-class RejectionPlan:
+class RejectionPlan(Frozen):
     """Rejection over [0, q) with the acceptance bound scaled to k*q."""
 
-    q: int
-    scale: int
+    _fields = ("q", "scale")
+
+    def __init__(self, q, scale):
+        vars(self).update(q=q, scale=scale)
 
     @property
     def bound(self):
@@ -129,15 +131,15 @@ def bin_sample(n, k, q, prng):
             for a, b in zip(ws[0::2], ws[1::2])]
 
 
-@dataclass(frozen=True)
-class CdtTable:
+class CdtTable(Frozen):
     """Cumulative distribution table: s nondecreasing entries below 2^r."""
 
-    entries: tuple
-    support: int     # s: outputs lie in [-s, s]
-    precision: int   # r: comparison input r1 is drawn from [0, 2^r)
+    _fields = ("entries", "support", "precision")
 
-    def __post_init__(self):
+    def __init__(self, entries, support, precision):
+        vars(self).update(entries=entries,
+                          support=support,      # s: outputs lie in [-s, s]
+                          precision=precision)  # r: comparison input r1 is drawn from [0, 2^r)
         s, r = self.support, self.precision
         if not 1 <= s <= 64:
             raise SamplerError(f"support bound s={s} outside [1, 64]")

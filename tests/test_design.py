@@ -1,11 +1,14 @@
 """Design guards: nothing in ``src/`` that only tests reach, one spec per
-instruction shared by the assembler and the machine, and every data file
-of the package shipped with it."""
+instruction shared by the assembler and the machine, every data file of
+the package shipped with it, and an import path without ``dataclasses``
+or ``inspect``."""
 
 import ast
 import collections
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -60,3 +63,14 @@ def test_package_data_ships_every_data_file():
              for path in (PACKAGE / sub).iterdir()]
     assert files
     assert [f for f in files if not any(f.match(g) for g in globs)] == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every fresh process pays for what the package imports; these two
+    (with ast, dis and tokenize behind inspect) once cost a large share."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import sapphire, sapphire.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

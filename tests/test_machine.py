@@ -540,6 +540,22 @@ class TestHostInterface:
             m.run()
             assert m.cache.slots == slots
 
+    def test_configure_again(self):
+        m = Machine()
+        m.configure(64, 7681)
+        m.write_slot(0, [7680] * 64)
+        m.write_slot(1, [7681] * 64)
+        assert m.residues == {0}
+        consts = m.consts
+        m.configure(64, 7681)           # changes nothing
+        assert m.consts is consts and m.residues == {0}
+        m.configure(64, 12289)          # a new q for the same n
+        assert (m.cfg.q, m.consts.q, m.rej_plan.q) == (12289,) * 3
+        assert m.residues == set() and m.read_slot(0) == [7680] * 64
+        m.cache.configure(8)            # the cache repartitioned by itself
+        m.configure(64, 12289)
+        assert m.cache.n == 64 and m.read_slot(1) == [7681] * 64
+
     def test_determinism_end_to_end(self):
         def run_once():
             m = seeded()

@@ -77,16 +77,33 @@ def test_slot_clear():
 
 def test_same_cycle_same_sram_is_hazard():
     # coefficients 0 and 2 share sram 0 (rows differ); apart is fine
-    assert audit([((0, 0, READ),), ((0, 2, WRITE),)], 64, (0,)) == 2
-    with pytest.raises(HazardFault):
-        audit([((0, 0, READ),), ((0, 0, READ), (0, 2, WRITE))], 64, (0,))
+    assert audit([(True, ((0, [0], READ),)), (True, ((0, [2], WRITE),))], 64, (0,)) == 2
+    assert audit([(False, ((0, [0], READ), (0, [2], WRITE)))], 64, (0,)) == 2
+    with pytest.raises(HazardFault, match="cycle 1:"):
+        audit([(True, ((0, [0], READ),)), (True, ((0, [0], READ), (0, [2], WRITE)))],
+              64, (0,))
     # two operand slots in one bank conflict as well
     with pytest.raises(HazardFault):
-        audit([((0, 1, READ), (1, 1, WRITE))], 64, (1, 1))
+        audit([(True, ((0, [1], READ), (1, [1], WRITE)))], 64, (1, 1))
 
 
 def test_cross_bank_same_cycle_ok():
-    assert audit([((0, 0, READ), (1, 0, WRITE))], 64, (0, 1)) == 1
+    assert audit([(True, ((0, [0], READ), (1, [0], WRITE)))], 64, (0, 1)) == 1
+
+
+KINDS = ("read", "write", "scale", "map", "compare", "gather", "bitrev", "zip",
+         "dif", "dit")
+
+
+def first_clash(cycles, n, banks):
+    """The per-cycle reference audit: the first cycle in which two
+    accesses hit one (bank, sram), or None."""
+    srams = [address(n, 0, i)[1] for i in range(n)]
+    for t, cycle in enumerate(cycles):
+        ports = {(banks[k], srams[i]) for k, i, _rw in cycle}
+        if len(ports) != len(cycle):
+            return t
+    return None
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024, 2048])
@@ -96,17 +113,59 @@ def test_every_schedule_passes_its_audit(n):
     cycles = {"read": n, "write": n, "scale": n + 1, "map": 2 * n,
               "compare": 2 * n, "gather": 2 * n, "bitrev": 2 * n, "zip": 3 * n,
               "dif": butterflies, "dit": butterflies}
+    assert set(cycles) == set(KINDS)
     for kind, count in cycles.items():
-        if kind in ("read", "write", "scale"):
-            placements = ((0,), (1,))
-        elif kind in ("dif", "dit"):
-            placements = ((0, 1), (1, 0))
-        else:
-            placements = ((0, 1), (1, 0), (0, 0), (1, 1))
+        placements = ((0,), (1,)) if kind in ("read", "write", "scale") else \
+            ((0, 1), (1, 0), (0, 0), (1, 1))
+        expanded = list(polycache.schedule(kind, n))
+        assert len(expanded) == count
         for banks in placements:
-            assert audit(polycache.schedule(kind, n), n, banks) == count
+            clash = first_clash(expanded, n, banks)
+            if clash is None:
+                assert polycache.schedule_cycles(kind, n, banks) == count
+            else:   # a transform between two slots of one bank
+                assert kind in ("dif", "dit") and banks[0] == banks[1]
+                with pytest.raises(HazardFault, match=f"cycle {clash}:"):
+                    polycache.schedule_cycles(kind, n, banks)
     with pytest.raises(CacheError):
         list(polycache.schedule("nope", n))
+
+
+def _collide(phase, t):
+    """The phase with access 1 moved, at step t, to another row of the
+    sram that access 0 touches then."""
+    together, accesses = phase
+    (k0, col0, rw0), (k1, col1, rw1) = accesses[:2]
+    moved = list(col1)
+    moved[t] = col0[t] ^ 2      # a middle bit: same MSB and LSB, same sram
+    return together, ((k0, col0, rw0), (k1, moved, rw1)) + accesses[2:]
+
+
+@pytest.mark.parametrize("kind", ["dif", "dit"])
+def test_collision_in_a_phase_that_occurs_once(kind):
+    n, banks = 16, (1, 0)       # even lg n: the last stage is two passes
+    run = list(polycache.phases(kind, n))
+    assert run.count(run[-1]) == 1
+    run[-1] = _collide(run[-1], 5)      # the write pass of the last stage
+    total = len(list(polycache.schedule(kind, n)))
+    with pytest.raises(HazardFault, match=f"cycle {total - n // 2 + 5}:"):
+        audit(run, n, banks)
+
+
+@pytest.mark.parametrize("kind", ["dif", "dit"])
+def test_collision_in_a_phase_that_repeats(kind):
+    n, banks = 64, (1, 0)
+    run = list(polycache.phases(kind, n))
+    stage = run[0]          # src -> dst, again at stages 3 and 5
+    assert [s is stage for s in run] == [True, False, True, False, True, False, False]
+    bad = _collide(stage, 7)
+    with pytest.raises(HazardFault, match="cycle 7:"):
+        audit([bad if s is stage else s for s in run], n, banks)
+    # a bad copy of the phase at its second occurrence only is checked too
+    run[2] = bad
+    with pytest.raises(HazardFault, match=f"cycle {2 * (n // 2) + 7}:"):
+        audit(run, n, banks)
+    assert first_clash(polycache.schedule(kind, n), n, banks) is None
 
 
 def test_access_counts_cycles_without_a_ledger():

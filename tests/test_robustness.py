@@ -28,6 +28,7 @@ on ``conftest.ScanningMachine``, which scans every operand of every
 residue check: the residue tags must change no fault, slot or cycle.
 """
 
+import functools
 import hashlib
 import random
 
@@ -47,8 +48,10 @@ CONFIGS = [(8, 257), (16, 7681), (64, 12289), (16, 65537), (32, 8380417),
 MAKERS = ("CONST_OR", "CONST_XOR", "CONST_LSHIFT")
 
 
+@functools.cache
 def _psi(n, q):
-    """Smallest c with c^n = -1 mod q, or None."""
+    """Smallest c with c^n = -1 mod q, or None; the same brute-force scan,
+    once per (n, q)."""
     if (q - 1) % (2 * n):
         return None
     return next(c for c in range(2, q) if pow(c, n, q) == q - 1)
@@ -331,20 +334,29 @@ def _outcome(m, program):
 
 
 def _host_writes(rng, machines):
-    """Host loads of residues, of words >= q or of any words, and now and
-    then a new q (or n) set from the host."""
+    """Host loads of residues, of words >= q, of any words or of words
+    next to q, and now and then a new q (or n) set from the host.  Between
+    the loads the host may set the same (n, q) again, or another one."""
     m = machines[0]
     if m.n not in TAG_MODULI or rng.random() < 0.3:
         n = m.n if m.n in TAG_MODULI else rng.choice(list(TAG_MODULI))
         q = rng.choice(TAG_MODULI[n])
         for each in machines:
             each.configure(n, q)
-    n, q, spb = m.n, m.q, m.cache.slots_per_bank
+    spb = m.cache.slots_per_bank       # 64 for every n of TAG_MODULI
     for s in rng.sample((0, 1, 2, spb, spb + 1), 2):
-        low, high = rng.choice(((0, q - 1), (q, WORD), (0, WORD)))
+        n, q = m.n, m.q
+        low, high = rng.choice(((0, q - 1), (q, WORD), (0, WORD), (q - 1, q)))
         values = [rng.randint(low, high) for _ in range(n)]
         for each in machines:
             each.write_slot(s, values)
+        between = rng.random()
+        if between < 0.4:
+            if between >= 0.2:
+                n, q = rng.choice([(n2, q2) for n2, moduli in TAG_MODULI.items()
+                                   for q2 in moduli if (n2, q2) != (n, q)])
+            for each in machines:
+                each.configure(n, q)
 
 
 def test_residue_tags_match_full_scans():
