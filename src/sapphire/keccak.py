@@ -169,10 +169,9 @@ class KeccakState:
         return self
 
     def finalize(self):
-        """Apply the domain-separation suffix and padding; start squeezing."""
-        if self.phase == "absorbing":
-            self.phase = "squeezing"
-            self._extend(1)
+        """Apply the domain-separation suffix and padding; start squeezing.
+        The output itself is computed by the first squeeze."""
+        self.phase = "squeezing"
         return self
 
     def _extend(self, nbytes):

@@ -12,6 +12,11 @@ words in one call.  The rejection-style ones draw as many candidates as
 they still need, again and again: no round can accept more than it needs,
 so they consume exactly the words that one draw per candidate would.
 
+The binomial sampler has one path for every k.  It counts bits in byte
+lanes, as the NewHope and Kyber reference ``cbd()`` routines count them in
+lanes of a machine word: a 256-entry ``bytes.translate`` table per byte
+position of a sample, and one big-int sum over the positions.
+
 Rejection sampling over [0, q) scales the acceptance bound from q to k*q
 to cut the rejection probability, then folds accepted candidates back into
 [0, q).  The hardware folds with a small Barrett reduction; the emulator
@@ -25,7 +30,8 @@ before each draw, so a call that stays within it draws the same words.
 
 import functools
 import math
-from itertools import chain, repeat
+import struct
+from itertools import repeat
 
 from .record import Frozen
 
@@ -98,12 +104,19 @@ def rej_sample(n, plan, prng):
 
 
 @functools.lru_cache(maxsize=8)
-def _bin_table(k, q):
-    """(HW(a) - HW(b)) mod q at index b * 2^k + a, for k-bit a and b: one
-    row of 2^k entries per weight of b, chained in the order of b."""
-    weights = [i.bit_count() for i in range(1 << k)]
-    rows = [[(w - hb) % q for w in weights] for hb in range(k + 1)]
-    return tuple(chain.from_iterable(rows[hb] for hb in weights))
+def _bin_plan(k, q):
+    """Bytes per sample w; for each byte position i where the a or b mask
+    has bits, i and the table x -> 8 + HW(x & a_i) - HW(x & b_i) of byte i
+    of the masks; and for m such positions, the residues of lane sums
+    v - 8m for v in [0, 16m]."""
+    w = 4 if k <= 16 else 8
+    a = (1 << k) - 1
+    b = a << (k if k <= 16 else 32)
+    tables = tuple((i, bytes(8 + (x & a >> 8 * i).bit_count()
+                             - (x & b >> 8 * i).bit_count() for x in range(256)))
+                   for i in range(w) if (a | b) >> 8 * i & 0xFF)
+    m = len(tables)
+    return w, tables, tuple((v - 8 * m) % q for v in range(16 * m + 1))
 
 
 def bin_sample(n, k, q, prng):
@@ -111,24 +124,22 @@ def bin_sample(n, k, q, prng):
 
     Standard deviation sqrt(k/2).  For k <= 16 both chunks come from one
     32-bit word, a from its low k bits and b from the k above; wider k
-    draws one word per chunk.  For k <= 8 (NewHope's 8, Kyber's 3) each
-    sample is one lookup of the word's low 2k bits in a 4^k-entry table of
-    residues, built once per (k, q).
+    draws one word per chunk.  One path serves every k: of the w = 4 or 8
+    little-endian bytes of a sample, each byte position that holds bits of
+    a or b is popcounted by a ``bytes.translate`` table, and the positions
+    are summed as one big int of byte lanes, each lane at most 16w <= 128,
+    so no lane carries into the next.
     """
     if not 1 <= k <= 32:
         raise SamplerError(f"binomial parameter k={k} outside [1, 32]")
     if k >= q:
         raise SamplerError(f"binomial parameter k={k} must be < q={q}")
-    if k <= 8:
-        table, mask = _bin_table(k, q), (1 << 2 * k) - 1
-        return [table[w & mask] for w in prng.words(n)]
-    mask = (1 << k) - 1
-    if k <= 16:
-        return [((w & mask).bit_count() - (w >> k & mask).bit_count()) % q
-                for w in prng.words(n)]
-    ws = prng.words(2 * n)
-    return [((a & mask).bit_count() - (b & mask).bit_count()) % q
-            for a, b in zip(ws[0::2], ws[1::2])]
+    w, tables, residue = _bin_plan(k, q)
+    ws = prng.words(n * w // 4)
+    raw = struct.pack(f"<{len(ws)}I", *ws)
+    lanes = sum(int.from_bytes(raw[i::w].translate(t), "little")
+                for i, t in tables)
+    return [residue[v] for v in lanes.to_bytes(len(raw) // w, "little")]
 
 
 class CdtTable(Frozen):

@@ -1,11 +1,16 @@
+import collections
 import os
+import random
+import re
+import struct
 import subprocess
 import sys
 
 import pytest
 
-from sapphire import cli
+from sapphire import cli, isa
 from sapphire.protocols import _program_text
+from test_robustness import _random_words
 
 SEED = "11" * 32
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -296,3 +301,188 @@ def test_run_cycle_limit_stops_early(tmp_path, capsys):
                    "--format", "structured") == 0
     out = capsys.readouterr().out
     assert "halted 0" in out
+
+
+# ---------------------------------------------------------------- fuzzing
+#
+# ``cli.main`` on drawn argv and files returns an exit code and prints no
+# traceback.  The argv covers every subcommand and option, the files are
+# listings, SPH1 files and --data-in files; each case draws a rate at which
+# values are invalid and files corrupted, from none to often.  Every run is
+# small: n <= 64, bounded cycles, one or two trials or samples.
+
+JUNK = ("-1", "0", "1", "3", "65", "4096", "16777217", "99999999999", "x",
+        "", "0x10", "1e3", "c2", "r7", "(", "=", ",")
+SLOTS = (0, 1, 2, 4, 16, 64, 127, 128, 999, -1)
+TEMPLATES = tuple(form.text for form in isa.FORMS)    # operands unfilled
+
+
+class Draw:
+    """A seeded random source whose values are invalid at rate ``bad``."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.bad = self.rng.choice((0.0, 0.0, 0.05, 0.2, 0.5))
+
+    def hit(self):
+        return self.rng.random() < self.bad
+
+    def pick(self, valid, invalid=JUNK):
+        return str(self.rng.choice(invalid if self.hit() else valid))
+
+
+def _program(rng):
+    """A decodable program of forms drawn from the whole ISA, its rings cut
+    to n <= 64."""
+    program = isa.decode(_random_words(rng))
+    for insn in program.instructions:
+        if insn.op == "config":
+            insn.args["n"] = min(insn.args["n"], 64)
+    return program
+
+
+def _corrupt(rng, line):
+    change = rng.randrange(6)
+    if change == 0:     # one word or operand replaced
+        words = list(re.finditer(r"\w+", line))
+        if words:
+            m = rng.choice(words)
+            return line[:m.start()] + rng.choice(JUNK) + line[m.end():]
+    if change == 1:     # one character dropped
+        j = rng.randrange(len(line) + 1)
+        return line[:j] + line[j + 1:]
+    if change == 2:     # cut short
+        return line[:rng.randrange(len(line) + 1)]
+    if change == 3:     # a label or a statement in front
+        return rng.choice(("L0:", "end:", "if (flag == 0) goto nowhere",
+                           "c0 = c0 + 1")) + " " + line
+    if change == 4:     # a label twice, if it is one
+        return line + "\n" + line
+    return rng.choice(TEMPLATES)
+
+
+def _listing(d):
+    lines = isa.disassemble(_program(d.rng)).splitlines()
+    data = "\n".join(_corrupt(d.rng, line) if d.hit() else line
+                     for line in lines).encode()
+    if d.hit() and d.hit():
+        j = d.rng.randrange(len(data) + 1)
+        data = data[:j] + b"\xff\xfe" + data[j:]
+    return data
+
+
+def _binary(d):
+    rng = d.rng
+    words = isa.encode(_program(rng))
+    if d.hit():
+        words[rng.randrange(len(words))] = rng.getrandbits(32)
+    count = len(words) + (rng.choice((-1, 1, 1 << 20)) if d.hit() else 0)
+    blob = isa.MAGIC + struct.pack("<I", count) + struct.pack(f"<{len(words)}I", *words)
+    return blob[:rng.randrange(len(blob) + 1)] if d.hit() else blob
+
+
+def _data_in(d):
+    rng, lines = d.rng, []
+    for _ in range(rng.randint(1, 4)):
+        kind = d.pick(("slot", "slot", "seed", "cdt", "#"), ("bogus", "", "cdt", "slot"))
+        if kind == "slot":
+            values = [d.pick((0, 1, 256, 7680, 16777215), ("-1", "16777216", "x"))
+                      for _ in range(int(d.pick((8, 16, 64), (0, 3, 65))))]
+            line = f"slot {d.pick(SLOTS[:6])} " + " ".join(values)
+        elif kind == "seed":
+            line = (f"seed {d.pick(('r0', 'r1'), ('r2', 'x', '0'))} "
+                    f"{d.pick(('11' * 32,), ('ab' * 31, 'zz' * 32, '1' * 63))}")
+        elif kind == "cdt":
+            size = rng.randrange(1, 5)
+            line = (f"cdt {d.pick((8, 16, 32), ('0', '33', 'x'))} "
+                    f"{d.pick((size,), ('0', '65', size + 1))} "
+                    + " ".join(map(str, sorted(rng.randrange(256) for _ in range(size)))))
+        else:
+            line = f"{kind} {rng.choice(JUNK)}"
+        lines.append(line[:rng.randrange(len(line) + 1)] if d.hit() else line)
+    data = "\n".join(lines).encode()
+    return data + b"\xe9" if d.hit() and d.hit() else data
+
+
+def _path(d, tmp_path, name, content=None):
+    """A file in tmp_path, written if content is given; if the draw is bad,
+    perhaps one in a missing directory, or the directory itself."""
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
+    if d.hit() and d.hit():
+        return str(d.rng.choice((tmp_path / "missing" / name, tmp_path)))
+    return str(tmp_path / name)
+
+
+def _argv(d, tmp_path):
+    rng = d.rng
+    command = d.pick(("asm", "run", "run", "run", "run", "kat", "demo", "gen-constants"),
+                     ("bogus", "--version", "-x", ""))
+    if command == "asm":
+        argv = ["asm", _path(d, tmp_path, "p.sph", _listing(d))]
+        if rng.random() < 0.5:
+            argv += ["-o", _path(d, tmp_path, "p.bin")]
+    elif command == "run":
+        name, content = (("p.sph", _listing), ("p.bin", _binary))[rng.randrange(2)]
+        if d.hit() and d.hit():
+            name = "p.txt"          # a listing read as binary, or the reverse
+        argv = ["run", _path(d, tmp_path, name, content(d)),
+                "--cycles", d.pick((0, 1, 100, 5000), ("-1", "x"))]
+        if rng.random() < 0.7:
+            argv += ["--seed", d.pick(("11" * 32, "os"), ("xyz", "1" * 63))]
+        if rng.random() < 0.3:
+            argv.append("--trace")
+            if rng.random() < 0.5:
+                argv += ["--trace-out", _path(d, tmp_path, "trace.txt")]
+        if rng.random() < 0.2:
+            argv.append("--strict-gating")
+        if rng.random() < 0.3:
+            argv += ["--format", d.pick(("text", "structured"), ("json",))]
+        if rng.random() < 0.4:
+            argv += ["--data-in", _path(d, tmp_path, "in.txt", _data_in(d))]
+        for _ in range(rng.randrange(3)):
+            argv += ["--dump-slot", d.pick(SLOTS[:6], SLOTS[6:] + ("x",))]
+        if rng.random() < 0.2:
+            argv += ["--data-out", _path(d, tmp_path, "out.txt")]
+    elif command == "kat":
+        argv = ["kat", "--reduction-samples", d.pick((1, 2), ("0", "-1", "x"))]
+    elif command == "demo":
+        # a valid frodo profile takes a fifth of a second, so none is drawn
+        which = d.pick(("newhope", "kyber", "masked"), ("frodo", "rsa"))
+        argv = ["demo", which, "--trials", d.pick((1, 2), ("0", "x")),
+                "--n", d.pick((512,), ("1024", "64", "x"))]
+        if which == "frodo":
+            argv += ["--profile", rng.choice(("desk", "frodo", "x"))]
+        if rng.random() < 0.7:
+            argv += ["--seed", d.pick(("22" * 32,), ("2" * 65, "os"))]
+    elif command == "gen-constants":
+        argv = ["gen-constants", d.pick((8, 16, 64), ("3", "12", "0", "-8", "x")),
+                d.pick((257, 7681, 12289, 65537, 17),
+                       ("1649", "2", "1", "0", "-5", "16777217", "q")),
+                "-o", _path(d, tmp_path, "consts.txt")]
+    else:
+        argv = [command]
+    if d.hit() and d.hit():         # a stray option or a dropped argument
+        if rng.random() < 0.5:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(("--bogus", "-o", "x")))
+        else:
+            del argv[rng.randrange(len(argv))]
+    return argv
+
+
+def test_main_never_escapes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)                 # default output paths
+    monkeypatch.setenv("SAPPHIRE_EMU_SEED", SEED)
+    codes = collections.Counter()
+    for seed in range(300):
+        argv = _argv(Draw(seed), tmp_path)
+        try:
+            code = run_cli(*argv)
+        except Exception as exc:
+            raise AssertionError(f"seed {seed}: {argv} raised {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (seed, argv, code)
+        assert "Traceback" not in err, (seed, argv, err)
+        codes[code] += 1
+    # the draws reach success, usage errors and machine faults
+    assert {0, 2, 3} <= set(codes), codes

@@ -127,6 +127,41 @@ class TestBinomial:
             sampler.bin_sample(1, 33, 12289, NumpyWords(0))
 
 
+def popcount_reference(n, k, q, prng):
+    """HW(w & m) - HW(w >> k & m) per word for k <= 16, HW(a & m) - HW(b & m)
+    per word pair for k > 16, mod q."""
+    mask = (1 << k) - 1
+    if k <= 16:
+        return [((w & mask).bit_count() - (w >> k & mask).bit_count()) % q
+                for w in prng.words(n)]
+    ws = prng.words(2 * n)
+    return [((a & mask).bit_count() - (b & mask).bit_count()) % q
+            for a, b in zip(ws[0::2], ws[1::2])]
+
+
+# no bits, all bits, alternate bits (both phases), alternate bytes, and
+# word pairs of +k and 0
+LANE_EXTREMES = [(0,), (0xFFFFFFFF,), (0x55555555,), (0xAAAAAAAA,),
+                 (0x00FF00FF,), (0xFFFFFFFF, 0)]
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_binomial_matches_popcount_reference(k):
+    for q in (k + 1, 7681, 12289, 1 << 24):
+        for n in (0, 1, 7, 1024):
+            streams = [lambda: keccak.sampler_prng("SHAKE-128", bytes(range(32)), k, n)]
+            streams += [lambda w=w: WordSource(itertools.cycle(w)) for w in LANE_EXTREMES]
+            for make in streams:
+                got, want = make(), make()
+                assert sampler.bin_sample(n, k, q, got) == \
+                    popcount_reference(n, k, q, want), (q, n)
+                assert (got.words_out, got.permutes) == (want.words_out, want.permutes)
+    # drawing nothing leaves a sponge absorbing
+    state = keccak.shake128(b"seed")
+    assert sampler.bin_sample(0, k, 7681, state) == []
+    assert state.phase == "absorbing" and state.permutes == 0
+
+
 class TestCdt:
     def test_scan_extremes(self):
         table = CdtTable((10, 20, 30), 3, 8)
