@@ -79,6 +79,8 @@ def _apply_data_in(m, path):
             if kind == "slot":
                 m.write_slot(int(parts[1]), [int(v) for v in parts[2:]])
             elif kind == "seed":
+                if len(parts) > 3:
+                    raise ValueError(f"seed: unexpected operand {parts[3]!r}")
                 m.write_seed(parts[1], bytes.fromhex(parts[2]))
             elif kind == "cdt":     # cdt <r> <s> <entries...>
                 m.load_cdt(sampler.CdtTable(tuple(int(v) for v in parts[3:]),

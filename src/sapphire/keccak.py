@@ -2,8 +2,8 @@
 permutation in pure Python as the reference model.
 
 The sponge state doubles as the CS-PRNG of the emulated processor: samplers
-pull pseudo-random bits out of a seeded SHAKE state as 32-bit words, many at
-a time (``KeccakState.words``).
+pull the next count 32-bit words out of a seeded SHAKE state, as ints
+(``KeccakState.words(count)``) or as little-endian bytes (``raw(count)``).
 ``hashlib`` supplies the bytes; each state derives from its byte counts the
 permutations run and 32-bit words shifted out, which the machine's cycle
 model reads back (24 cycles per permutation, one cycle per word).
@@ -133,7 +133,7 @@ _SPONGES = {
 
 
 class KeccakState:
-    """One sponge instance: absorb bytes, then squeeze bits.
+    """One sponge instance: absorb bytes, then squeeze bytes.
 
     Counters mirror the hardware PRNG datapath: ``permutes`` counts the
     Keccak-f[1600] runs needed so far (24 cycles each), ``words_out`` counts
@@ -148,7 +148,7 @@ class KeccakState:
         self.domain_suffix = domain_suffix
         self.phase = "absorbing"
         self._absorbed = 0         # bytes
-        self._squeezed = 0         # bits
+        self._squeezed = 0         # bytes
         self._out = b""            # output stream computed so far
         self.words_out = 0
 
@@ -158,7 +158,7 @@ class KeccakState:
         further output block started."""
         count = self._absorbed // (self.rate_bits // 8)
         if self.phase == "squeezing":
-            count += 1 + max(self._squeezed - 1, 0) // self.rate_bits
+            count += 1 + max(self._squeezed - 1, 0) // (self.rate_bits // 8)
         return count
 
     def absorb(self, data):
@@ -186,27 +186,26 @@ class KeccakState:
             blocks = -(-max(nbytes, 2 * len(self._out)) // rate_bytes)
             self._out = self._hash.digest(blocks * rate_bytes)
 
-    def squeeze_bits(self, nbits):
-        """Next nbits of output as an int (stream bit j = bit j of result)."""
+    def squeeze(self, nbytes):
         if self.phase != "squeezing":
             self.finalize()
-        start, stop = self._squeezed, (self._squeezed + nbits + 7) // 8
+        start, stop = self._squeezed, self._squeezed + nbytes
         if stop > len(self._out):
             self._extend(stop)
-        self._squeezed += nbits
-        chunk = int.from_bytes(self._out[start // 8:stop], "little")
-        return (chunk >> (start % 8)) & ((1 << nbits) - 1)
+        self._squeezed = stop
+        return self._out[start:stop]
 
-    def squeeze(self, nbytes):
-        return self.squeeze_bits(8 * nbytes).to_bytes(nbytes, "little")
+    def raw(self, count):
+        """Shift out count 32-bit words as 4*count little-endian bytes."""
+        if not count:
+            return b""
+        self.words_out += count
+        return self.squeeze(4 * count)
 
     def words(self, count):
         """Shift out count 32-bit words at once, exactly as count next_word()
-        calls would, at any bit alignment of the stream."""
-        if not count:
-            return ()
-        self.words_out += count
-        return struct.unpack(f"<{count}I", self.squeeze(4 * count))
+        calls would."""
+        return struct.unpack(f"<{count}I", self.raw(count))
 
     def next_word(self):
         """Shift out one 32-bit word, as the sampler datapath does."""

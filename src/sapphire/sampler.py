@@ -1,9 +1,10 @@
 """Discrete-distribution samplers fed by 32-bit PRNG words.
 
-Every sampler pulls whole 32-bit words from the PRNG (any object with a
-``words(count)`` method returning the next count words, normally a seeded
-KeccakState) and masks them down to the width it needs; leftover bits
-within a word are discarded.  Signed outputs are stored immediately in
+Every sampler pulls whole 32-bit words from the PRNG and masks them down
+to the width it needs; leftover bits within a word are discarded.  The
+PRNG, normally a seeded KeccakState, is any object with ``words(count)``,
+the next count words as ints, and ``raw(count)``, the next count words as
+their 4*count little-endian bytes.  Signed outputs are stored immediately in
 canonical residue form [0, q).
 
 Each sampler draws its words in bulk and works on the whole list.  The
@@ -14,8 +15,9 @@ so they consume exactly the words that one draw per candidate would.
 
 The binomial sampler has one path for every k.  It counts bits in byte
 lanes, as the NewHope and Kyber reference ``cbd()`` routines count them in
-lanes of a machine word: a 256-entry ``bytes.translate`` table per byte
-position of a sample, and one big-int sum over the positions.
+lanes of a machine word: it reads the words' bytes from ``raw``, with a
+256-entry ``bytes.translate`` table per byte position of a sample, and
+sums the positions as one big int.
 
 Rejection sampling over [0, q) scales the acceptance bound from q to k*q
 to cut the rejection probability, then folds accepted candidates back into
@@ -30,7 +32,6 @@ before each draw, so a call that stays within it draws the same words.
 
 import functools
 import math
-import struct
 from itertools import repeat
 
 from .record import Frozen
@@ -135,8 +136,7 @@ def bin_sample(n, k, q, prng):
     if k >= q:
         raise SamplerError(f"binomial parameter k={k} must be < q={q}")
     w, tables, residue = _bin_plan(k, q)
-    ws = prng.words(n * w // 4)
-    raw = struct.pack(f"<{len(ws)}I", *ws)
+    raw = prng.raw(n * w // 4)
     lanes = sum(int.from_bytes(raw[i::w].translate(t), "little")
                 for i, t in tables)
     return [residue[v] for v in lanes.to_bytes(len(raw) // w, "little")]

@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles and a fast PRNG word stream."""
 
 import os
+import struct
 import sys
 
 import numpy as np
@@ -34,6 +35,9 @@ class NumpyWords:
             del self.buf[-take:]
         self.words_out += count
         return out
+
+    def raw(self, count):
+        return struct.pack(f"<{count}I", *self.words(count))
 
 
 class ReferenceSponge:
@@ -98,6 +102,9 @@ class ReferenceSponge:
     def next_word(self):
         self.words_out += 1
         return self.squeeze_bits(32)
+
+    def raw(self, count):
+        return b"".join(self.next_word().to_bytes(4, "little") for _ in range(count))
 
 
 def bitrev(i, bits):

@@ -128,6 +128,7 @@ def test_run_data_in(tmp_path, capsys):
     "slot 1 " + " ".join(["x"] * 64),       # not an integer
     "slot 1 " + " ".join(["16777216"] * 64),  # wider than 24 bits
     "seed r0 abcd",                         # short seed
+    "seed r0 " + "ab" * 32 + " extra",      # one operand too many
     "cdt 16 2 1 2 3",                       # three entries, s = 2
     "cdt",                                  # no r, s or entries
 ])

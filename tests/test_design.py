@@ -1,10 +1,12 @@
-"""Design guards: nothing in ``src/`` that only tests reach, one spec per
+"""Design guards: nothing in ``src/`` that only tests reach, every entry
+point the benchmark's tracer wraps present in ``src/``, one spec per
 instruction shared by the assembler and the machine, every data file of
 the package shipped with it, and an import path without ``dataclasses``
 or ``inspect``."""
 
 import ast
 import collections
+import importlib.util
 import pathlib
 import re
 import subprocess
@@ -49,6 +51,23 @@ def test_no_test_only_code_in_src():
               if isinstance(node, DEFS) and not node.name.startswith("__")
               and refs[node.name] <= sum(name == node.name for name in _names(node))]
     assert unused == []
+
+
+def test_perfbench_entry_points_exist():
+    """Every LAYERS entry of perfbench/tracer.py resolves the way the
+    tracer wraps it, through ``vars(owner)[attr]``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, entries in tracer.LAYERS.values():
+        for entry in entries:
+            owner_name, _, attr = entry.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            if attr not in getattr(owner, "__dict__", ()):
+                missing.append(f"{module.__name__}.{entry}")
+    assert missing == []
 
 
 def test_every_instruction_form_has_a_handler():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import os
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,10 +107,12 @@ def test_kat_file_reference_sponge():
 @given(st.sampled_from(sorted(SPONGES)), st.data())
 def test_sponge_matches_reference(name, data):
     """Random absorb chunkings (empty chunks and whole rate blocks among
-    them), then random squeeze widths, single words and bulk draws of 0 to
-    600 words, often right after a squeeze that leaves the stream off a
-    word boundary: equal output and equal counters after every call, a
-    bulk draw of k words equal to k ``next_word()`` calls."""
+    them), then random byte squeezes of 0 to 400 bytes (rate-block
+    multiples among them), single words, and bulk draws of 0 to 600 words
+    as ints or as bytes, often right after a squeeze that leaves the stream
+    off a word boundary: equal output and equal counters after every call,
+    against the bit-level reference sponge, whose bulk draws are
+    ``next_word()`` calls."""
     mode = SPONGES[name]
     rate_bytes = mode[0] // 8
     fast, ref = keccak.KeccakState(*mode), ReferenceSponge(*mode)
@@ -122,67 +125,87 @@ def test_sponge_matches_reference(name, data):
         ref.absorb(piece)
         assert fast.permutes == ref.permutes
     # SHA3 output ends at its digest
-    room = DIGEST_BITS.get(name, 1 << 20)
-    width = st.one_of(st.integers(0, 3000), st.integers(1000, 3000),
-                      st.sampled_from([0, 8, 32, 64, 1088, 1344]))
-    step = st.one_of(width.map(lambda w: [("bits", w)]),
+    room = DIGEST_BITS.get(name, 1 << 20) // 8
+    width = st.one_of(st.integers(0, 400), st.sampled_from(
+        [0, 1, 4, 8, 136, 168, 272, 336]))
+    draw = st.sampled_from(["words", "raw"])
+    step = st.one_of(width.map(lambda w: [("bytes", w)]),
                      st.integers(1, 80).map(lambda k: [("word", 1)] * k),
-                     st.integers(0, 600).map(lambda k: [("words", k)]),
-                     st.tuples(st.integers(1, 31), st.integers(0, 600)).map(
-                         lambda p: [("bits", p[0]), ("words", p[1])]))
+                     st.tuples(draw, st.integers(0, 600)).map(lambda p: [p]),
+                     st.tuples(st.integers(1, 3), draw, st.integers(0, 600)).map(
+                         lambda p: [("bytes", p[0]), p[1:]]))
     steps = data.draw(st.lists(step, min_size=1, max_size=8), "squeezes")
     for kind, w in itertools.chain(*steps):
-        if kind == "bits":
+        if kind == "bytes":
             w = min(w, room)
-            got, want = fast.squeeze_bits(w), ref.squeeze_bits(w)
+            got, want = fast.squeeze(w), ref.squeeze(w)
         else:
-            w = min(w, room // 32)
+            w = min(w, room // 4)
             if kind == "word" and w:
                 got, want = fast.next_word(), ref.next_word()
             elif kind == "words":
                 got = fast.words(w)
                 want = tuple(ref.next_word() for _ in range(w))
+            elif kind == "raw":
+                got, want = fast.raw(w), ref.raw(w)
             else:
                 continue
-            w *= 32
+            w *= 4
         room -= w
         assert (got, fast.permutes, fast.words_out) == \
             (want, ref.permutes, ref.words_out)
 
 
 def test_rate_block_consumption():
-    # squeezing exactly one SHAKE-128 rate block (1344 bits) costs no extra
-    # permutation, nor does a zero-width squeeze; the next bit triggers one
+    # squeezing exactly one SHAKE-128 rate block (168 bytes) costs no extra
+    # permutation, nor does a zero-length squeeze; the next byte triggers one
     s = keccak.shake128(b"x")
-    assert s.squeeze_bits(0) == 0
+    assert s.squeeze(0) == b""
     before = s.permutes
-    s.squeeze_bits(1344)
-    assert s.squeeze_bits(0) == 0
+    s.squeeze(168)
+    assert s.squeeze(0) == b""
     assert s.permutes == before
-    s.squeeze_bits(1)
+    s.squeeze(1)
     assert s.permutes == before + 1
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.binary(max_size=64), st.lists(st.integers(1, 200), min_size=1,
+@given(st.binary(max_size=64), st.lists(st.integers(0, 200), min_size=1,
                                         max_size=8))
 def test_squeeze_granularity_independence(seed, widths):
-    total = sum(widths)
     s1 = keccak.shake256(seed).finalize()
     s2 = keccak.shake256(seed).finalize()
-    whole = s1.squeeze_bits(total)
-    acc, off = 0, 0
-    for w in widths:
-        acc |= s2.squeeze_bits(w) << off
-        off += w
-    assert acc == whole
+    whole = s1.squeeze(sum(widths))
+    assert b"".join(s2.squeeze(w) for w in widths) == whole
+    assert s1.permutes == s2.permutes
 
 
 def test_two_64s_equal_one_128():
     s1 = keccak.shake128(b"seed").finalize()
     s2 = keccak.shake128(b"seed").finalize()
-    lo, hi = s1.squeeze_bits(64), s1.squeeze_bits(64)
-    assert (hi << 64) | lo == s2.squeeze_bits(128)
+    assert s1.squeeze(8) + s1.squeeze(8) == s2.squeeze(16)
+
+
+def test_raw_zero_leaves_sponge_absorbing():
+    s = keccak.shake128(b"seed")
+    assert s.raw(0) == b"" and s.words(0) == ()
+    assert (s.phase, s.words_out, s.permutes) == ("absorbing", 0, 0)
+    s.absorb(b"more")
+
+
+@pytest.mark.parametrize("skip", [0, 1, 3])
+@pytest.mark.parametrize("count", [1, 7, 42, 43, 1024])
+def test_raw_packs_words(skip, count):
+    """raw(k) is the little-endian packing of words(k), at any byte offset
+    of the stream, with the same counters after it."""
+    a = keccak.sampler_prng("SHAKE-128", bytes(32), 1, 2)
+    b = keccak.sampler_prng("SHAKE-128", bytes(32), 1, 2)
+    a.squeeze(skip)
+    b.squeeze(skip)
+    assert a.raw(count) == struct.pack(f"<{count}I", *b.words(count))
+    assert (a.words_out, a.permutes) == (b.words_out, b.permutes) == \
+        (count, 1 + (skip + 4 * count - 1) // 168)
+    assert a.squeeze(5) == b.squeeze(5)
 
 
 def test_next_word_counters():
@@ -209,7 +232,7 @@ def test_absorb_after_squeeze_rejected():
     with pytest.raises(ValueError):
         s.absorb(b"more")
     s = keccak.shake256(b"a")
-    s.squeeze_bits(5)
+    s.squeeze(1)
     with pytest.raises(ValueError):
         s.absorb(b"")
 
@@ -231,9 +254,9 @@ def test_sha3_squeeze_past_digest_rejected(bits):
     s = keccak.KeccakState(*mode).absorb(b"x")
     assert s.squeeze(bits // 8) == keccak.sha3_digest(b"x", bits)
     with pytest.raises(ValueError):
-        s.squeeze_bits(1)
+        s.squeeze(1)
     with pytest.raises(ValueError):
-        keccak.KeccakState(*mode).squeeze_bits(bits + 1)
+        keccak.KeccakState(*mode).squeeze(bits // 8 + 1)
 
 
 @pytest.mark.parametrize("mode", sorted(SPONGES))

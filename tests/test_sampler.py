@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ TABLE4 = {
 
 class WordSource:
     """A scripted word stream: ``words(count)`` takes the next count words
-    of an iterable, counted in ``words_out``."""
+    of an iterable, counted in ``words_out``; ``raw(count)`` packs them as
+    little-endian bytes."""
 
     words_out = permutes = 0
 
@@ -37,6 +39,9 @@ class WordSource:
     def words(self, count):
         self.words_out += count
         return list(itertools.islice(self.script, count))
+
+    def raw(self, count):
+        return struct.pack(f"<{count}I", *self.words(count))
 
 
 def centered(values, q):
