@@ -454,8 +454,8 @@ def decode(words):
     for i, w in enumerate(words):
         insn = decode_instruction(w, i)
         if insn.op == "branch":
-            target = insn.args["target"]
-            if target >= len(words):
+            target = insn.args["target"]    # the end of the program halts
+            if target > len(words):
                 raise DecodeError(f"branch target {target} out of range", i)
             labels.setdefault(f"L{target}", target)
         instructions.append(insn)

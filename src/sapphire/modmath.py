@@ -18,8 +18,6 @@ import functools
 
 from .record import Frozen
 
-WORD_MASK = (1 << 24) - 1
-
 GENERIC_BARRETT = "generic-barrett"
 SPECIALIZED_BARRETT = "specialized-barrett"
 POWER_OF_TWO = "power-of-two"

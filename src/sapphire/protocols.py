@@ -9,6 +9,7 @@ the way the protocol host processor would.
 """
 
 import functools
+import operator
 import secrets
 from importlib import resources
 
@@ -24,7 +25,7 @@ def _program_text(name):
     return resources.files("sapphire").joinpath(f"programs/{name}").read_text()
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def load_program(name, **params):
     """The checked-in program ``name``, its template filled in with params;
     assembled once per (name, params) and shared, as Programs are
@@ -37,7 +38,7 @@ def load_program(name, **params):
 
 # --------------------------------------------------------------- messages
 
-def encode_message(msg, n, q=NEWHOPE_Q):
+def encode_message(msg, n):
     """Spread each of the 256 message bits over n/256 coefficients.
 
     Bit i drives coefficients i + 256*t for t < n/256, set to 0 or
@@ -48,14 +49,14 @@ def encode_message(msg, n, q=NEWHOPE_Q):
     if n % 256:
         raise ValueError("ring dimension must be a multiple of 256")
     bits = int.from_bytes(msg, "little")      # bit i = msg[i >> 3] bit i & 7
-    return [q // 2 * (bits >> i & 1) for i in range(256)] * (n // 256)
+    return [NEWHOPE_Q // 2 * (bits >> i & 1) for i in range(256)] * (n // 256)
 
 
-def decode_message(coeffs, n, q=NEWHOPE_Q):
+def decode_message(coeffs, n):
     """Threshold-decode: bit = 1 iff the group's summed distance from
     floor(q/2) stays at or below (n/256) * q/4 (ties decode to 1)."""
-    half = q // 2
-    threshold = ((n // 256) * q) // 4
+    half = NEWHOPE_Q // 2
+    threshold = ((n // 256) * NEWHOPE_Q) // 4
     dist = [abs(c - half) for c in coeffs[:n]]
     # group i holds coefficients i, i + 256, ...: the columns of n/256 rows
     totals = map(sum, zip(*[dist[t:t + 256] for t in range(0, n, 256)]))
@@ -88,64 +89,53 @@ class DriverError(RuntimeError):
     pass
 
 
-def _newhope_check(n):
-    if n not in (512, 1024):
+def _newhope_run(m, name, n, seeds, inputs, right=0, **params):
+    """One program step at n, q = 12289: load template ``name`` with params
+    and its first ``right`` right-bank slots as r0, r1, r2, write the seeds
+    and the input slots 0, 1, ..., run; returns the first right-bank slot.
+    Only the CPA-PKE programs use the right bank and need n in (512, 1024)."""
+    if right and n not in (512, 1024):
         raise DriverError(f"CPA-PKE supports n in (512, 1024), got {n}")
+    m.configure(n, NEWHOPE_Q)
+    rb = polycache.slots_per_bank(n)
+    m.load_program(load_program(name, n=n, **params,
+                                **{f"r{i}": rb + i for i in range(right)}))
+    for register, data in seeds.items():
+        m.write_seed(register, data)
+    for slot, values in enumerate(inputs):
+        m.write_slot(slot, values)
+    m.run()
+    return rb
 
 
 def newhope_keygen(m, seed, n=1024, k=8):
     """Run the keygen program; seed expands to (public, noise) seeds."""
-    _newhope_check(n)
     expanded = keccak.shake256(seed).finalize().squeeze(64)
-    m.write_seed("r0", expanded[:32])
-    m.write_seed("r1", expanded[32:])
-    rb = polycache.slots_per_bank(n)
-    m.load_program(load_program("newhope_keygen.sph", n=n, k=k,
-                                r0=rb, r1=rb + 1, r2=rb + 2))
-    m.run()
+    rb = _newhope_run(m, "newhope_keygen.sph", n,
+                      {"r0": expanded[:32], "r1": expanded[32:]}, (),
+                      right=3, k=k)
     return CpaKeyPair(n, m.read_slot(0), m.read_slot(rb + 2), m.read_slot(rb))
 
 
 def newhope_encrypt(m, pk, coin, msg, k=8):
     """Encrypt a 32-byte message under pk using coin as the noise seed."""
-    n = pk.n
-    _newhope_check(n)
-    rb = polycache.slots_per_bank(n)
-    m.configure(n, NEWHOPE_Q)
-    m.load_program(load_program("newhope_encrypt.sph", n=n, k=k,
-                                r0=rb, r1=rb + 1, r2=rb + 2))
-    m.write_seed("r1", coin)
-    m.write_slot(0, pk.a_hat)
-    m.write_slot(1, pk.b_hat)
-    m.write_slot(2, encode_message(msg, n))
-    m.run()
-    return CpaCiphertext(n, m.read_slot(0), m.read_slot(rb + 2))
+    rb = _newhope_run(m, "newhope_encrypt.sph", pk.n, {"r1": coin},
+                      (pk.a_hat, pk.b_hat, encode_message(msg, pk.n)),
+                      right=3, k=k)
+    return CpaCiphertext(pk.n, m.read_slot(0), m.read_slot(rb + 2))
 
 
 def newhope_decrypt(m, sk, ct):
-    n = ct.n
-    _newhope_check(n)
-    rb = polycache.slots_per_bank(n)
-    m.configure(n, NEWHOPE_Q)
-    m.load_program(load_program("newhope_decrypt.sph", n=n, r0=rb))
-    m.write_slot(0, ct.u_hat)
-    m.write_slot(1, sk.s_hat)
-    m.write_slot(2, ct.v_prime)
-    m.run()
-    return decode_message(m.read_slot(rb), n)
+    rb = _newhope_run(m, "newhope_decrypt.sph", ct.n, {},
+                      (ct.u_hat, sk.s_hat, ct.v_prime), right=1)
+    return decode_message(m.read_slot(rb), ct.n)
 
 
 def add_ciphertexts(m, ct_a, ct_b):
     """(u_a + u_b, v'_a + v'_b): the additive-homomorphism step."""
-    n = ct_a.n
-    m.configure(n, NEWHOPE_Q)
-    m.load_program(load_program("ciphertext_add.sph", n=n))
-    m.write_slot(0, ct_a.u_hat)
-    m.write_slot(1, ct_b.u_hat)
-    m.write_slot(2, ct_a.v_prime)
-    m.write_slot(3, ct_b.v_prime)
-    m.run()
-    return CpaCiphertext(n, m.read_slot(0), m.read_slot(2))
+    _newhope_run(m, "ciphertext_add.sph", ct_a.n, {},
+                 (ct_a.u_hat, ct_b.u_hat, ct_a.v_prime, ct_b.v_prime))
+    return CpaCiphertext(ct_a.n, m.read_slot(0), m.read_slot(2))
 
 
 def masked_decrypt(m, keypair, ct, rng=secrets.token_bytes):
@@ -243,25 +233,9 @@ def kyber_as_plus_e_oracle(seed_a, seed_s):
 
 # -------------------------------------------------------------------- Frodo
 
-def tile_plan(n):
-    """Row/column tiling of the n x n matrix into power-of-two arrays.
-
-    Returns (array_length, zeroed_tail) segments: 640 splits into 512+128,
-    976 pads to 1024 with 48 zeroed, 1344 splits into 1024+512 with the
-    last 192 of the 512-array zeroed.
-    """
-    plans = {
-        640: ((512, 0), (128, 0)),
-        976: ((1024, 48),),
-        1344: ((1024, 0), (512, 192)),
-    }
-    if n not in plans:
-        raise DriverError(f"no tiling defined for n={n}")
-    return plans[n]
-
-
 class FrodoProfile(Frozen):
     _fields = ("name", "n", "q", "tiles", "two_cols", "nbar", "sigma", "s", "r")
+    chunk = 64              # rows of A (or of S') per program run
 
     def __init__(self, name, n, q, tiles, two_cols, nbar, sigma, s, r):
         vars(self).update(
@@ -275,17 +249,15 @@ class FrodoProfile(Frozen):
             s=s,                # CDT support bound
             r=r)                # CDT precision
 
-    @property
-    def chunk(self):
-        return 64
 
-
+# the tiles cover n with power-of-two arrays: 640 = 512 + 128, 976 = 1024
+# with 48 zeroed, 1344 = 1024 + 512 with the last 192 zeroed
 FRODO_PROFILES = {
-    "frodo640": FrodoProfile("frodo640", 640, 1 << 15, tile_plan(640),
+    "frodo640": FrodoProfile("frodo640", 640, 1 << 15, ((512, 0), (128, 0)),
                              True, 8, 2.8, 12, 16),
-    "frodo976": FrodoProfile("frodo976", 976, 1 << 16, tile_plan(976),
+    "frodo976": FrodoProfile("frodo976", 976, 1 << 16, ((1024, 48),),
                              True, 8, 2.3, 10, 16),
-    "frodo1344": FrodoProfile("frodo1344", 1344, 1 << 16, tile_plan(1344),
+    "frodo1344": FrodoProfile("frodo1344", 1344, 1 << 16, ((1024, 0), (512, 192)),
                               False, 8, 1.4, 6, 16),
     # desk-scale mirrors of the three tiling shapes
     "desk640": FrodoProfile("desk640", 192, 1 << 15, ((128, 0), (64, 0)),
@@ -297,14 +269,11 @@ FRODO_PROFILES = {
 }
 
 # counter-space bases on the noise seed r1 (the public seed r0 uses
-# (c0 = row, c1 = tile) for just-in-time rows of A)
+# (c0 = row, c1 = tile) for just-in-time rows of A); E and E' sit above
+# every S' chunk counter of every profile (frodo1344's reach 20 + 20)
 _S_COL_BASE = 0       # c0 = tile, c1 = column
 _SP_CHUNK_BASE = 20   # c0 = 20 + chunk, c1 = row
-_E_BASE = 40          # c0 = 40 (E) / 41 (E'), c1 = column / row
-
-
-def _load_cdt(m, profile):
-    m.load_cdt(sampler.CdtTable.from_sigma(profile.sigma, profile.s, profile.r))
+_E_BASE = 64          # c0 = 64 (E) / 65 (E'), c1 = column / row
 
 
 def _frodo_cdt_host(profile, seed, c0, c1, count):
@@ -313,109 +282,95 @@ def _frodo_cdt_host(profile, seed, c0, c1, count):
     return sampler.cdt_sample(count, table, prng, q=profile.q)
 
 
-def _second_col_lines(profile, col):
-    if not profile.two_cols:
-        return ""
-    return (f"c1 = {col + 1}\n"
-            f"cdt_sample (prng = SHAKE-256, seed = r1, c0 = c0, c1 = c1, "
-            f"r = {profile.r}, s = {profile.s}, poly = 1)\n")
+def _frodo_setup(m, profile, seed_a, seed_s):
+    """The profile (by name or as is), with its CDT and both seeds loaded."""
+    if isinstance(profile, str):
+        profile = FRODO_PROFILES[profile]
+    m.load_cdt(sampler.CdtTable.from_sigma(profile.sigma, profile.s, profile.r))
+    m.write_seed("r0", seed_a)
+    m.write_seed("r1", seed_s)
+    return profile
+
+
+def _frodo_sample(m, profile, tile_n, c0, col):
+    """Sample the S (or S') segment (c0, col) into slot 0 and, when the
+    profile takes two at a time, (c0, col + 1) into slot 1."""
+    second_col = ""
+    if profile.two_cols:
+        second_col = (f"c1 = {col + 1}\n"
+                      f"cdt_sample (prng = SHAKE-256, seed = r1, c0 = c0, c1 = c1, "
+                      f"r = {profile.r}, s = {profile.s}, poly = 1)\n")
+    m.load_program(load_program(
+        "frodo_s_cols.sph", tile_n=tile_n, q=profile.q, r=profile.r, s=profile.s,
+        c0val=c0, col0=col, second_col=second_col))
+    m.run()
+
+
+def _frodo_add_noise(profile, seed_s, c0, vectors):
+    """Each vector j plus the host-drawn noise vector (c0, j), mod q."""
+    q = profile.q
+    return [[(x + e) % q for x, e in
+             zip(vector, _frodo_cdt_host(profile, seed_s, c0, j, profile.n))]
+            for j, vector in enumerate(vectors)]
 
 
 def frodo_as_plus_e(m, profile, seed_a, seed_s):
     """Tiled A*S + E on the machine; returns the n x nbar result matrix."""
-    if isinstance(profile, str):
-        profile = FRODO_PROFILES[profile]
-    n, q, nbar = profile.n, profile.q, profile.nbar
-    _load_cdt(m, profile)
-    m.write_seed("r0", seed_a)
-    m.write_seed("r1", seed_s)
-    acc = [[0] * nbar for _ in range(n)]
+    profile = _frodo_setup(m, profile, seed_a, seed_s)
+    n, q, chunk = profile.n, profile.q, profile.chunk
     step = 2 if profile.two_cols else 1
-    for tile_idx, (tile_n, pad) in enumerate(profile.tiles):
-        real = tile_n - pad
-        for col in range(0, nbar, step):
-            m.load_program(load_program(
-                "frodo_s_cols.sph", tile_n=tile_n, q=q,
-                r=profile.r, s=profile.s,
-                c0val=_S_COL_BASE + tile_idx, col0=col,
-                second_col=_second_col_lines(profile, col)))
-            m.run()
+    copy_row = second_mac = ""
+    if profile.two_cols:
+        copy_row = "poly_copy (poly_dst = 5, poly_src = 4)"
+        second_mac = ("poly_op (op = MUL, poly_dst = 5, poly_src = 1)\n"
+                      "reg = sum_elems (poly = 5)\n"
+                      "(poly = 9)[c1] = reg")
+    cols = [[0] * n for _ in range(profile.nbar)]     # the columns of A*S
+    for tile, (tile_n, pad) in enumerate(profile.tiles):
+        for col in range(0, profile.nbar, step):
+            _frodo_sample(m, profile, tile_n, _S_COL_BASE + tile, col)
             if pad:
                 for slot in range(step):
-                    seg = m.read_slot(slot)
-                    m.write_slot(slot, seg[:real] + [0] * pad)
-            copy_row = ("poly_copy (poly_dst = 5, poly_src = 4)"
-                        if profile.two_cols else "")
-            second_mac = ""
-            if profile.two_cols:
-                second_mac = ("poly_op (op = MUL, poly_dst = 5, poly_src = 1)\n"
-                              "reg = sum_elems (poly = 5)\n"
-                              "(poly = 9)[c1] = reg")
-            for row_base in range(0, n, profile.chunk):
-                chunk = min(profile.chunk, n - row_base)
+                    m.write_slot(slot, m.read_slot(slot)[:tile_n - pad] + [0] * pad)
+            for base in range(0, n, chunk):
+                rows = min(chunk, n - base)
                 m.load_program(load_program(
-                    "frodo_as_rows.sph", tile_n=tile_n, q=q,
-                    row_base=row_base, tile=tile_idx, chunk=chunk,
-                    copy_row=copy_row, second_mac=second_mac))
+                    "frodo_as_rows.sph", tile_n=tile_n, q=q, row_base=base,
+                    tile=tile, chunk=rows, copy_row=copy_row, second_mac=second_mac))
                 m.run()
-                r0 = m.read_slot(8)[:chunk]
-                for t in range(chunk):
-                    acc[row_base + t][col] += r0[t]
-                if profile.two_cols:
-                    r1 = m.read_slot(9)[:chunk]
-                    for t in range(chunk):
-                        acc[row_base + t][col + 1] += r1[t]
-    for col in range(nbar):
-        e = _frodo_cdt_host(profile, seed_s, _E_BASE, col, n)
-        for i in range(n):
-            acc[i][col] = (acc[i][col] + e[i]) % q
-    return acc
+                # slots 8 (and 9) hold this chunk's dot products
+                for j in range(step):
+                    acc = cols[col + j]
+                    acc[base:base + rows] = map(operator.add, acc[base:base + rows],
+                                                m.read_slot(8 + j))
+    cols = _frodo_add_noise(profile, seed_s, _E_BASE, cols)
+    return [list(row) for row in zip(*cols)]
 
 
 def frodo_sa_plus_e(m, profile, seed_a, seed_s):
     """Tiled S'*A + E' on the machine; returns the nbar x n result matrix."""
-    if isinstance(profile, str):
-        profile = FRODO_PROFILES[profile]
-    n, q, nbar = profile.n, profile.q, profile.nbar
-    _load_cdt(m, profile)
-    m.write_seed("r0", seed_a)
-    m.write_seed("r1", seed_s)
-    out = [[0] * n for _ in range(nbar)]
+    profile = _frodo_setup(m, profile, seed_a, seed_s)
+    n, q, chunk = profile.n, profile.q, profile.chunk
     step = 2 if profile.two_cols else 1
-    offset = 0
-    for tile_idx, (tile_n, pad) in enumerate(profile.tiles):
-        real = tile_n - pad
-        for row in range(0, nbar, step):
-            second_mac = ""
-            if profile.two_cols:
-                second_mac = ("reg = (poly = 1)[c1]\n"
-                              "poly_op (op = CONST_MUL, poly_dst = 3, poly_src = 4)\n"
-                              "poly_op (op = ADD, poly_dst = 7, poly_src = 3)")
-            for chunk_idx, base in enumerate(range(0, n, profile.chunk)):
-                chunk = min(profile.chunk, n - base)
+    second_mac = ""
+    if profile.two_cols:
+        second_mac = ("reg = (poly = 1)[c1]\n"
+                      "poly_op (op = CONST_MUL, poly_dst = 3, poly_src = 4)\n"
+                      "poly_op (op = ADD, poly_dst = 7, poly_src = 3)")
+    rows = [[] for _ in range(profile.nbar)]
+    for tile, (tile_n, pad) in enumerate(profile.tiles):
+        for row in range(0, profile.nbar, step):
+            for index, base in enumerate(range(0, n, chunk)):
+                _frodo_sample(m, profile, tile_n, _SP_CHUNK_BASE + index, row)
                 m.load_program(load_program(
-                    "frodo_s_cols.sph", tile_n=tile_n, q=q,
-                    r=profile.r, s=profile.s,
-                    c0val=_SP_CHUNK_BASE + chunk_idx, col0=row,
-                    second_col=_second_col_lines(profile, row)))
+                    "frodo_sa_chunk.sph", tile_n=tile_n, q=q, row_base=base,
+                    tile=tile, chunk=min(chunk, n - base), second_mac=second_mac,
+                    init_acc="" if base else "init (poly = 6)\ninit (poly = 7)"))
                 m.run()
-                init_acc = "init (poly = 6)\ninit (poly = 7)" if base == 0 else ""
-                m.load_program(load_program(
-                    "frodo_sa_chunk.sph", tile_n=tile_n, q=q,
-                    row_base=base, tile=tile_idx, chunk=chunk,
-                    second_mac=second_mac, init_acc=init_acc))
-                m.run()
-            seg = m.read_slot(6)[:real]
-            out[row][offset:offset + real] = seg
-            if profile.two_cols:
-                seg = m.read_slot(7)[:real]
-                out[row + 1][offset:offset + real] = seg
-        offset += real
-    for row in range(nbar):
-        e = _frodo_cdt_host(profile, seed_s, _E_BASE + 1, row, n)
-        for i in range(n):
-            out[row][i] = (out[row][i] + e[i]) % q
-    return out
+            # accumulators 6 (and 7) hold this tile's segment of the row(s)
+            for j in range(step):
+                rows[row + j] += m.read_slot(6 + j)[:tile_n - pad]
+    return _frodo_add_noise(profile, seed_s, _E_BASE + 1, rows)
 
 
 def _frodo_rebuild_a(profile, seed_a):

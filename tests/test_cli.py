@@ -54,6 +54,16 @@ def test_asm_unencodable_branch_target_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_asm_then_run_branch_to_end(tmp_path, capsys):
+    src = tmp_path / "end.sph"
+    src.write_text("flag = compare (c0, 1)\nif (flag == -1) goto end\nc1 = 7\nend:\n")
+    out = tmp_path / "end.bin"
+    assert run_cli("asm", str(src), "-o", str(out)) == 0
+    assert run_cli("run", str(out)) == 0
+    assert run_cli("run", str(src)) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_asm_unwritable_output_exit_2(tmp_path, capsys):
     src = tmp_path / "p.sph"
     src.write_text("c0 = 0\n")

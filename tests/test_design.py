@@ -1,8 +1,8 @@
-"""Design guards: nothing in ``src/`` that only tests reach, every entry
-point the benchmark's tracer wraps present in ``src/``, one spec per
-instruction shared by the assembler and the machine, every data file of
-the package shipped with it, and an import path without ``dataclasses``
-or ``inspect``."""
+"""Design guards: nothing in ``src/`` that only tests reach, no module
+constant that nothing reads, every entry point the benchmark's tracer
+wraps present in ``src/``, one spec per instruction shared by the
+assembler and the machine, every data file of the package shipped with
+it, and an import path without ``dataclasses`` or ``inspect``."""
 
 import ast
 import collections
@@ -50,6 +50,35 @@ def test_no_test_only_code_in_src():
               for node in ast.walk(tree)
               if isinstance(node, DEFS) and not node.name.startswith("__")
               and refs[node.name] <= sum(name == node.name for name in _names(node))]
+    assert unused == []
+
+
+def test_no_unused_module_constants_in_src():
+    """Every module-level name the package assigns is loaded in its own
+    module, or reached as an attribute or by ``from ... import`` from
+    src/ or perfbench/."""
+    trees = {path: ast.parse(path.read_text())
+             for top in ("src", "perfbench") for path in (ROOT / top).rglob("*.py")}
+    reached = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reached.update(alias.name for alias in node.names)
+    unused = []
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                unused += [f"{path.stem}.{node.id}" for target in targets
+                           for node in ast.walk(target)
+                           if isinstance(node, ast.Name) and not node.id.startswith("__")
+                           and node.id not in loaded | reached]
     assert unused == []
 
 

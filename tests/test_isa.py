@@ -3,11 +3,12 @@ import os
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA_DIR
 from sapphire import isa, protocols
 from sapphire.isa import AsmError, DecodeError, Instruction, assemble
+from sapphire.machine import Machine
 from sapphire.protocols import _program_text
 
 # One source line per Appendix-B mnemonic/variant; the coverage test
@@ -237,6 +238,49 @@ def test_random_streams_round_trip(lines):
     words = isa.encode(prog)
     assert isa.decode(words).instructions == prog.instructions
     assert assemble(isa.disassemble(prog)).instructions == prog.instructions
+
+
+_CONDITIONS = st.sampled_from(["flag == -1", "flag != 0", "flag == +1"])
+
+
+@st.composite
+def _labelled_listings(draw):
+    """Straight-line ops mixed with labels and branches to them; label Lk
+    sits before instruction k, so L<count> follows the last instruction."""
+    count = draw(st.integers(1, 40))
+    spots = draw(st.lists(st.integers(0, count), min_size=1, max_size=4, unique=True))
+    lines = []
+    for i in range(count + 1):
+        if i in spots:
+            lines.append(f"L{i}:")
+        if i == count:
+            break
+        if draw(st.booleans()):
+            lines.append(f"if ({draw(_CONDITIONS)}) goto L{draw(st.sampled_from(spots))}")
+        else:
+            lines.append(draw(_SAMPLE_OPS))
+    return "\n".join(lines)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_labelled_listings())
+@example("c0 = 5\nif (flag != 0) goto L2\nc1 = 7\nL2:")
+def test_labelled_streams_round_trip(listing):
+    prog = assemble(listing)
+    assert isa.decode(isa.encode(prog)).instructions == prog.instructions
+    assert assemble(isa.disassemble(prog)).instructions == prog.instructions
+
+
+def test_branch_to_end_survives_the_binary_form():
+    prog = assemble("flag = compare (c0, 1)\nif (flag == -1) goto end\nc1 = 7\nend:")
+    decoded = isa.decode(isa.encode(prog))
+    assert decoded.instructions == prog.instructions
+    listing = isa.disassemble(decoded)
+    assert listing.splitlines()[-1] == "L3:"
+    m = Machine()
+    m.load_program(assemble(listing))
+    m.run()
+    assert m.halted and m.c1 == 0       # c0 = 0 < 1: the branch skipped c1 = 7
 
 
 def test_decode_rejects_out_of_range_branch():

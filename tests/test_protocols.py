@@ -1,11 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from sapphire import keccak, machine, protocols
 from sapphire.protocols import (
-    FRODO_PROFILES, decode_message, encode_message, newhope_decrypt,
-    newhope_encrypt, newhope_keygen, tile_plan,
+    FRODO_PROFILES, DriverError, decode_message, encode_message,
+    newhope_decrypt, newhope_encrypt, newhope_keygen,
 )
 
 
@@ -114,6 +115,20 @@ class TestNewHope:
             want = bytes(a ^ b for a, b in zip(m1, m2))
             assert newhope_decrypt(m, kp, summed) == want
 
+    def test_drivers_check_n_except_ciphertext_add(self):
+        m = machine.Machine()
+        with pytest.raises(DriverError):
+            newhope_keygen(m, bytes(32), n=256)
+        ct = protocols.CpaCiphertext(256, [1] * 256, [2] * 256)
+        kp = protocols.CpaKeyPair(256, [0] * 256, [0] * 256, [0] * 256)
+        with pytest.raises(DriverError):
+            newhope_encrypt(m, kp, bytes(32), bytes(32))
+        with pytest.raises(DriverError):
+            newhope_decrypt(m, kp, ct)
+        # homomorphic addition is defined at any n the machine takes
+        assert protocols.add_ciphertexts(m, ct, ct) == \
+            protocols.CpaCiphertext(256, [2] * 256, [4] * 256)
+
 
 class TestKyber:
     def test_matches_oracle_exactly(self):
@@ -147,9 +162,9 @@ class TestKyber:
 
 class TestFrodo:
     def test_tile_plans_match_real_sizes(self):
-        assert tile_plan(640) == ((512, 0), (128, 0))
-        assert tile_plan(976) == ((1024, 48),)
-        assert tile_plan(1344) == ((1024, 0), (512, 192))
+        assert FRODO_PROFILES["frodo640"].tiles == ((512, 0), (128, 0))
+        assert FRODO_PROFILES["frodo976"].tiles == ((1024, 48),)
+        assert FRODO_PROFILES["frodo1344"].tiles == ((1024, 0), (512, 192))
         assert 640 == 512 + 128
         assert 976 == 1024 - 48
         assert 1344 == 1024 + 512 - 192
@@ -171,13 +186,53 @@ class TestFrodo:
             protocols.frodo_sa_plus_e_oracle(prof, sa, ss)
 
     def test_zero_secret_leaves_only_error(self):
-        # dense identity: S = 0 implies AS + E = E
-        prof = FRODO_PROFILES["desk976"]
-        n, q = prof.n, prof.q
-        a = [[random.Random(i).randrange(q) for _ in range(n)] for i in range(n)]
-        e = [7] * n
-        out = [(sum(ai * 0 for ai in row) + 7) % q for row in a]
-        assert out == e
+        # S = 0 makes every dot product of the row loop 0, so A*S + E = E
+        for name in ("desk976", "desk1344"):
+            prof = FRODO_PROFILES[name]
+            tile_n, chunk = prof.tiles[0][0], prof.chunk
+            s_slots, dots = ((0, 1), (8, 9)) if prof.two_cols else ((0,), (8,))
+            fragments = {"copy_row": "", "second_mac": ""}
+            if prof.two_cols:
+                fragments = {"copy_row": "poly_copy (poly_dst = 5, poly_src = 4)",
+                             "second_mac": "poly_op (op = MUL, poly_dst = 5, poly_src = 1)\n"
+                                           "reg = sum_elems (poly = 5)\n"
+                                           "(poly = 9)[c1] = reg"}
+            m = machine.Machine()
+            m.configure(tile_n, prof.q)
+            m.write_seed("r0", stream_bytes(b"zero-secret"))
+            for slot in s_slots:
+                m.write_slot(slot, [0] * tile_n)
+            for slot in dots:
+                m.write_slot(slot, [1] * tile_n)     # the program overwrites these
+            m.load_program(protocols.load_program(
+                "frodo_as_rows.sph", tile_n=tile_n, q=prof.q, row_base=0, tile=0,
+                chunk=chunk, **fragments))
+            m.run()
+            for slot in dots:
+                assert m.read_slot(slot) == [0] * chunk + [1] * (tile_n - chunk)
+
+    def test_noise_counters_are_disjoint(self):
+        """The (c0, c1) counters of S, S', E and E' on the noise seed name
+        distinct SHAKE-256 streams in every profile."""
+        for name, prof in FRODO_PROFILES.items():
+            vectors = range(prof.nbar)
+            chunks = range(-(-prof.n // prof.chunk))
+            counters = {
+                "S": {(protocols._S_COL_BASE + t, j)
+                      for t in range(len(prof.tiles)) for j in vectors},
+                "S'": {(protocols._SP_CHUNK_BASE + c, j)
+                       for c in chunks for j in vectors},
+                "E": {(protocols._E_BASE, j) for j in vectors},
+                "E'": {(protocols._E_BASE + 1, j) for j in vectors},
+            }
+            for a, b in itertools.combinations(counters, 2):
+                assert not counters[a] & counters[b], (name, a, b)
+
+    def test_unknown_profile_is_key_error(self):
+        m = machine.Machine()
+        for kernel in (protocols.frodo_as_plus_e, protocols.frodo_sa_plus_e):
+            with pytest.raises(KeyError):
+                kernel(m, "frodo512", bytes(32), bytes(32))
 
     def test_profiles_shapes(self):
         assert FRODO_PROFILES["frodo640"].tiles == ((512, 0), (128, 0))
