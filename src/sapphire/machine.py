@@ -1,20 +1,12 @@
 """Fetch/decode/execute engine with cycle accounting and clock-gate stats.
 
-Cycle model (per instruction, in emulated cycles):
-
-  * scalar/register/control ops (config, clock_config, counter and
-    register arithmetic, compare, branch, poly element get/set): 1
-  * transform: (n/2 + 1) * lg n
-  * mult_psi / mult_psi_inv: n + 1
-  * poly_op, init, poly_copy, shift_poly, max/sum_elems, eq_check,
-    inf_norm_check: n + 1
-  * samplers: 24 per Keccak permutation + 1 per 32-bit word consumed
-    + 1 per sample written
-  * sha3 ops: 24 per permutation + 1 per 32-bit word moved + 1
-
-The transform and psi-multiply constants reproduce the hardware's
-(n/2 + 1) * lg n + (n + 1) transform cost exactly; the remaining values
-are documented emulator estimates.
+The cycle model is one table, ``Machine._OPS``: each op's handler, the
+statistics bucket it charges and its fixed cycle rule.  README's "Cycle
+model" section lists it.  The transform and psi-multiply rules reproduce
+the hardware's (n/2 + 1) * lg n + (n + 1) transform cost exactly; the
+others are documented emulator estimates.  Ops whose cost depends on the
+data (the samplers, ``sha3_absorb`` and ``sha3_digest``) have no fixed
+rule and charge themselves.
 
 Cycles are attributed to one of four statistics buckets: "alu" (scalar
 and control), "ntt" (butterfly/polynomial datapath), "keccak"
@@ -23,8 +15,9 @@ clock_config instruction gates buckets: a gated unit's cycles still count
 toward the total (functional behavior is unchanged) but stop accumulating
 in its bucket.  In strict gating mode, touching a gated unit faults.
 
-``Machine.step`` is the one fault boundary: the units check their own
-operands, and step turns any error an instruction raises into a
+``Machine.step`` looks the instruction up in ``_OPS``, runs its handler,
+charges its rule, and is the one fault boundary: the units check their
+own operands, and step turns any error an instruction raises into a
 ``MachineFault`` carrying that instruction's pc.
 
 The transform, the psi-multiplies and ``poly_op ADD/SUB/MUL`` fault on an
@@ -87,6 +80,12 @@ _SAMPLERS = {
     "tri_sample_3": ("tri_sample_prob", lambda m, a: {"k": a["rho"], "q": m.q}),
 }
 
+# (bucket, fixed cycle rule) pairs of Machine._OPS; the ops marked
+# _BY_DATA charge their data-dependent cycles themselves
+_SCALAR = ("alu", lambda m: 1)
+_PER_COEFF = ("ntt", lambda m: m.n + 1)
+_BY_DATA = (None, None)
+
 
 class MachineFault(RuntimeError):
     def __init__(self, message, pc=None):
@@ -148,7 +147,7 @@ class Machine:
         if len(program.instructions) > isa.MAX_PROGRAM:
             raise MachineFault(f"program exceeds {isa.MAX_PROGRAM} instructions")
         for index, insn in enumerate(program.instructions):
-            if insn.op not in self._HANDLERS:
+            if insn.op not in self._OPS:
                 raise MachineFault(
                     f"instruction {index}: unimplemented opcode {insn.op!r}")
         self.program = program
@@ -236,8 +235,11 @@ class Machine:
             raise MachineFault("machine is halted")
         pc = self.pc
         insn = self.program.instructions[pc]
+        handler, unit, rule = self._OPS[insn.op]
         try:
-            jump = self._HANDLERS[insn.op](self, insn.args, insn.op)
+            jump = handler(self, insn.args, insn.op)
+            if rule is not None:
+                self._use(unit, rule(self), insn.op)
         except MachineFault as exc:
             raise MachineFault(str(exc), pc) from None
         except _UNIT_ERRORS as exc:
@@ -260,19 +262,16 @@ class Machine:
 
     def _exec_config(self, a, op):
         self.configure(a["n"], a["q"])
-        self._use("alu", 1, op)
 
     def _exec_clock_config(self, a, op):
         for unit in ("keccak", "ntt", "sampler"):
             self.gate_config[unit] = a[unit] == "UNGATE"
-        self._use("alu", 1, op)
 
     def _exec_cnt(self, a, op):
         cur = getattr(self, a["counter"])
         v = a["value"]
         new = {"set": v, "add": cur + v, "sub": cur - v}[a["mode"]]
         setattr(self, a["counter"], new & 0xFFFF)
-        self._use("alu", 1, op)
 
     def _exec_regop(self, a, op):
         if a["mode"] == "imm":
@@ -281,7 +280,6 @@ class Machine:
             self.reg = self.tmp
         else:
             self.tmp = _ALU[a["value"] & 7](self.tmp, self.reg) & WORD_MASK
-        self._use("alu", 1, op)
 
     def _scan_slot(self, slot):
         """Coefficients of one slot, read by a whole-slot read schedule."""
@@ -294,19 +292,16 @@ class Machine:
             self.reg = max(values)
         else:
             self.reg = sum(values) % self.q
-        self._use("ntt", self.n + 1, op)
 
     def _poly_index(self, a):
         return a["index"] if a["sel"] == "imm" else getattr(self, a["sel"])
 
     def _exec_poly_get(self, a, op):
         self.reg = self.cache.slot_read(a["poly"], self._poly_index(a))
-        self._use("alu", 1, op)
 
     def _exec_poly_set(self, a, op):
         self.cache.slot_write(a["poly"], self._poly_index(a), self.reg)
         self.residues.discard(a["poly"])
-        self._use("alu", 1, op)
 
     def _need_residues(self, *slots):
         """Raise ModMathError unless every coefficient of the given slots is
@@ -335,7 +330,6 @@ class Machine:
         self._need_residues(src)
         nttcore.ntt(self.cfg, self.consts, self.cache, dst, src, a["mode"])
         self.residues.update((dst, src))    # dst and its scratch src
-        self._use("ntt", (self.n // 2 + 1) * self.cfg.lg_n, op)
 
     def _exec_mult_psi(self, a, op):
         slot = a["poly"]
@@ -346,7 +340,6 @@ class Machine:
         fn = nttcore.mult_psi if op == "mult_psi" else nttcore.mult_psi_inv
         fn(self.cfg, self.consts, self.cache, slot)
         self.residues.add(slot)
-        self._use("ntt", self.n + 1, op)
 
     def _exec_sample(self, a, op):
         slot = a["poly"]
@@ -366,7 +359,6 @@ class Machine:
     def _exec_init(self, a, op):
         self.cache.slot_clear(a["poly"])
         self.residues.add(a["poly"])
-        self._use("ntt", self.n + 1, op)
 
     def _operands(self, kind, dst, src):
         """Flat coefficient lists of two operand slots, (dst, src) or
@@ -378,7 +370,6 @@ class Machine:
         y, x = self._operands("map", a["poly_dst"], a["poly_src"])
         y[:] = x
         self._pass_tag(a["poly_dst"], a["poly_src"])
-        self._use("ntt", self.n + 1, op)
 
     def _exec_poly_op(self, a, op):
         kind = a["op"]
@@ -395,7 +386,6 @@ class Machine:
             self._pass_tag(dst, src)
         else:
             self.residues.discard(dst)
-        self._use("ntt", self.n + 1, op)
 
     def _exec_shift_poly(self, a, op):
         y, x = self._operands("gather", a["poly_dst"], a["poly_src"])
@@ -405,35 +395,29 @@ class Machine:
             head = x[-1]
         y[:] = [head] + x[:-1]
         self._pass_tag(a["poly_dst"], a["poly_src"])
-        self._use("ntt", self.n + 1, op)
 
     def _exec_eq_check(self, a, op):
         # the whole compare schedule runs whatever the data
         x, y = self._operands("compare", a["poly_a"], a["poly_b"])
         self.flag = 1 if x == y else 0
-        self._use("ntt", self.n + 1, op)
 
     def _exec_inf_norm(self, a, op):
         values = self._scan_slot(a["poly"])
         q, half = self.q, self.q // 2
         worst = max([v if v <= half else abs(v - q) for v in values])
         self.flag = 1 if worst <= a["bound"] else 0
-        self._use("ntt", self.n + 1, op)
 
     def _exec_compare(self, a, op):
         cur = getattr(self, a["reg"])
         v = a["value"]
         self.flag = -1 if cur < v else (0 if cur == v else 1)
-        self._use("alu", 1, op)
 
     def _exec_branch(self, a, op):
         taken = (self.flag == a["flag"]) == (a["sense"] == "==")
-        self._use("alu", 1, op)
         return a["target"] if taken else None
 
     def _exec_sha3_init(self, a, op):
         self.sha3 = None
-        self._use("keccak", 1, op)
 
     def _sha3_state(self, bits):
         if self.sha3 is None:
@@ -471,27 +455,28 @@ class Machine:
             self.write_seed("r0", digest[:32])
             self.write_seed("r1", digest[32:])
 
-    _HANDLERS = {
-        "config": _exec_config,
-        "clock_config": _exec_clock_config,
-        "cnt": _exec_cnt,
-        "regop": _exec_regop,
-        "elems": _exec_elems,
-        "poly_get": _exec_poly_get,
-        "poly_set": _exec_poly_set,
-        "transform": _exec_transform,
-        "mult_psi": _exec_mult_psi,
-        "mult_psi_inv": _exec_mult_psi,
-        **dict.fromkeys(_SAMPLERS, _exec_sample),
-        "init": _exec_init,
-        "poly_copy": _exec_poly_copy,
-        "poly_op": _exec_poly_op,
-        "shift_poly": _exec_shift_poly,
-        "eq_check": _exec_eq_check,
-        "inf_norm_check": _exec_inf_norm,
-        "compare": _exec_compare,
-        "branch": _exec_branch,
-        "sha3_init": _exec_sha3_init,
-        "sha3_absorb": _exec_sha3_absorb,
-        "sha3_digest": _exec_sha3_digest,
+    # op -> (handler, bucket, fixed cycle rule); README's "Cycle model"
+    _OPS = {
+        "config": (_exec_config, *_SCALAR),
+        "clock_config": (_exec_clock_config, *_SCALAR),
+        "cnt": (_exec_cnt, *_SCALAR),
+        "regop": (_exec_regop, *_SCALAR),
+        "elems": (_exec_elems, *_PER_COEFF),
+        "poly_get": (_exec_poly_get, *_SCALAR),
+        "poly_set": (_exec_poly_set, *_SCALAR),
+        "transform": (_exec_transform, "ntt", lambda m: (m.n // 2 + 1) * m.cfg.lg_n),
+        "mult_psi": (_exec_mult_psi, *_PER_COEFF),
+        "mult_psi_inv": (_exec_mult_psi, *_PER_COEFF),
+        **dict.fromkeys(_SAMPLERS, (_exec_sample, *_BY_DATA)),
+        "init": (_exec_init, *_PER_COEFF),
+        "poly_copy": (_exec_poly_copy, *_PER_COEFF),
+        "poly_op": (_exec_poly_op, *_PER_COEFF),
+        "shift_poly": (_exec_shift_poly, *_PER_COEFF),
+        "eq_check": (_exec_eq_check, *_PER_COEFF),
+        "inf_norm_check": (_exec_inf_norm, *_PER_COEFF),
+        "compare": (_exec_compare, *_SCALAR),
+        "branch": (_exec_branch, *_SCALAR),
+        "sha3_init": (_exec_sha3_init, "keccak", lambda m: 1),
+        "sha3_absorb": (_exec_sha3_absorb, *_BY_DATA),
+        "sha3_digest": (_exec_sha3_digest, *_BY_DATA),
     }

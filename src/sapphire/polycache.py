@@ -168,6 +168,12 @@ def _srams(n):
 
 
 @functools.lru_cache(maxsize=None)
+def _slot_addresses(n, slot):
+    """Address of every coefficient of one slot, for the traced ledger."""
+    return tuple(address(n, slot, i) for i in range(n))
+
+
+@functools.lru_cache(maxsize=None)
 def _slot_words(n):
     """Physical word of every coefficient of every slot at dimension n, in
     slot order; words are indexed (bank * 4 + sram) * 1024 + row."""
@@ -263,7 +269,7 @@ class PolynomialCache:
         """Account the memory cycles of one op on the given operand slots."""
         cycles = schedule_cycles(kind, self.n, tuple(map(self.slot_bank, slots)))
         if self.trace_enabled:
-            where = [[address(self.n, s, i) for i in range(self.n)] for s in slots]
+            where = [_slot_addresses(self.n, s) for s in slots]
             cyc = self.mem_cycle
             for cycle in schedule(kind, self.n):
                 for k, i, rw in cycle:

@@ -1,6 +1,8 @@
 """Shared test helpers: independent oracles and a fast PRNG word stream."""
 
+import functools
 import os
+import re
 import struct
 import sys
 
@@ -105,6 +107,27 @@ class ReferenceSponge:
 
     def raw(self, count):
         return b"".join(self.next_word().to_bytes(4, "little") for _ in range(count))
+
+
+def readme_cycle_table():
+    """README's "Cycle model" table as written: op -> (cycles, bucket)."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        section = fh.read().split("## Cycle model")[1].split("\n## ")[0]
+    table = {}
+    for ops, cycles, bucket in re.findall(r"^\| (`[^|]+) \| ([^|]+) \| ([^|]+) \|$",
+                                          section, re.M):
+        for op in re.findall(r"`(\w+)`", ops):
+            assert op not in table, f"{op} has two rows"
+            table[op] = (cycles, bucket)
+    return table
+
+
+@functools.cache
+def fixed_cycles(rule, n):
+    """Cycles of one fixed rule of that table, such as "(n/2 + 1) lg n",
+    at dimension n (None before any configure)."""
+    names = {"n": n, "lg": n.bit_length() - 1} if n else {}
+    return eval(rule.replace(" lg n", " * lg").replace("/", "//"), names)
 
 
 def bitrev(i, bits):

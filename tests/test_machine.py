@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import fixed_cycles, readme_cycle_table
 from sapphire import isa, keccak, sampler
 from sapphire.machine import Machine, MachineFault
 
@@ -570,6 +571,65 @@ class TestHostInterface:
             rep = m.run()
             return m.read_slot(0), rep.total
         assert run_once() == run_once()
+
+
+class TestLoadProgram:
+    """load_program replaces the program that step and run execute."""
+
+    def test_second_program_replaces_the_first(self):
+        m = Machine()
+        m.load_program("c0 = 5\nc0 = c0 + 1\nc0 = c0 + 1\nc0 = c0 + 1")
+        m.step()
+        m.step()
+        m.load_program("c1 = 7\nc1 = c1 - 2")
+        assert (m.pc, m.cycles, m.halted) == (0, 0, False)
+        m.step()
+        assert (m.pc, m.c0, m.c1, m.per_insn) == (1, 6, 7, {"cnt": 1})
+        report = m.run()
+        assert (m.pc, m.c0, m.c1, report.total, report.halted) == (2, 6, 5, 2, True)
+        m.load_program("tmp = 3\nreg = 4\ntmp = tmp MUL reg\nreg = tmp\nc0 = 1")
+        report = m.run()
+        assert (m.pc, m.reg, m.c0, report.per_instruction) == (
+            5, 12, 1, {"regop": 4, "cnt": 1})
+
+    def test_unimplemented_op_faults_at_load_and_keeps_the_loaded_program(self):
+        m = Machine()
+        m.load_program("c0 = 1\nc0 = c0 + 1")
+        m.step()
+        program = isa.Program([isa.Instruction("cnt", {"counter": "c1", "mode": "set",
+                                                       "value": 9})] * 2
+                              + [isa.Instruction("frobnicate", {})])
+        with pytest.raises(MachineFault, match="instruction 2: unimplemented opcode"):
+            m.load_program(program)
+        m.run()
+        assert (m.c0, m.c1, m.pc, m.cycles) == (2, 0, 2, 2)
+
+    def test_stepping_a_halted_machine_raises(self):
+        m = Machine()
+        with pytest.raises(MachineFault, match="machine is halted"):
+            m.step()
+        m.load_program("c0 = 1")
+        m.run()
+        with pytest.raises(MachineFault, match="machine is halted"):
+            m.step()
+        assert (m.pc, m.cycles) == (1, 1)
+
+
+def test_readme_cycle_table_matches_the_machine():
+    """README's "Cycle model" rows against ``Machine._OPS``: the same ops,
+    each fixed rule with its bucket and its cycles at several n, and a
+    data-dependent row exactly for the ops without a fixed rule."""
+    table = readme_cycle_table()
+    assert set(table) == set(Machine._OPS)
+    m = Machine()
+    for n in (8, 256, 1024, 2048):
+        m.configure(n, 12289)
+        for op, (_handler, unit, rule) in Machine._OPS.items():
+            cycles, bucket = table[op]
+            if rule is None:
+                assert "/permutation" in cycles, op
+            else:
+                assert (bucket, fixed_cycles(cycles, n)) == (unit, rule(m)), (op, n)
 
 
 def test_step_returns_execution_events():

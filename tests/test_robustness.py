@@ -1,27 +1,36 @@
-"""Random straight-line programs that make non-residues, against a
-flat-list reference interpreter.
+"""A flat-list reference interpreter of the whole ISA, run in lockstep
+with ``Machine.step``, and the machine's failure properties.
 
-Each program starts from slots the host loaded with residues or with
-arbitrary 24-bit words (most of them >= q), makes more non-residues with
-``poly_op CONST_OR`` / ``CONST_XOR`` / ``CONST_LSHIFT`` and then feeds
-slots to the transform, the psi-multiply, every ``poly_op`` kind,
-``inf_norm_check``, ``shift_poly`` and the ``sha3_*`` absorbs.
+``Reference`` keeps one plain list per slot and reduces with Python %,
+with no banks, schedules or Barrett reduction.  It has its own statement
+of every op, branches, counters, the ``tmp`` ALU and clock gating
+included.  Its cycles come from README's "Cycle model" table, a second
+cycle model beside ``Machine._OPS``, and its memory cycles and config's
+repartition of the slots from README's memory model.  The samplers draw
+from a SHAKE stream on ``hashlib``; their algorithms are the sampler
+module's, which test_sampler and the frozen kernel digests check.
 
-The reference keeps one plain list per slot and reduces with Python %,
-with no banks, schedules or Barrett reduction.  It runs in lockstep with
-``Machine.step``: after every instruction the slots, ``reg``, ``flag`` and
-the seed registers must agree, and an instruction faults exactly when the
-reference says it must (a non-residue operand of the transform, the
-psi-multiply or ``poly_op ADD/SUB/MUL``, a transform between slots of one
-bank, no 2n-th root of unity, a SHA-3 width change).  The src slot of a
-transform is its scratch, whose contents the reference takes over from
-the machine; the frozen kernel digests cover them.  The same program run
-by ``Machine.run`` on a fresh machine must return or raise
-``MachineFault``, and nothing else, and leave the same slots.
+``_lockstep`` steps both together.  After every instruction the slots,
+registers, flag, seed registers, pc, cycles, ``per_unit``, ``per_insn``
+and ``mem_cycle`` must agree, and an instruction faults exactly when the
+reference says it must.  A strict-gating fault comes after the
+instruction's effects, so the states must agree after it too.  The src
+slot of a transform is its scratch, whose contents the reference takes
+over from the machine; the frozen kernel digests cover them.  The same
+program run by ``Machine.run`` on a fresh machine must stop in the same
+place with the same fault or none.
 
-``test_decodable_programs_return_or_fault`` checks the same contract on
-the whole ISA: programs decoded from words of every ``isa.FORMS`` form,
-branches, samplers, SHA-3 and clock gating included.
+``test_programs_with_non_residues_match_reference`` feeds the residue
+checks: straight-line programs over slots the host loaded with residues
+or with arbitrary 24-bit words, which make more non-residues with
+``poly_op CONST_OR`` / ``CONST_XOR`` / ``CONST_LSHIFT``.
+``test_whole_isa_programs_match_reference`` runs the whole-ISA generator
+``_random_words``, whose programs include branches and loops, under strict
+gating or not, some of them after host data loads.
+
+``test_decodable_programs_return_or_fault`` checks that ``Machine.run``
+returns or raises ``MachineFault``, and nothing else, on programs decoded
+from words of every ``isa.FORMS`` form.
 
 ``test_residue_tags_match_full_scans`` runs programs on a ``Machine`` and
 on ``conftest.ScanningMachine``, which scans every operand of every
@@ -31,12 +40,14 @@ residue check: the residue tags must change no fault, slot or cycle.
 import functools
 import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ScanningMachine, bitrev, iterative_ntt
-from sapphire import isa
+from conftest import ScanningMachine, bitrev, fixed_cycles, iterative_ntt, \
+    readme_cycle_table
+from sapphire import isa, sampler
 from sapphire.machine import Machine, MachineFault
 from test_bulk_ops import reference as poly_op_reference
 
@@ -57,23 +68,142 @@ def _psi(n, q):
     return next(c for c in range(2, q) if pow(c, n, q) == q - 1)
 
 
-class Reference:
-    """Flat-list model of the ops the programs use."""
+class Fault(Exception):
+    """The reference says the instruction faults."""
 
-    def __init__(self, n, q, slots):
-        self.n, self.q = n, q
-        self.slots = {s: list(v) for s, v in slots.items()}
-        self.reg = self.flag = 0
+
+class Gated(Fault):
+    """A strict-gating fault: it comes after the instruction's effects."""
+
+
+# config's q values that have no Barrett (m, k) pair
+NO_BARRETT = (16328465,)
+SHA3_RATE = {256: 136, 512: 72}             # bytes
+SHAKE_RATE = {"SHAKE-128": 168, "SHAKE-256": 136}
+ALU = {"ADD": lambda x, y: x + y, "SUB": lambda x, y: x - y,
+       "MUL": lambda x, y: x * y, "AND": lambda x, y: x & y,
+       "OR": lambda x, y: x | y, "XOR": lambda x, y: x ^ y,
+       "RSHIFT": lambda x, y: x >> y % 32, "LSHIFT": lambda x, y: x << y % 32}
+# sampler op -> (sampler function, its keyword arguments but n and prng)
+SAMPLERS = {
+    "rej_sample": ("rej_sample", lambda r, a: {
+        "plan": sampler.RejectionPlan.for_modulus(r.q)}),
+    "bin_sample": ("bin_sample", lambda r, a: {"k": a["k"], "q": r.q}),
+    "cdt_sample": ("cdt_sample", lambda r, a: {"q": r.q, "table": sampler.CdtTable(
+        tuple(r.cdt[:a["s"]]), a["s"], a["r"])}),
+    "uni_sample": ("uni_sample", lambda r, a: {
+        "eta": a["eta"], "bitlen": a["bitlen"], "q": r.q}),
+    "tri_sample_1": ("tri_sample_fixed", lambda r, a: {"m": a["m"], "q": r.q}),
+    "tri_sample_2": ("tri_sample_split", lambda r, a: {
+        "m0": a["m0"], "m1": a["m1"], "q": r.q}),
+    "tri_sample_3": ("tri_sample_prob", lambda r, a: {"k": a["rho"], "q": r.q}),
+}
+CYCLES = readme_cycle_table()
+
+
+@functools.cache
+def _words(n):
+    """Physical word of each coefficient of each slot at dimension n, by
+    README's memory model: coefficient i of a slot sits in SRAM
+    2 MSB(i) + LSB(i) of the slot's bank, at row (slot within its bank,
+    middle bits of i)."""
+    spb, lg = min(8192 // n, 128) // 2, n.bit_length() - 1
+    return [[(4 * (s // spb) + 2 * (i >> lg - 1) + (i & 1)) * 1024
+             + s % spb * (n // 4) + (i >> 1) % (n // 4) for i in range(n)]
+            for s in range(2 * spb)]
+
+
+class Stream:
+    """The sampler PRNG over hashlib's SHAKE, absorbing seed || c0 || c1
+    (LE16 each), with the words and permutations README charges."""
+
+    def __init__(self, mode, seed, c0, c1):
+        shake = hashlib.shake_128 if mode == "SHAKE-128" else hashlib.shake_256
+        self.shake = shake(seed + c0.to_bytes(2, "little") + c1.to_bytes(2, "little"))
+        self.rate = SHAKE_RATE[mode]
+        self.out, self.words_out = b"", 0
+
+    def raw(self, count):
+        start, stop = 4 * self.words_out, 4 * (self.words_out + count)
+        if stop > len(self.out):
+            self.out = self.shake.digest(max(stop, 2 * len(self.out)))
+        self.words_out += count
+        return self.out[start:stop]
+
+    def words(self, count):
+        return struct.unpack(f"<{count}I", self.raw(count))
+
+    @property
+    def permutes(self):
+        """One for the padded seed block, one per further output block."""
+        return 1 + max(4 * self.words_out - 1, 0) // self.rate
+
+
+class Reference:
+    """Flat-list model of the whole ISA, with README's cycle table as its
+    cycle model and README's memory model for config's repartition and
+    the memory cycles."""
+
+    def __init__(self, strict=False, cdt=()):
+        self.strict, self.cdt = strict, list(cdt) + [0] * (64 - len(cdt))
+        self.n = self.q = self.psi = None
+        self.slots = []
+        self.image = [0] * 8192      # physical words, kept across a new n
+        self.reg = self.tmp = self.flag = self.c0 = self.c1 = 0
         self.seeds = {"r0": bytes(32), "r1": bytes(32)}
-        self.sha3 = None
-        self.psi = _psi(n, q)
-        self.spb = min(8192 // n, 128) // 2
+        self.sha3 = None             # (bits, absorbed bytes)
+        self.gates = {"keccak": True, "ntt": True, "sampler": True}   # ungated
+        self.load(isa.Program())
+
+    def load(self, program):
+        self.code, self.pc = program.instructions, 0
+        self.cycles = self.mem = 0
+        self.per_unit = {"alu": 0, "ntt": 0, "keccak": 0, "sampler": 0}
+        self.per_insn = {}
+
+    def state(self):
+        """What the lockstep compares, in the order of ``_state``."""
+        return (self.slots, self.reg, self.tmp, self.flag,
+                self.c0, self.c1, self.seeds["r0"], self.seeds["r1"], self.pc,
+                self.cycles, self.per_unit, self.per_insn, self.mem)
+
+    def configure(self, n, q):
+        if q in NO_BARRETT:
+            raise Fault(f"q={q}")
+        if n != self.n:
+            for words, values in zip(_words(self.n) if self.slots else (), self.slots):
+                for w, v in zip(words, values):
+                    self.image[w] = v
+            self.n = n
+            self.slots = [[self.image[w] for w in words] for words in _words(n)]
+        self.q, self.psi = q, _psi(n, q)
 
     def slot(self, s):
-        return self.slots.setdefault(s, [0] * self.n)
+        if not 0 <= s < len(self.slots):
+            raise Fault(f"slot {s}")
+        return self.slots[s]
 
     def residues(self, *slots):
         return all(0 <= v < self.q for s in slots for v in self.slot(s))
+
+    def counter(self, c):
+        """A sampler counter operand: a literal or register c0/c1."""
+        return getattr(self, c) if isinstance(c, str) else c
+
+    def index(self, a):
+        i = a["index"] if a["sel"] == "imm" else getattr(self, a["sel"])
+        if not i < self.n:
+            raise Fault(f"index {i}")
+        return i
+
+    def charge(self, op, unit, cycles):
+        if not self.gates.get(unit, True):
+            if self.strict:
+                raise Gated(f"{op} drives gated {unit}")
+        else:
+            self.per_unit[unit] += cycles
+        self.cycles += cycles
+        self.per_insn[op] = self.per_insn.get(op, 0) + cycles
 
     def transform(self, mode, x):
         n, q = self.n, self.q
@@ -86,60 +216,141 @@ class Reference:
         out = iterative_ntt(x, omega, q)
         return [out[bitrev(i, lg)] for i in range(n)]
 
-    def step(self, insn):
-        """Apply one instruction; False when the machine must fault."""
-        op, a, n, q = insn.op, insn.args, self.n, self.q
-        if op == "regop":
-            self.reg = a["value"] & WORD
+    def step(self):
+        """Run the instruction at pc and charge its cycles; raise Fault
+        where the machine must fault, leaving pc on that instruction."""
+        insn = self.code[self.pc]
+        op, a, n, q, jump = insn.op, insn.args, self.n, self.q, None
+        if op == "config":
+            self.configure(a["n"], a["q"])
+        elif op == "clock_config":
+            self.gates = {unit: a[unit] == "UNGATE" for unit in self.gates}
+        elif op == "cnt":
+            cur, v = getattr(self, a["counter"]), a["value"]
+            new = {"set": v, "add": cur + v, "sub": cur - v}[a["mode"]]
+            setattr(self, a["counter"], new % 65536)
+        elif op == "regop":
+            if a["mode"] == "imm":
+                setattr(self, a["target"], a["value"] & WORD)
+            elif a["mode"] == "copy":
+                self.reg = self.tmp
+            else:
+                self.tmp = ALU[isa.REG_ALU_OPS[a["value"]]](self.tmp, self.reg) & WORD
+        elif op == "compare":
+            cur = getattr(self, a["reg"])
+            self.flag = (cur > a["value"]) - (cur < a["value"])
+        elif op == "branch":
+            if (self.flag == a["flag"]) == (a["sense"] == "=="):
+                jump = a["target"]
+        elif op == "poly_get":
+            self.reg = self.slot(a["poly"])[self.index(a)]
+            self.mem += 1
+        elif op == "poly_set":
+            self.slot(a["poly"])[self.index(a)] = self.reg
+            self.mem += 1
+        elif op == "elems":
+            x = self.slot(a["poly"])
+            self.reg = max(x) if a["fn"] == "max" else sum(x) % q
+            self.mem += n
+        elif op == "init":
+            slot = self.slot(a["poly"])
+            slot[:] = [0] * n
+            self.mem += n
+        elif op == "poly_copy":
+            self.slot(a["poly_dst"])[:] = self.slot(a["poly_src"])
+            self.mem += 2 * n
         elif op == "poly_op":
             dst, src, kind = a["poly_dst"], a["poly_src"], a["op"]
-            if kind in ("ADD", "SUB", "MUL") and not self.residues(dst, src):
-                return False
+            ring = kind in ("ADD", "SUB", "MUL")
+            if ring and not self.residues(dst, src):
+                raise Fault("non-residue")
             self.slots[dst] = poly_op_reference(
                 kind, self.slot(src), self.slot(dst), self.reg, q)
+            self.mem += 3 * n if ring else 2 * n
         elif op == "transform":
             dst, src = a["poly_dst"], a["poly_src"]
-            if (self.psi is None or (dst < self.spb) == (src < self.spb)
+            self.slot(dst)
+            spb = len(self.slots) // 2
+            if (self.psi is None or (dst < spb) == (src < spb)
                     or not self.residues(src)):
-                return False
+                raise Fault("transform")
             self.slots[dst] = self.transform(a["mode"], self.slot(src))
+            # one butterfly a cycle; at even lg n the last stage reads and
+            # writes dst, as a read pass and then a write pass
+            lg = n.bit_length() - 1
+            self.mem += n // 2 * lg + (n // 2 if lg % 2 == 0 else 0)
         elif op in ("mult_psi", "mult_psi_inv"):
             s = a["poly"]
-            if self.psi is None or not self.residues(s):
-                return False
+            if not self.residues(s) or self.psi is None:
+                raise Fault(op)
             base = self.psi if op == "mult_psi" else pow(self.psi, q - 2, q)
             scale = 1 if op == "mult_psi" else pow(n, q - 2, q)
             self.slots[s] = [v * scale * pow(base, i, q) % q
                              for i, v in enumerate(self.slot(s))]
-        elif op == "inf_norm_check":
-            worst = max(v if v <= q // 2 else abs(v - q) for v in self.slot(a["poly"]))
-            self.flag = int(worst <= a["bound"])
+            self.mem += n + 1
         elif op == "shift_poly":
             x = self.slot(a["poly_src"])
             head = (-x[-1]) % q if a["ring"] == "x^N+1" else x[-1]
+            self.slot(a["poly_dst"])
             self.slots[a["poly_dst"]] = [head] + x[:-1]
+            self.mem += 2 * n
+        elif op == "eq_check":
+            self.flag = int(self.slot(a["poly_a"]) == self.slot(a["poly_b"]))
+            self.mem += 2 * n
+        elif op == "inf_norm_check":
+            worst = max(v if v <= q // 2 else abs(v - q) for v in self.slot(a["poly"]))
+            self.flag = int(worst <= a["bound"])
+            self.mem += n
+        elif op in SAMPLERS:
+            slot = self.slot(a["poly"])
+            prng = Stream(a["prng"], self.seeds[a["seed"]],
+                          self.counter(a["c0"]), self.counter(a["c1"]))
+            name, kwargs = SAMPLERS[op]
+            try:
+                slot[:] = getattr(sampler, name)(n, prng=prng, **kwargs(self, a))
+            except sampler.SamplerError as exc:
+                raise Fault(str(exc)) from None
+            self.mem += n
+            self.charge(op, "keccak", 24 * prng.permutes)
+            self.charge(op, "sampler", prng.words_out + n)
         elif op == "sha3_init":
             self.sha3 = None
         elif op == "sha3_absorb":
-            if self.sha3 is None:
-                self.sha3 = (a["bits"], b"")
-            elif self.sha3[0] != a["bits"]:
-                return False
-            data = b"".join(v.to_bytes(3, "little") for v in self.slot(a["poly"]))
-            self.sha3 = (a["bits"], self.sha3[1] + data)
+            bits, before = a["bits"], b"" if self.sha3 is None else self.sha3[1]
+            if self.sha3 is not None and self.sha3[0] != bits:
+                raise Fault("sha3 width")
+            if a["source"] == "poly":
+                data = b"".join(v.to_bytes(3, "little") for v in self.slot(a["poly"]))
+                self.mem += n
+            else:
+                data = self.seeds[a["source"]]
+            self.sha3 = (bits, before + data)
+            rate = SHA3_RATE[bits]
+            blocks = len(before + data) // rate - len(before) // rate
+            self.charge(op, "keccak", 24 * blocks + (len(data) + 3) // 4 + 1)
         elif op == "sha3_digest":
-            if self.sha3 is not None and self.sha3[0] != a["bits"]:
-                return False
+            bits = a["bits"]
+            if self.sha3 is not None and self.sha3[0] != bits:
+                raise Fault("sha3 width")
+            # the padded last block; the digest fits one output block.
+            # The charge comes before the seeds are written.
+            self.charge(op, "keccak", 24 + bits // 32 + 1)
             data = b"" if self.sha3 is None else self.sha3[1]
             self.sha3 = None
-            if a["bits"] == 256:
+            if bits == 256:
                 self.seeds[a["dest"]] = hashlib.sha3_256(data).digest()
             else:
                 digest = hashlib.sha3_512(data).digest()
                 self.seeds = {"r0": digest[:32], "r1": digest[32:]}
         else:
             raise AssertionError(f"no reference for {op}")
-        return True
+        rule, bucket = CYCLES[op]
+        if "/permutation" not in rule:
+            self.charge(op, bucket, fixed_cycles(rule, self.n))
+        next_pc = self.pc + 1 if jump is None else jump
+        if next_pc > len(self.code):
+            raise Fault(f"branch target {next_pc}")
+        self.pc = next_pc
 
 
 @st.composite
@@ -199,29 +410,55 @@ def _slots(m):
     return [m.read_slot(s) for s in range(m.cache.slots)]
 
 
+def _state(m):
+    """What the lockstep compares, in the order of ``Reference.state``."""
+    return (m.cache.data, m.reg, m.tmp, m.flag, m.c0, m.c1, m.r0, m.r1, m.pc,
+            m.cycles, m.per_unit, m.per_insn, m.cache.mem_cycle)
+
+
+def _lockstep(m, ref, max_cycles=float("inf")):
+    """Step a loaded machine and the reference together until the machine
+    halts, faults or reaches max_cycles, and compare their states after
+    every instruction that does not fault, and after a strict-gating
+    fault.  Returns the fault's message, or None."""
+    while not m.halted and m.cycles < max_cycles:
+        insn = m.program.instructions[m.pc]
+        try:
+            ref.step()
+            expected = None
+        except Fault as exc:
+            expected = exc
+        try:
+            m.step()
+            fault = None
+        except MachineFault as exc:
+            assert expected is not None, f"{insn.op} faulted: {exc}"
+            assert exc.pc == ref.pc
+            fault = exc
+        assert fault is not None or expected is None, \
+            f"{insn.op} at pc {m.pc - 1} should have faulted: {expected}"
+        if fault is None or isinstance(expected, Gated):
+            if insn.op == "transform":      # its scratch src is not modelled
+                src = insn.args["poly_src"]
+                ref.slots[src] = m.read_slot(src)
+            assert _state(m) == ref.state(), insn.op
+        if fault is not None:
+            return str(fault)
+    assert _state(m) == ref.state()
+    return None
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(programs())
 def test_programs_with_non_residues_match_reference(program):
     n, q, loads, listing = program
     m = _machine(n, q, loads, listing)
-    ref = Reference(n, q, loads)
-    fault = None
-    while not m.halted:
-        insn = m.program.instructions[m.pc]
-        expected = ref.step(insn)
-        try:
-            m.step()
-        except MachineFault as exc:
-            fault = str(exc)
-            assert not expected, f"{insn.op} faulted: {exc}"
-            break
-        assert expected, f"{insn.op} at pc {m.pc - 1} should have faulted"
-        if insn.op == "transform":
-            ref.slots[insn.args["poly_src"]] = m.read_slot(insn.args["poly_src"])
-        for s in range(m.cache.slots):
-            assert m.read_slot(s) == ref.slot(s), (insn.op, s)
-        assert (m.reg, m.flag) == (ref.reg, ref.flag)
-        assert (m.r0, m.r1) == (ref.seeds["r0"], ref.seeds["r1"])
+    ref = Reference()
+    ref.configure(n, q)
+    for s, values in loads.items():
+        ref.slots[s] = list(values)
+    ref.load(m.program)
+    fault = _lockstep(m, ref)
 
     again = _machine(n, q, loads, listing)
     try:
@@ -231,7 +468,6 @@ def test_programs_with_non_residues_match_reference(program):
     else:
         assert fault is None
     assert _slots(again) == _slots(m)
-
 
 
 # config's q comes from this list, not from all 24-bit values, so that
@@ -292,6 +528,57 @@ def test_decodable_programs_return_or_fault():
                                  + isa.disassemble(program)) from exc
         else:
             assert m.halted or m.cycles >= MAX_CYCLES, seed
+
+
+def _whole_isa_case(rng):
+    """A whole-ISA program, strict gating or not, a CDT RAM and, for half
+    the cases, a host configure and slot loads before the program, as
+    (machine, reference), each with the program loaded."""
+    words = _random_words(rng)
+    if rng.random() < 0.4:      # start with some units gated
+        gates = next(f for f in isa.FORMS if f.op == "clock_config")
+        words.insert(0, gates.pack({f.name: rng.choice(f.values) for f in gates.fields}))
+    program = isa.decode(words)
+    strict = rng.random() < 0.5
+    cdt = (sorted(rng.choices(range(4), k=rng.randrange(65))) if rng.random() < 0.5
+           else [rng.getrandbits(32) for _ in range(rng.randrange(65))])
+    m, ref = Machine(strict_gating=strict), Reference(strict, cdt)
+    m.load_cdt(cdt)
+    if rng.random() < 0.5:
+        n, q = rng.choice(((8, 257), (16, 7681), (64, 12289), (256, 65537)))
+        m.configure(n, q)
+        ref.configure(n, q)
+        for s in rng.sample(range(m.cache.slots), 3):
+            values = [rng.randrange(rng.choice((q, WORD + 1))) for _ in range(n)]
+            m.write_slot(s, values)
+            ref.slots[s] = values
+    m.load_program(program)
+    ref.load(program)
+    return m, ref
+
+
+def test_whole_isa_programs_match_reference():
+    """Lockstep on the whole-ISA generator: branches, counters, the tmp
+    ALU, element reads and writes, samplers, SHA-3, config's repartition
+    and clock gating, with the cycles of README's table.  ``Machine.run``
+    then stops where the lockstep stopped, with the same report."""
+    # README's rows of the ops whose cycles depend on the data, which
+    # Reference.step charges term by term
+    assert {CYCLES[op] for op in SAMPLERS} == {
+        ("24/permutation + 1/word + 1/sample", "keccak + sampler")}
+    assert {CYCLES[op] for op in ("sha3_absorb", "sha3_digest")} == {
+        ("24/permutation + 1/word + 1", "keccak")}
+    for seed in range(800):
+        m, ref = _whole_isa_case(random.Random(seed))
+        fault = _lockstep(m, ref, MAX_CYCLES)
+        again = _whole_isa_case(random.Random(seed))[0]
+        try:
+            again.run(max_cycles=MAX_CYCLES)
+        except MachineFault as exc:
+            assert str(exc) == fault, seed
+        else:
+            assert fault is None, seed
+        assert (_state(again), again.halted) == (_state(m), m.halted), seed
 
 
 # n -> moduli with a 2n-th root of unity, largest first: a config often
