@@ -281,13 +281,8 @@ class Machine:
         else:
             self.tmp = _ALU[a["value"] & 7](self.tmp, self.reg) & WORD_MASK
 
-    def _scan_slot(self, slot):
-        """Coefficients of one slot, read by a whole-slot read schedule."""
-        self.cache.access("read", (slot,))
-        return self.cache.data[slot]
-
     def _exec_elems(self, a, op):
-        values = self._scan_slot(a["poly"])
+        values, = self.cache.access("read", (a["poly"],))
         if a["fn"] == "max":
             self.reg = max(values)
         else:
@@ -350,8 +345,7 @@ class Machine:
                   for c in (a["c0"], a["c1"]))   # register or literal
         prng = keccak.sampler_prng(a["prng"], seed, c0, c1)
         values = getattr(sampler, name)(self.n, prng=prng, **build(self, a))
-        self.cache.access("write", (slot,))
-        self.cache.data[slot][:] = values
+        self.cache.access("write", (slot,))[0][:] = values
         self.residues.add(slot)
         self._use("keccak", 24 * prng.permutes, op)
         self._use("sampler", prng.words_out + self.n, op)
@@ -360,14 +354,8 @@ class Machine:
         self.cache.slot_clear(a["poly"])
         self.residues.add(a["poly"])
 
-    def _operands(self, kind, dst, src):
-        """Flat coefficient lists of two operand slots, (dst, src) or
-        (a, b), after accounting a two-slot schedule of the given kind."""
-        self.cache.access(kind, (dst, src))
-        return self.cache.data[dst], self.cache.data[src]
-
     def _exec_poly_copy(self, a, op):
-        y, x = self._operands("map", a["poly_dst"], a["poly_src"])
+        y, x = self.cache.access("map", (a["poly_dst"], a["poly_src"]))
         y[:] = x
         self._pass_tag(a["poly_dst"], a["poly_src"])
 
@@ -376,7 +364,7 @@ class Machine:
         ring = kind in ("ADD", "SUB", "MUL")
         schedule = "zip" if ring else "bitrev" if kind == "BITREV" else "map"
         dst, src = a["poly_dst"], a["poly_src"]
-        y, x = self._operands(schedule, dst, src)
+        y, x = self.cache.access(schedule, (dst, src))
         if ring:
             self._need_residues(src, dst)
         y[:] = _POLY_OPS[kind](x, y, self.reg, self.q)
@@ -388,7 +376,7 @@ class Machine:
             self.residues.discard(dst)
 
     def _exec_shift_poly(self, a, op):
-        y, x = self._operands("gather", a["poly_dst"], a["poly_src"])
+        y, x = self.cache.access("gather", (a["poly_dst"], a["poly_src"]))
         if a["ring"] == "x^N+1":
             head = (-x[-1]) % self.q     # negacyclic wrap picks up a sign
         else:
@@ -398,11 +386,11 @@ class Machine:
 
     def _exec_eq_check(self, a, op):
         # the whole compare schedule runs whatever the data
-        x, y = self._operands("compare", a["poly_a"], a["poly_b"])
+        x, y = self.cache.access("compare", (a["poly_a"], a["poly_b"]))
         self.flag = 1 if x == y else 0
 
     def _exec_inf_norm(self, a, op):
-        values = self._scan_slot(a["poly"])
+        values, = self.cache.access("read", (a["poly"],))
         q, half = self.q, self.q // 2
         worst = max([v if v <= half else abs(v - q) for v in values])
         self.flag = 1 if worst <= a["bound"] else 0
@@ -432,8 +420,8 @@ class Machine:
     def _exec_sha3_absorb(self, a, op):
         state = self._sha3_state(a["bits"])
         if a["source"] == "poly":
-            data = b"".join([v.to_bytes(3, "little")
-                             for v in self._scan_slot(a["poly"])])
+            values, = self.cache.access("read", (a["poly"],))
+            data = b"".join([v.to_bytes(3, "little") for v in values])
         else:
             data = self.r0 if a["source"] == "r0" else self.r1
         before = state.permutes
@@ -443,12 +431,12 @@ class Machine:
 
     def _exec_sha3_digest(self, a, op):
         state = self._sha3_state(a["bits"])
+        self.sha3 = None        # spent, even if the charge below faults
         before = state.permutes
         state.finalize()
         digest = state.squeeze(a["bits"] // 8)
         self._use("keccak",
                   24 * (state.permutes - before) + a["bits"] // 32 + 1, op)
-        self.sha3 = None
         if a["bits"] == 256:
             self.write_seed(a["dest"], digest)
         else:

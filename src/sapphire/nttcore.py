@@ -164,8 +164,8 @@ def ntt(cfg, consts, cache, dst, src, mode):
     _check_slots(cache, cfg, src, dst)
     half, q, lg_n = cfg.n >> 1, cfg.q, cfg.lg_n
     dif = mode in (DIF_NTT, DIF_INTT)
-    cache.access("dif" if dif else "dit", (dst, src))
-    regions = [cache.data[(dst, src)[r]] for r in polycache.transform_regions(lg_n)]
+    operands = cache.access("dif" if dif else "dit", (dst, src))
+    regions = [operands[r] for r in polycache.transform_regions(lg_n)]
     # the last stage to write the src slot (region 1), and the last stage
     observable = (lg_n - 1 if lg_n & 1 else lg_n - 2, lg_n)
     # stage s reads regions[s - 1] and writes regions[s]; the inputs are
@@ -198,8 +198,7 @@ def _scale_slot(cfg, cache, slot, table):
     """
     if cache.n != cfg.n:
         raise NttError("cache configured for a different dimension")
-    cache.access("scale", (slot,))
-    values = cache.data[slot]
+    values, = cache.access("scale", (slot,))
     q = cfg.q
     values[:] = [v * c % q for v, c in zip(values, table)]
 

@@ -21,13 +21,16 @@ of lg n stages has at most four distinct phases, as its stages share
 three (read region, write region) pairs and the in-place last stage is
 two passes.  ``schedule(kind, n)`` expands the phases cycle by cycle.
 
-``PolynomialCache.access`` has each schedule shape (kind, n, bank of each
-operand) hazard-audited once per process, on first use, traced or not.
-The audit checks each distinct phase once, comparing whole sram columns
-of its same-bank accesses, and names the first cycle in which two
-accesses hit one SRAM.  ``access`` then advances ``mem_cycle`` by the
-op's cycle count, and replays the schedule into the ledger only while
-``trace_enabled`` is on.
+``PolynomialCache.access`` is the one way an op reaches slot data.  It
+range-checks the operands, has each schedule shape (kind, n, bank of
+each operand) hazard-audited once per process, on first use, traced or
+not, advances ``mem_cycle`` by the op's cycle count and returns the
+operand slots' coefficient lists.  The audit checks each distinct phase
+once, comparing whole sram columns of its same-bank accesses, and names
+the first cycle in which two accesses hit one SRAM.  While
+``trace_enabled`` is on, ``access`` adds one ledger segment per op;
+``segment_accesses`` expands a segment's shape into its accesses, once
+per shape.
 """
 
 import functools
@@ -107,9 +110,13 @@ def phases(kind, n):
     phase touches coefficient column[t] of every access: in one cycle if
     ``together``, else in one cycle per access, in turn.  Operand k is the
     op's k-th slot; two-slot ops name (dst, src), or (a, b) for
-    "compare".  A phase that recurs is the same object each time.
+    "compare".  A phase that recurs is the same object each time.  A
+    single access ("get" or "set") has the column (0,), counted from the
+    op's coefficient index.
     """
     every = range(n)
+    if kind in ("get", "set"):      # poly_get, poly_set
+        return ((True, ((0, range(1), READ if kind == "get" else WRITE),)),)
     if kind == "read":              # elems, inf_norm_check, sha3 absorb
         return ((True, ((0, every, READ),)),)
     if kind == "write":             # init, sampler results
@@ -162,24 +169,17 @@ def address(n, slot, i):
 
 
 @functools.lru_cache(maxsize=None)
-def _srams(n):
-    """The sram of each coefficient index at dimension n."""
-    return tuple(address(n, 0, i)[1] for i in range(n))
-
-
-@functools.lru_cache(maxsize=None)
 def _slot_addresses(n, slot):
-    """Address of every coefficient of one slot, for the traced ledger."""
+    """Address of every coefficient of one slot: the table that the audit,
+    the repartition and the ledger read."""
     return tuple(address(n, slot, i) for i in range(n))
 
 
-@functools.lru_cache(maxsize=None)
-def _slot_words(n):
-    """Physical word of every coefficient of every slot at dimension n, in
-    slot order; words are indexed (bank * 4 + sram) * 1024 + row."""
-    return tuple(tuple((bank * SRAMS_PER_BANK + sram) * SRAM_ROWS + row
-                       for bank, sram, row in (address(n, slot, i) for i in range(n)))
-                 for slot in range(slot_count(n)))
+def _slot_words(n, slot):
+    """Physical word of every coefficient of one slot, indexed
+    (bank * 4 + sram) * 1024 + row."""
+    return [(bank * SRAMS_PER_BANK + sram) * SRAM_ROWS + row
+            for bank, sram, row in _slot_addresses(n, slot)]
 
 
 def audit(run, n, banks):
@@ -189,13 +189,13 @@ def audit(run, n, banks):
     by comparing the sram columns of its same-bank accesses pair by pair;
     a phase of one access per cycle cannot conflict.  Returns the number
     of cycles."""
-    srams = _srams(n)
+    where = _slot_addresses(n, 0)
     checked, start = set(), 0
     for phase in run:
         together, accesses = phase
         if together and len(accesses) > 1 and id(phase) not in checked:
             checked.add(id(phase))
-            columns = [(banks[k], list(map(srams.__getitem__, column)))
+            columns = [(banks[k], [where[c][1] for c in column])
                        for k, column, _rw in accesses]
             clashes = [t for (bank_a, a), (bank_b, b) in combinations(columns, 2)
                        if bank_a == bank_b
@@ -214,6 +214,17 @@ def schedule_cycles(kind, n, banks):
     return audit(phases(kind, n), n, banks)
 
 
+@functools.lru_cache(maxsize=128)
+def segment_accesses(kind, n, slots, i):
+    """The accesses of one ledger segment, relative to its start cycle:
+    (cycle offset, bank, sram, row, READ|WRITE), in schedule order.
+    Index columns count from coefficient i, which is 0 but for a single
+    access."""
+    where = [_slot_addresses(n, s) for s in slots]
+    return tuple((t, *where[k][i + c], rw) for t, cycle in enumerate(schedule(kind, n))
+                 for k, c, rw in cycle)
+
+
 class PolynomialCache:
     def __init__(self):
         self.n = None
@@ -224,7 +235,7 @@ class PolynomialCache:
         # contents across a repartition by configure()
         self.image = [0] * TOTAL_WORDS
         self.trace_enabled = False
-        self.ledger = []            # (cycle, bank, sram, row, READ|WRITE)
+        self.ledger = []            # (start cycle, kind, n, slots, i) per op
         self.mem_cycle = 0
 
     def configure(self, n):
@@ -235,13 +246,14 @@ class PolynomialCache:
             return self
         spill = self.n is not None  # before the first configure every word is 0
         if spill:
-            for values, words in zip(self.data, _slot_words(self.n)):
-                for w, v in zip(words, values):
+            for slot, values in enumerate(self.data):
+                for w, v in zip(_slot_words(self.n, slot), values):
                     self.image[w] = v
         self.n = n
         self.slots = slot_count(n)
         self.slots_per_bank = slots_per_bank(n)
-        self.data = ([[self.image[w] for w in words] for words in _slot_words(n)]
+        self.data = ([[self.image[w] for w in _slot_words(n, slot)]
+                      for slot in range(self.slots)]
                      if spill else [[0] * n for _ in range(self.slots)])
         return self
 
@@ -256,47 +268,33 @@ class PolynomialCache:
             raise CacheError(f"slot {slot} out of range [0, {self.slots})")
         return 0 if slot < self.slots_per_bank else 1
 
-    def locate(self, slot, i):
-        """Range-checked address of coefficient i in the given slot."""
-        self.slot_bank(slot)
+    # The one memory-access path: audited once per shape, a ledger segment
+    # per op only when tracing.
+
+    def access(self, kind, slots, i=0):
+        """Account the memory cycles of one op on the given operand slots
+        and return their coefficient lists; a single access ("get",
+        "set") touches coefficient i."""
+        banks = tuple(map(self.slot_bank, slots))
         if not 0 <= i < self.n:
             raise CacheError(f"coefficient index {i} out of range [0, {self.n})")
-        return address(self.n, slot, i)
-
-    # Access schedules: audited once per shape, replayed only when tracing.
-
-    def access(self, kind, slots):
-        """Account the memory cycles of one op on the given operand slots."""
-        cycles = schedule_cycles(kind, self.n, tuple(map(self.slot_bank, slots)))
+        cycles = schedule_cycles(kind, self.n, banks)
         if self.trace_enabled:
-            where = [_slot_addresses(self.n, s) for s in slots]
-            cyc = self.mem_cycle
-            for cycle in schedule(kind, self.n):
-                for k, i, rw in cycle:
-                    self.ledger.append((cyc, *where[k][i], rw))
-                cyc += 1
+            self.ledger.append((self.mem_cycle, kind, self.n, slots, i))
         self.mem_cycle += cycles
-
-    def _record(self, slot, i, rw):
-        """A single access, alone in its memory cycle (so hazard free)."""
-        entry = self.locate(slot, i)
-        if self.trace_enabled:
-            self.ledger.append((self.mem_cycle, *entry, rw))
-        self.mem_cycle += 1
+        return [self.data[s] for s in slots]
 
     def slot_read(self, slot, i):
-        self._record(slot, i, READ)
-        return self.data[slot][i]
+        return self.access("get", (slot,), i)[0][i]
 
     def slot_write(self, slot, i, value):
         if not 0 <= value < (1 << 24):
             raise CacheError(f"value {value} does not fit a 24-bit word")
-        self._record(slot, i, WRITE)
-        self.data[slot][i] = value
+        self.access("set", (slot,), i)[0][i] = value
 
     def slot_clear(self, slot):
-        self.access("write", (slot,))
-        self.data[slot][:] = [0] * self.n
+        data, = self.access("write", (slot,))
+        data[:] = [0] * self.n
 
     # Host-side (memory-mapped) data movement: no cycles, no ledger.
 
@@ -318,4 +316,5 @@ class PolynomialCache:
 
     def trace_lines(self):
         """Render the ledger, one access per line: cycle bank sram row R|W."""
-        return [f"{c} {b} {s} {r} {'RW'[rw]}" for c, b, s, r, rw in self.ledger]
+        return [f"{start + t} {b} {s} {r} {'RW'[rw]}" for start, *shape in self.ledger
+                for t, b, s, r, rw in segment_accesses(*shape)]

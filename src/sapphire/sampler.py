@@ -187,15 +187,14 @@ class CdtTable(Frozen):
         return cls(tuple(entries), support, precision)
 
 
-def cdt_sample(n, table, prng, q=None):
-    """n inversion samples from the CDT.
+def cdt_sample(n, table, prng, q):
+    """n inversion samples from the CDT, as residues mod q.
 
     Each draw consumes two words: a sign bit r0 and an r-bit value r1;
     the full table is scanned with a constant trip count, one comparison
-    pass over all n values per entry.  Signed results are returned raw
-    when q is None, else as residues mod q.
+    pass over all n values per entry.
     """
-    if q is not None and table.support >= q:
+    if table.support >= q:
         raise SamplerError(f"support bound s={table.support} must be < q={q}")
     rmask = (1 << table.precision) - 1
     ws = prng.words(2 * n)
@@ -204,7 +203,7 @@ def cdt_sample(n, table, prng, q=None):
     for t in table.entries:        # full scan, no early exit
         e = [a + (v > t) for a, v in zip(e, r1)]
     e = [-v if w & 1 else v for v, w in zip(e, ws[0::2])]
-    return e if q is None else [v % q for v in e]
+    return [v % q for v in e]
 
 
 def uni_sample(n, eta, bitlen, q, prng):

@@ -202,17 +202,32 @@ def implied_pmf(table):
     return pmf
 
 
+def ledger_entries(cache):
+    """A cache's ledger as accesses (cycle, bank, sram, row, READ|WRITE):
+    each segment (start, kind, n, slots, i) expanded by
+    ``polycache.segment_accesses``, as ``trace_lines`` renders it."""
+    return [(start + t, *where) for start, *shape in cache.ledger
+            for t, *where in polycache.segment_accesses(*shape)]
+
+
+def signed(residues, q):
+    """Map residues mod q back to signed values in (-q/2, q/2]; exact for
+    samples bounded by s < q/2, as every sampler support here is."""
+    return [v - q if v > q // 2 else v for v in residues]
+
+
 def audit_ledger(cache):
     """Re-check a cache's recorded ledger, independently of the schedule
     audit: one access per (bank, sram, cycle).  Returns the access count."""
     seen = set()
-    for cycle, bank, sram, _row, _rw in cache.ledger:
+    entries = ledger_entries(cache)
+    for cycle, bank, sram, _row, _rw in entries:
         key = (cycle, bank, sram)
         if key in seen:
             raise polycache.HazardFault(
                 f"ledger violation at cycle {cycle}: bank {bank} sram {sram}")
         seen.add(key)
-    return len(cache.ledger)
+    return len(entries)
 
 
 class ScanningMachine(Machine):

@@ -15,7 +15,7 @@ import pytest
 from sapphire import (isa, keccak, machine, modmath, nttcore, polycache,
                       protocols, sampler)
 from conftest import DATA_DIR, NumpyWords, ReferenceSponge, audit_ledger, \
-    chi_square_pvalue, implied_pmf, schoolbook_negacyclic
+    chi_square_pvalue, implied_pmf, schoolbook_negacyclic, signed
 
 
 @contextlib.contextmanager
@@ -185,6 +185,7 @@ class RepeatedWord:
 
 def test_criterion_7_cdt_sampler():
     with criterion(7, "CDT goodness of fit + constant scan"):
+        q = 12289       # above 2s for every table, so signed() is exact
         for sigma, s, r, nsamp in ((2.75, 11, 16, 200_000),
                                    (2.30, 10, 16, 200_000),
                                    (25.0, 54, 32, 120_000)):
@@ -194,10 +195,10 @@ def test_criterion_7_cdt_sampler():
             counted = sampler.CdtTable(tuple(map(CountedEntry, table.entries)), s, r)
             for words in (NumpyWords(s), RepeatedWord(0), RepeatedWord((1 << 32) - 1)):
                 CountedEntry.compares = 0
-                sampler.cdt_sample(1000, counted, words)
+                sampler.cdt_sample(1000, counted, words, q)
                 assert CountedEntry.compares == s * 1000, (sigma, words)
-            vals = np.array(sampler.cdt_sample(nsamp, table,
-                                               NumpyWords(int(sigma * 13))))
+            vals = np.array(signed(sampler.cdt_sample(
+                nsamp, table, NumpyWords(int(sigma * 13)), q), q))
             assert vals.min() >= -s and vals.max() <= s
             support = list(range(-s, s + 1))
             obs = [(vals == z).sum() for z in support]

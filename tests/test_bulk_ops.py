@@ -2,8 +2,8 @@
 
 The references use plain lists and Python %, with no banks, schedules or
 Barrett reduction.  Each op also runs with tracing on, which must give the
-same slots and memory-cycle count as the untraced run, and a ledger that
-numbers exactly those cycles.
+same slots and memory-cycle count as the untraced run, and a ledger of
+one segment per instruction whose accesses number exactly those cycles.
 """
 
 import os
@@ -13,7 +13,7 @@ import pytest
 
 from sapphire import isa
 from sapphire.machine import Machine
-from conftest import DATA_DIR, audit_ledger, bitrev
+from conftest import DATA_DIR, audit_ledger, bitrev, ledger_entries
 
 WORD = (1 << 24) - 1
 Q_FOR_N = {8: 257, 256: 7681, 1024: 12289}
@@ -39,8 +39,10 @@ def reference(kind, x, y, r, q):
 
 
 def run_both(n, slots, program, reg=0):
-    """Run a program untraced and traced from the same slots; check that
-    both agree and that the ledger covers exactly the counted cycles."""
+    """Run a program, each line of which touches memory, untraced and
+    traced from the same slots; check that both agree, that the ledger
+    holds one segment per line and that its accesses cover exactly the
+    counted cycles."""
     results = []
     for trace in (False, True):
         m = Machine()
@@ -56,7 +58,8 @@ def run_both(n, slots, program, reg=0):
     assert plain_slots == traced_slots
     assert plain.cache.mem_cycle == traced.cache.mem_cycle > 0
     assert plain.cache.ledger == []
-    assert {e[0] for e in traced.cache.ledger} == set(range(traced.cache.mem_cycle))
+    assert len(traced.cache.ledger) == len(program.splitlines())
+    assert {e[0] for e in ledger_entries(traced.cache)} == set(range(traced.cache.mem_cycle))
     audit_ledger(traced.cache)
     return plain
 
@@ -114,6 +117,14 @@ def test_bulk_ops_match_flat_references(n):
     i = rng.randrange(n)
     m = run_both(n, {3: x}, f"reg = (poly = 3)[{i}]\n(poly = {half})[{n - 1 - i}] = reg")
     assert m.reg == x[i] and m.read_slot(half)[n - 1 - i] == x[i]
+
+    # psi-multiply, a transform each way across the banks and back
+    for a, b in ((3, half + 2), (half + 2, 3)):
+        m = run_both(n, {a: x}, f"mult_psi (poly = {a})\n"
+                     f"transform (mode = DIF_NTT, poly_dst = {b}, poly_src = {a})\n"
+                     f"transform (mode = DIT_INTT, poly_dst = {a}, poly_src = {b})\n"
+                     f"mult_psi_inv (poly = {a})")
+        assert m.read_slot(a) == x
 
 
 OPS_8PT = """\

@@ -22,7 +22,7 @@ import json
 import os
 import random
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, signed
 from sapphire import isa, keccak, modmath, nttcore, polycache, protocols, sampler
 from sapphire.machine import Machine
 
@@ -123,9 +123,11 @@ def _sampler_cases():
         cases[f"bin k={k} q={q}"] = lambda p, k=k, q=q: sampler.bin_sample(1024, k, q, p)
     for sigma, s, r in ((2.75, 11, 16), (25.0, 54, 32), (1.0, 1, 4)):
         table = sampler.CdtTable.from_sigma(sigma, s, r)
-        for q in (None, 7681):
-            cases[f"cdt s={s} r={r} q={q}"] = \
-                lambda p, t=table, q=q: sampler.cdt_sample(512, t, p, q=q)
+        # q=None names the signed samples: residues mapped back, s < q/2
+        cases[f"cdt s={s} r={r} q=None"] = \
+            lambda p, t=table: signed(sampler.cdt_sample(512, t, p, 12289), 12289)
+        cases[f"cdt s={s} r={r} q=7681"] = \
+            lambda p, t=table: sampler.cdt_sample(512, t, p, 7681)
     for eta, bitlen in ((0, 1), (1, 2), (2, 3), (5, 4), (200, 9), (3, 12)):
         for q in (7681, 12289):
             cases[f"uni eta={eta} bitlen={bitlen} q={q}"] = \

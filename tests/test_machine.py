@@ -175,6 +175,25 @@ class TestGating:
         with pytest.raises(MachineFault):
             m.run()
 
+    @pytest.mark.parametrize("line", [
+        "r0 = sha3_256_digest", "r0 || r1 = sha3_512_digest",
+        "sha3_256_absorb (r1)", "sha3_512_absorb (poly = 1)"])
+    def test_gated_sha3_faults_each_time_it_is_stepped(self, line):
+        # a faulted digest leaves no spent sponge behind, so stepping the
+        # same instruction again faults the same way
+        m = seeded(Machine(strict_gating=True))
+        m.load_program(f"""
+        config (n = 64, q = 7681)
+        clock_config (keccak = GATE, ntt = UNGATE, sampler = UNGATE)
+        {line}
+        """)
+        m.step()
+        m.step()
+        for _ in range(3):
+            with pytest.raises(MachineFault, match="clock-gated unit 'keccak'"):
+                m.step()
+        assert m.pc == 2 and m.r0 + m.r1 == bytes(range(64))
+
     def test_permissive_mode_runs_gated_unit(self):
         m = Machine()
         m.load_program("""

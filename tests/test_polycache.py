@@ -7,7 +7,7 @@ from sapphire import nttcore, polycache
 from sapphire.polycache import (
     READ, WRITE, CacheError, HazardFault, PolynomialCache, address, audit,
 )
-from conftest import DATA_DIR, audit_ledger
+from conftest import DATA_DIR, audit_ledger, ledger_entries
 
 
 def test_total_capacity():
@@ -43,10 +43,10 @@ def test_bank_assignment_contiguous_halves():
 
 
 def test_eight_point_mapping_examples():
-    c = PolynomialCache().configure(8)
-    locate = c.locate
-    assert locate(0, 0)[1] == 0 and locate(0, 1)[1] == 1   # Mem0 / Mem1
-    assert locate(0, 0)[1] == 0 and locate(0, 4)[1] == 2   # Mem0 / Mem2
+    def sram(i):
+        return address(8, 0, i)[1]
+    assert sram(0) == 0 and sram(1) == 1   # Mem0 / Mem1
+    assert sram(0) == 0 and sram(4) == 2   # Mem0 / Mem2
 
 
 def test_pair_kinds_always_distinct_srams():
@@ -91,8 +91,8 @@ def test_cross_bank_same_cycle_ok():
     assert audit([(True, ((0, [0], READ), (1, [0], WRITE)))], 64, (0, 1)) == 1
 
 
-KINDS = ("read", "write", "scale", "map", "compare", "gather", "bitrev", "zip",
-         "dif", "dit")
+KINDS = ("get", "set", "read", "write", "scale", "map", "compare", "gather",
+         "bitrev", "zip", "dif", "dit")
 
 
 def first_clash(cycles, n, banks):
@@ -110,12 +110,12 @@ def first_clash(cycles, n, banks):
 def test_every_schedule_passes_its_audit(n):
     lg = n.bit_length() - 1
     butterflies = (n // 2) * lg + (n // 2 if lg % 2 == 0 else 0)
-    cycles = {"read": n, "write": n, "scale": n + 1, "map": 2 * n,
+    cycles = {"get": 1, "set": 1, "read": n, "write": n, "scale": n + 1, "map": 2 * n,
               "compare": 2 * n, "gather": 2 * n, "bitrev": 2 * n, "zip": 3 * n,
               "dif": butterflies, "dit": butterflies}
     assert set(cycles) == set(KINDS)
     for kind, count in cycles.items():
-        placements = ((0,), (1,)) if kind in ("read", "write", "scale") else \
+        placements = ((0,), (1,)) if kind in ("get", "set", "read", "write", "scale") else \
             ((0, 1), (1, 0), (0, 0), (1, 1))
         expanded = list(polycache.schedule(kind, n))
         assert len(expanded) == count
@@ -175,8 +175,9 @@ def test_access_counts_cycles_without_a_ledger():
     c.access("compare", (1, 2))
     assert c.mem_cycle == 5 * 64
     c.trace_enabled = True
-    c.access("read", (3,))
-    assert [e[0] for e in c.ledger] == list(range(320, 384))
+    assert c.access("read", (3,)) == [c.data[3]]
+    assert c.ledger == [(320, "read", 64, (3,), 0)]     # one segment per op
+    assert [e[0] for e in ledger_entries(c)] == list(range(320, 384))
     with pytest.raises(CacheError):
         c.access("read", (c.slots,))
 
@@ -272,5 +273,5 @@ def test_mult_psi_pipelined_schedule_hazard_free():
     nttcore.mult_psi(cfg, consts, c, 0)
     count = audit_ledger(c)
     assert count == 2 * 64   # one read and one write per coefficient
-    cycles = {e[0] for e in c.ledger}
+    cycles = {e[0] for e in ledger_entries(c)}
     assert len(cycles) == 65  # n + 1 memory cycles

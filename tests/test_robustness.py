@@ -333,10 +333,11 @@ class Reference:
             if self.sha3 is not None and self.sha3[0] != bits:
                 raise Fault("sha3 width")
             # the padded last block; the digest fits one output block.
-            # The charge comes before the seeds are written.
-            self.charge(op, "keccak", 24 + bits // 32 + 1)
+            # The sponge is spent before the charge, which comes before
+            # the seeds are written.
             data = b"" if self.sha3 is None else self.sha3[1]
             self.sha3 = None
+            self.charge(op, "keccak", 24 + bits // 32 + 1)
             if bits == 256:
                 self.seeds[a["dest"]] = hashlib.sha3_256(data).digest()
             else:

@@ -7,7 +7,7 @@ import pytest
 
 from sapphire import keccak, sampler
 from sapphire.sampler import CdtTable, RejectionPlan, SamplerError
-from conftest import NumpyWords, chi_square_pvalue, implied_pmf
+from conftest import NumpyWords, chi_square_pvalue, implied_pmf, signed
 
 TABLE4 = {
     # q: (bit size, rej prob w/o scaling, scale, rej prob w/ scaling)
@@ -171,10 +171,12 @@ class TestCdt:
     def test_scan_extremes(self):
         table = CdtTable((10, 20, 30), 3, 8)
 
-        assert sampler.cdt_sample(1, table, WordSource([0, 0])) == [0]
+        def draw(words):
+            return signed(sampler.cdt_sample(1, table, WordSource(words), 7681), 7681)
+        assert draw([0, 0]) == [0]
         # r1 = 255 exceeds every entry -> e = s; sign from r0
-        assert sampler.cdt_sample(1, table, WordSource([0, 255])) == [3]
-        assert sampler.cdt_sample(1, table, WordSource([1, 255])) == [-3]
+        assert draw([0, 255]) == [3]
+        assert draw([1, 255]) == [-3]
 
     def test_residue_storage(self):
         table = CdtTable((10, 20, 30), 3, 8)
@@ -199,7 +201,8 @@ class TestCdt:
         pmf = implied_pmf(table)
         assert abs(sum(pmf.values()) - 1.0) < 1e-9
         n = 120_000
-        vals = np.array(sampler.cdt_sample(n, table, NumpyWords(int(sigma * 7))))
+        q = 12289
+        vals = np.array(signed(sampler.cdt_sample(n, table, NumpyWords(int(sigma * 7)), q), q))
         assert vals.min() >= -s and vals.max() <= s
         support = list(range(-s, s + 1))
         obs = [(vals == z).sum() for z in support]
