@@ -151,16 +151,7 @@ def cmd_kat(args):
     for mode, msg_hex, want_hex in _kat_lines():
         msg = bytes.fromhex(msg_hex) if msg_hex != "-" else b""
         want = bytes.fromhex(want_hex)
-        if mode == "SHA3-256":
-            got = keccak.sha3_digest(msg, 256)
-        elif mode == "SHA3-512":
-            got = keccak.sha3_digest(msg, 512)
-        elif mode == "SHAKE-128":
-            got = keccak.shake128(msg).finalize().squeeze(len(want))
-        elif mode == "SHAKE-256":
-            got = keccak.shake256(msg).finalize().squeeze(len(want))
-        else:
-            raise ValueError(f"unknown KAT mode {mode}")
+        got = keccak.KeccakState(mode).absorb(msg).finalize().squeeze(len(want))
         count += 1
         if got != want:
             failures.append(f"{mode}({msg_hex})")

@@ -28,14 +28,6 @@ _ROUND_CONSTANTS = (
     0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 )
 
-SHAKE128_RATE_BITS = 1344
-SHAKE256_RATE_BITS = 1088
-SHA3_256_RATE_BITS = 1088
-SHA3_512_RATE_BITS = 576
-
-DOMAIN_SHAKE = 0x1F
-DOMAIN_SHA3 = 0x06
-
 
 def keccak_f1600(lanes):
     """All 24 rounds over a 25-lane list (index x + 5*y). Returns a new list.
@@ -124,28 +116,30 @@ def keccak_f1600(lanes):
             a04, a14, a24, a34, a44]
 
 
+# FIPS-202 name -> hashlib constructor.  The rate is the hash object's
+# block_size, and a digest_size of 0 marks an extendable-output function.
 _SPONGES = {
-    (SHAKE128_RATE_BITS, DOMAIN_SHAKE): hashlib.shake_128,
-    (SHAKE256_RATE_BITS, DOMAIN_SHAKE): hashlib.shake_256,
-    (SHA3_256_RATE_BITS, DOMAIN_SHA3): hashlib.sha3_256,
-    (SHA3_512_RATE_BITS, DOMAIN_SHA3): hashlib.sha3_512,
+    "SHAKE-128": hashlib.shake_128,
+    "SHAKE-256": hashlib.shake_256,
+    "SHA3-256": hashlib.sha3_256,
+    "SHA3-512": hashlib.sha3_512,
 }
 
 
 class KeccakState:
-    """One sponge instance: absorb bytes, then squeeze bytes.
+    """One sponge instance, named as in FIPS-202: absorb bytes, then
+    squeeze bytes.
 
     Counters mirror the hardware PRNG datapath: ``permutes`` counts the
     Keccak-f[1600] runs needed so far (24 cycles each), ``words_out`` counts
     32-bit shift-outs (one cycle each).
     """
 
-    def __init__(self, rate_bits, domain_suffix):
-        if (rate_bits, domain_suffix) not in _SPONGES:
-            raise ValueError(f"no sponge of rate {rate_bits}, domain {domain_suffix}")
-        self._hash = _SPONGES[rate_bits, domain_suffix]()
-        self.rate_bits = rate_bits
-        self.domain_suffix = domain_suffix
+    def __init__(self, kind):
+        if kind not in _SPONGES:
+            raise ValueError(f"no sponge named {kind!r}")
+        self._hash = _SPONGES[kind]()
+        self.rate = self._hash.block_size     # bytes
         self.phase = "absorbing"
         self._absorbed = 0         # bytes
         self._squeezed = 0         # bytes
@@ -156,9 +150,9 @@ class KeccakState:
     def permutes(self):
         """One per full input block, one for the padded last block, one per
         further output block started."""
-        count = self._absorbed // (self.rate_bits // 8)
+        count = self._absorbed // self.rate
         if self.phase == "squeezing":
-            count += 1 + max(self._squeezed - 1, 0) // (self.rate_bits // 8)
+            count += 1 + max(self._squeezed - 1, 0) // self.rate
         return count
 
     def absorb(self, data):
@@ -177,14 +171,13 @@ class KeccakState:
     def _extend(self, nbytes):
         """Compute at least nbytes of output.  SHAKE output is prefix-stable,
         so its stream grows by recomputing it at twice the length."""
-        if self.domain_suffix == DOMAIN_SHA3:
+        if self._hash.digest_size:
             if nbytes > self._hash.digest_size:
                 raise ValueError("cannot squeeze past the SHA3 digest")
             self._out = self._hash.digest()
         else:
-            rate_bytes = self.rate_bits // 8
-            blocks = -(-max(nbytes, 2 * len(self._out)) // rate_bytes)
-            self._out = self._hash.digest(blocks * rate_bytes)
+            blocks = -(-max(nbytes, 2 * len(self._out)) // self.rate)
+            self._out = self._hash.digest(blocks * self.rate)
 
     def squeeze(self, nbytes):
         if self.phase != "squeezing":
@@ -213,20 +206,16 @@ class KeccakState:
 
 
 def shake128(data=b""):
-    return KeccakState(SHAKE128_RATE_BITS, DOMAIN_SHAKE).absorb(data)
+    return KeccakState("SHAKE-128").absorb(data)
 
 
 def shake256(data=b""):
-    return KeccakState(SHAKE256_RATE_BITS, DOMAIN_SHAKE).absorb(data)
+    return KeccakState("SHAKE-256").absorb(data)
 
 
 def sha3_digest(data, bits=256):
     """SHA3-256 or SHA3-512 digest of a byte string."""
-    if bits not in (256, 512):
-        raise ValueError(f"unsupported SHA-3 digest size {bits}")
-    rate = SHA3_256_RATE_BITS if bits == 256 else SHA3_512_RATE_BITS
-    state = KeccakState(rate, DOMAIN_SHA3).absorb(data).finalize()
-    return state.squeeze(bits // 8)
+    return KeccakState(f"SHA3-{bits}").absorb(data).finalize().squeeze(bits // 8)
 
 
 def sampler_prng(mode, seed, c0, c1):
@@ -239,12 +228,9 @@ def sampler_prng(mode, seed, c0, c1):
         raise ValueError("sampler seed must be 32 bytes")
     if not (0 <= c0 < 1 << 16 and 0 <= c1 < 1 << 16):
         raise ValueError("sampler counters must be 16-bit")
-    if mode == "SHAKE-128":
-        state = shake128()
-    elif mode == "SHAKE-256":
-        state = shake256()
-    else:
+    if mode not in ("SHAKE-128", "SHAKE-256"):
         raise ValueError(f"unknown PRNG mode {mode!r}")
+    state = KeccakState(mode)
     state.absorb(seed)
     state.absorb(c0.to_bytes(2, "little"))
     state.absorb(c1.to_bytes(2, "little"))

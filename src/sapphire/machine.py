@@ -221,14 +221,19 @@ class Machine:
 
     # ------------------------------------------------------------ execution
 
-    def _use(self, unit, cycles, op):
-        if unit != "alu" and not self.gate_config[unit]:
-            if self.strict_gating:
-                raise MachineFault(f"{op} drives clock-gated unit {unit!r}")
-        else:
-            self.per_unit[unit] += cycles
-        self.cycles += cycles
-        self.per_insn[op] = self.per_insn.get(op, 0) + cycles
+    def _use(self, op, *charges):
+        """Charge op's (unit, cycles) pairs.  Under strict gating, a gated
+        unit among them faults before any of them is charged."""
+        gates = self.gate_config        # no entry for the ungateable alu
+        if self.strict_gating:
+            for unit, _ in charges:
+                if not gates.get(unit, True):
+                    raise MachineFault(f"{op} drives clock-gated unit {unit!r}")
+        for unit, cycles in charges:
+            if gates.get(unit, True):
+                self.per_unit[unit] += cycles
+            self.cycles += cycles
+            self.per_insn[op] = self.per_insn.get(op, 0) + cycles
 
     def step(self):
         if self.halted:
@@ -239,7 +244,7 @@ class Machine:
         try:
             jump = handler(self, insn.args, insn.op)
             if rule is not None:
-                self._use(unit, rule(self), insn.op)
+                self._use(insn.op, (unit, rule(self)))
         except MachineFault as exc:
             raise MachineFault(str(exc), pc) from None
         except _UNIT_ERRORS as exc:
@@ -347,8 +352,8 @@ class Machine:
         values = getattr(sampler, name)(self.n, prng=prng, **build(self, a))
         self.cache.access("write", (slot,))[0][:] = values
         self.residues.add(slot)
-        self._use("keccak", 24 * prng.permutes, op)
-        self._use("sampler", prng.words_out + self.n, op)
+        self._use(op, ("keccak", 24 * prng.permutes),
+                  ("sampler", prng.words_out + self.n))
 
     def _exec_init(self, a, op):
         self.cache.slot_clear(a["poly"])
@@ -409,9 +414,7 @@ class Machine:
 
     def _sha3_state(self, bits):
         if self.sha3 is None:
-            rate = (keccak.SHA3_256_RATE_BITS if bits == 256
-                    else keccak.SHA3_512_RATE_BITS)
-            self.sha3 = (bits, keccak.KeccakState(rate, keccak.DOMAIN_SHA3))
+            self.sha3 = (bits, keccak.KeccakState(f"SHA3-{bits}"))
         elif self.sha3[0] != bits:
             raise MachineFault(
                 f"sha3 mode {bits} does not match absorbed mode {self.sha3[0]}")
@@ -426,8 +429,8 @@ class Machine:
             data = self.r0 if a["source"] == "r0" else self.r1
         before = state.permutes
         state.absorb(data)
-        self._use("keccak",
-                  24 * (state.permutes - before) + (len(data) + 3) // 4 + 1, op)
+        self._use(op, ("keccak",
+                       24 * (state.permutes - before) + (len(data) + 3) // 4 + 1))
 
     def _exec_sha3_digest(self, a, op):
         state = self._sha3_state(a["bits"])
@@ -435,8 +438,7 @@ class Machine:
         before = state.permutes
         state.finalize()
         digest = state.squeeze(a["bits"] // 8)
-        self._use("keccak",
-                  24 * (state.permutes - before) + a["bits"] // 32 + 1, op)
+        self._use(op, ("keccak", 24 * (state.permutes - before) + a["bits"] // 32 + 1))
         if a["bits"] == 256:
             self.write_seed(a["dest"], digest)
         else:

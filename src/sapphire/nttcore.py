@@ -61,16 +61,14 @@ class NttError(ValueError):
 
 
 class LatticeConfig(Frozen):
-    """Active ring parameters: dimension, modulus and reduction profile."""
+    """Active ring parameters: dimension and modulus."""
 
-    _fields = ("n", "q", "profile")
+    _fields = ("n", "q")
 
-    def __init__(self, n, q, profile):
-        vars(self).update(n=n, q=q, profile=profile)
+    def __init__(self, n, q):
+        vars(self).update(n=n, q=q)
         if self.n & (self.n - 1) or not 8 <= self.n <= 2048:
             raise NttError(f"ring dimension n={self.n} unsupported")
-        if self.profile.q != self.q:
-            raise NttError("profile modulus does not match q")
 
     @property
     def lg_n(self):
@@ -78,7 +76,10 @@ class LatticeConfig(Frozen):
 
     @classmethod
     def make(cls, n, q):
-        return cls(n, q, modmath.ModulusProfile.for_modulus(q))
+        """Checked parameters; raises ModMathError for a q that has no
+        reduction profile, such as one with no Barrett (m, k) pair."""
+        modmath.ModulusProfile.for_modulus(q)
+        return cls(n, q)
 
 
 class NttConstants(Frozen):

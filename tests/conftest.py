@@ -45,11 +45,19 @@ class NumpyWords:
 class ReferenceSponge:
     """The FIPS-202 sponge over the pure-Python ``keccak_f1600``: absorb,
     pad, squeeze, counting permutations and 32-bit words as the hardware
-    does.  The oracle for ``keccak.KeccakState``."""
+    does.  The oracle for ``keccak.KeccakState``, constructed by the same
+    name."""
 
-    def __init__(self, rate_bits, domain_suffix):
-        self.rate_bits = rate_bits
-        self.domain_suffix = domain_suffix
+    # FIPS-202 name -> (rate in bits, domain-separation suffix)
+    SPONGES = {
+        "SHAKE-128": (1344, 0x1F),
+        "SHAKE-256": (1088, 0x1F),
+        "SHA3-256": (1088, 0x06),
+        "SHA3-512": (576, 0x06),
+    }
+
+    def __init__(self, kind):
+        self.rate_bits, self.domain_suffix = self.SPONGES[kind]
         self.lanes = [0] * 25
         self.absorbed = 0          # bytes in the current input block
         self.squeezing = False

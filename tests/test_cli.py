@@ -249,6 +249,12 @@ def test_kat_exit_zero(capsys):
     assert "26/26 vectors pass" in out
 
 
+def test_kat_unknown_mode_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_kat_lines", lambda: iter([("SHA3-384", "-", "00")]))
+    assert run_cli("kat", "--reduction-samples", "1") == 2
+    assert "SHA3-384" in capsys.readouterr().err
+
+
 def test_demo_kyber(capsys):
     assert run_cli("demo", "kyber", "--seed", SEED, "--trials", "1") == 0
     assert "1/1 exact matches" in capsys.readouterr().out

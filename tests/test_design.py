@@ -20,21 +20,42 @@ from sapphire.machine import Machine
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sapphire"
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _names(tree):
-    """Every name a tree refers to: loaded or stored names, attributes, and
-    the parts of string constants that are identifiers or dotted names (as
-    ``"Class.method"`` entries and name tables are)."""
-    for node in ast.walk(tree):
+def _bound(function):
+    """Names a function binds itself: its arguments and its assignment
+    targets, outside the functions nested in it."""
+    names = {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+    todo = list(ast.iter_child_nodes(function))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        if not isinstance(node, FUNCTIONS):
+            todo += ast.iter_child_nodes(node)
+    return names
+
+
+def _names(tree, bound=frozenset()):
+    """Every name a tree refers to: names loaded where no enclosing function
+    binds them, attributes, and the parts of string constants that are
+    identifiers or dotted names (as ``"Class.method"`` entries and name
+    tables are).  A local variable that shares a definition's name is not a
+    reference to it."""
+    if isinstance(tree, FUNCTIONS):
+        bound = bound | _bound(tree)
+    for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            if isinstance(node.ctx, ast.Load) and node.id not in bound:
+                yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and DOTTED.fullmatch(node.value):
             yield from node.value.split(".")
+        yield from _names(node, bound)
 
 
 def test_no_test_only_code_in_src():

@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ReferenceSponge
-from sapphire import keccak
+from sapphire import isa, keccak
 
-SPONGES = {
-    "SHA3-256": (keccak.SHA3_256_RATE_BITS, keccak.DOMAIN_SHA3),
-    "SHA3-512": (keccak.SHA3_512_RATE_BITS, keccak.DOMAIN_SHA3),
-    "SHAKE-128": (keccak.SHAKE128_RATE_BITS, keccak.DOMAIN_SHAKE),
-    "SHAKE-256": (keccak.SHAKE256_RATE_BITS, keccak.DOMAIN_SHAKE),
-}
+SPONGES = sorted(ReferenceSponge.SPONGES)
 DIGEST_BITS = {"SHA3-256": 256, "SHA3-512": 512}
 
 
@@ -56,16 +51,16 @@ def test_digests_match_hashlib(nbytes):
             ("SHA3-512", 64, hashlib.sha3_512(msg).digest()),
             ("SHAKE-128", 73, hashlib.shake_128(msg).digest(73)),
             ("SHAKE-256", 73, hashlib.shake_256(msg).digest(73))):
-        want = ReferenceSponge(*SPONGES[mode]).absorb(msg).squeeze(length)
+        want = ReferenceSponge(mode).absorb(msg).squeeze(length)
         assert stdlib == want, mode
     assert keccak.sha3_digest(msg, 256) == \
-        ReferenceSponge(*SPONGES["SHA3-256"]).absorb(msg).squeeze(32)
+        ReferenceSponge("SHA3-256").absorb(msg).squeeze(32)
     assert keccak.sha3_digest(msg, 512) == \
-        ReferenceSponge(*SPONGES["SHA3-512"]).absorb(msg).squeeze(64)
+        ReferenceSponge("SHA3-512").absorb(msg).squeeze(64)
     assert keccak.shake128(msg).finalize().squeeze(73) == \
-        ReferenceSponge(*SPONGES["SHAKE-128"]).absorb(msg).squeeze(73)
+        ReferenceSponge("SHAKE-128").absorb(msg).squeeze(73)
     assert keccak.shake256(msg).finalize().squeeze(73) == \
-        ReferenceSponge(*SPONGES["SHAKE-256"]).absorb(msg).squeeze(73)
+        ReferenceSponge("SHAKE-256").absorb(msg).squeeze(73)
 
 
 def kat_cases():
@@ -99,12 +94,12 @@ def test_kat_file():
 def test_kat_file_reference_sponge():
     """The known answers through the pure-Python permutation."""
     for mode, msg, want in kat_cases():
-        got = ReferenceSponge(*SPONGES[mode]).absorb(msg).squeeze(len(want))
+        got = ReferenceSponge(mode).absorb(msg).squeeze(len(want))
         assert got == want, f"{mode}({msg.hex()})"
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(st.sampled_from(sorted(SPONGES)), st.data())
+@given(st.sampled_from(SPONGES), st.data())
 def test_sponge_matches_reference(name, data):
     """Random absorb chunkings (empty chunks and whole rate blocks among
     them), then random byte squeezes of 0 to 400 bytes (rate-block
@@ -113,9 +108,8 @@ def test_sponge_matches_reference(name, data):
     off a word boundary: equal output and equal counters after every call,
     against the bit-level reference sponge, whose bulk draws are
     ``next_word()`` calls."""
-    mode = SPONGES[name]
-    rate_bytes = mode[0] // 8
-    fast, ref = keccak.KeccakState(*mode), ReferenceSponge(*mode)
+    fast, ref = keccak.KeccakState(name), ReferenceSponge(name)
+    rate_bytes = ref.rate_bits // 8
     chunk = st.one_of(
         st.binary(max_size=2 * rate_bytes),
         st.integers(0, 2).flatmap(lambda k: st.binary(min_size=k * rate_bytes,
@@ -223,8 +217,9 @@ def test_sampler_prng_layout():
     assert a.squeeze(32) == manual.squeeze(32)
     with pytest.raises(ValueError):
         keccak.sampler_prng("SHAKE-128", b"short", 0, 0)
-    with pytest.raises(ValueError):
-        keccak.sampler_prng("SHAKE-512", seed, 0, 0)
+    for mode in ("SHAKE-512", "SHA3-256"):     # a sponge, but no PRNG mode
+        with pytest.raises(ValueError):
+            keccak.sampler_prng(mode, seed, 0, 0)
 
 
 def test_absorb_after_squeeze_rejected():
@@ -242,26 +237,41 @@ def test_digest_deterministic():
 
 
 def test_unsupported_sponge_rejected():
+    for name in ("SHAKE-512", "SHA3-384", "shake-128", "SHAKE128", ""):
+        with pytest.raises(ValueError):
+            keccak.KeccakState(name)
     with pytest.raises(ValueError):
-        keccak.KeccakState(keccak.SHAKE128_RATE_BITS, keccak.DOMAIN_SHA3)
-    with pytest.raises(ValueError):
-        keccak.KeccakState(1024, keccak.DOMAIN_SHAKE)
+        keccak.sha3_digest(b"", 384)
+
+
+def test_sponge_names_are_the_isa_and_kat_names():
+    """The sponges are named once: the ISA's PRNG modes plus the two SHA-3
+    digests, the modes of the known-answer file, and the oracle's table,
+    whose FIPS-202 rates the hash objects' block sizes must equal (a
+    backend with another block size would move every ``permutes``)."""
+    names = set(keccak._SPONGES)
+    assert names == set(isa.PRNGS) | {"SHA3-256", "SHA3-512"}
+    assert names == {mode for mode, _msg, _want in kat_cases()}
+    assert names == set(ReferenceSponge.SPONGES)
+    assert {name: keccak.KeccakState(name).rate * 8 for name in names} == \
+        {name: rate for name, (rate, _suffix) in ReferenceSponge.SPONGES.items()} == \
+        {"SHAKE-128": 1344, "SHAKE-256": 1088, "SHA3-256": 1088, "SHA3-512": 576}
 
 
 @pytest.mark.parametrize("bits", [256, 512])
 def test_sha3_squeeze_past_digest_rejected(bits):
-    mode = SPONGES[f"SHA3-{bits}"]
-    s = keccak.KeccakState(*mode).absorb(b"x")
+    mode = f"SHA3-{bits}"
+    s = keccak.KeccakState(mode).absorb(b"x")
     assert s.squeeze(bits // 8) == keccak.sha3_digest(b"x", bits)
     with pytest.raises(ValueError):
         s.squeeze(1)
     with pytest.raises(ValueError):
-        keccak.KeccakState(*mode).squeeze(bits // 8 + 1)
+        keccak.KeccakState(mode).squeeze(bits // 8 + 1)
 
 
-@pytest.mark.parametrize("mode", sorted(SPONGES))
+@pytest.mark.parametrize("mode", SPONGES)
 def test_one_full_block_then_padding_block(mode):
-    rate_bits, domain = SPONGES[mode]
-    s = keccak.KeccakState(rate_bits, domain).absorb(bytes(rate_bits // 8))
+    rate_bits, _suffix = ReferenceSponge.SPONGES[mode]
+    s = keccak.KeccakState(mode).absorb(bytes(rate_bits // 8))
     assert s.permutes == 1
     assert s.finalize().permutes == 2

@@ -194,6 +194,36 @@ class TestGating:
                 m.step()
         assert m.pc == 2 and m.r0 + m.r1 == bytes(range(64))
 
+    @pytest.mark.parametrize("gated", ["sampler", "keccak"])
+    @pytest.mark.parametrize("line", [
+        "rej_sample (prng = SHAKE-128, seed = r0, c0 = 0, c1 = 0, poly = 1)",
+        "bin_sample (prng = SHAKE-256, seed = r1, c0 = 0, c1 = 0, k = 2, poly = 1)",
+        "cdt_sample (prng = SHAKE-256, seed = r1, c0 = 0, c1 = 0, r = 16, s = 11, poly = 1)",
+        "uni_sample (prng = SHAKE-128, seed = r0, c0 = 1, c1 = 2, eta = 5, bitlen = 4, poly = 1)",
+        "tri_sample_1 (prng = SHAKE-128, seed = r0, c0 = 0, c1 = 0, m = 40, poly = 1)",
+        "tri_sample_2 (prng = SHAKE-128, seed = r0, c0 = 0, c1 = 0, m0 = 11, m1 = 12, poly = 1)",
+        "tri_sample_3 (prng = SHAKE-128, seed = r0, c0 = 0, c1 = 0, rho = 3, poly = 1)"],
+        ids=lambda line: line.split()[0])
+    def test_gated_sampler_fault_charges_nothing(self, line, gated):
+        # a sampler charges keccak and sampler cycles; a strict-gating
+        # fault on either unit charges neither
+        m = seeded(Machine(strict_gating=True))
+        m.load_cdt(sampler.CdtTable.from_sigma(2.75, 11, 16))
+        gates = {unit: "GATE" if unit == gated else "UNGATE"
+                 for unit in ("keccak", "ntt", "sampler")}
+        m.load_program(f"""
+        config (n = 256, q = 7681)
+        clock_config (keccak = {gates["keccak"]}, ntt = UNGATE, sampler = {gates["sampler"]})
+        {line}
+        """)
+        m.step()
+        m.step()
+        before = (m.cycles, dict(m.per_unit), dict(m.per_insn))
+        for _ in range(3):
+            with pytest.raises(MachineFault, match=f"clock-gated unit '{gated}'"):
+                m.step()
+            assert (m.pc, m.cycles, m.per_unit, m.per_insn) == (2, *before)
+
     def test_permissive_mode_runs_gated_unit(self):
         m = Machine()
         m.load_program("""

@@ -14,6 +14,27 @@ def stream_bytes(tag, k=32):
     return keccak.shake256(tag).finalize().squeeze(k)
 
 
+class SlotWriteRecorder(machine.Machine):
+    """A Machine that records, for each instruction of the programs
+    ``masked_decrypt`` runs, the contents of every slot it writes."""
+
+    # op -> its slot operands that it writes; a transform's src is scratch
+    WRITES = {"config": (), "bin_sample": ("poly",), "mult_psi": ("poly",),
+              "mult_psi_inv": ("poly",), "poly_op": ("poly_dst",),
+              "transform": ("poly_dst", "poly_src")}
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []        # ((op, slot), contents)
+
+    def step(self):
+        insn = self.program.instructions[self.pc]
+        super().step()
+        for field in self.WRITES[insn.op]:
+            slot = insn.args[field]
+            self.writes.append(((insn.op, slot), self.read_slot(slot)))
+
+
 class TestEncodeDecode:
     def test_zero_message_encodes_to_zero(self):
         assert encode_message(bytes(32), 1024) == [0] * 1024
@@ -91,6 +112,26 @@ class TestNewHope:
             ct = newhope_encrypt(m, kp, stream_bytes(b"mc%d" % trial), msg)
             got = protocols.masked_decrypt(m, kp, ct, rng=rng.squeeze)
             assert got == newhope_decrypt(m, kp, ct) == msg
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_masked_decrypt_first_order(self, n):
+        # fixed key pair and ciphertext, two masks: every slot write of the
+        # masked run must differ, or it is a function of the secret and
+        # public inputs alone
+        m = machine.Machine()
+        kp = newhope_keygen(m, stream_bytes(b"fo-kg%d" % n), n=n)
+        msg = stream_bytes(b"fo-msg")
+        ct = newhope_encrypt(m, kp, stream_bytes(b"fo-coin"), msg)
+        runs = []
+        for tag in (b"mask a", b"mask b"):
+            m = SlotWriteRecorder()
+            rng = keccak.shake256(tag).finalize().squeeze
+            assert protocols.masked_decrypt(m, kp, ct, rng=rng) == msg
+            runs.append(m.writes)
+        a, b = runs
+        assert len(a) == 24
+        assert [where for where, _ in a] == [where for where, _ in b]
+        assert [where for (where, x), (_, y) in zip(a, b) if x == y] == []
 
     def test_zero_mask_degenerates(self):
         # masking with mu_r = 0 adds an encryption of zero: output unchanged

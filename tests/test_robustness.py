@@ -196,14 +196,15 @@ class Reference:
             raise Fault(f"index {i}")
         return i
 
-    def charge(self, op, unit, cycles):
-        if not self.gates.get(unit, True):
-            if self.strict:
-                raise Gated(f"{op} drives gated {unit}")
-        else:
-            self.per_unit[unit] += cycles
-        self.cycles += cycles
-        self.per_insn[op] = self.per_insn.get(op, 0) + cycles
+    def charge(self, op, *charges):
+        """Charge (unit, cycles) pairs; a strict-gating fault charges none."""
+        if self.strict and not all(self.gates.get(unit, True) for unit, _ in charges):
+            raise Gated(f"{op} drives a gated unit")
+        for unit, cycles in charges:
+            if self.gates.get(unit, True):
+                self.per_unit[unit] += cycles
+            self.cycles += cycles
+            self.per_insn[op] = self.per_insn.get(op, 0) + cycles
 
     def transform(self, mode, x):
         n, q = self.n, self.q
@@ -311,8 +312,8 @@ class Reference:
             except sampler.SamplerError as exc:
                 raise Fault(str(exc)) from None
             self.mem += n
-            self.charge(op, "keccak", 24 * prng.permutes)
-            self.charge(op, "sampler", prng.words_out + n)
+            self.charge(op, ("keccak", 24 * prng.permutes),
+                        ("sampler", prng.words_out + n))
         elif op == "sha3_init":
             self.sha3 = None
         elif op == "sha3_absorb":
@@ -327,7 +328,7 @@ class Reference:
             self.sha3 = (bits, before + data)
             rate = SHA3_RATE[bits]
             blocks = len(before + data) // rate - len(before) // rate
-            self.charge(op, "keccak", 24 * blocks + (len(data) + 3) // 4 + 1)
+            self.charge(op, ("keccak", 24 * blocks + (len(data) + 3) // 4 + 1))
         elif op == "sha3_digest":
             bits = a["bits"]
             if self.sha3 is not None and self.sha3[0] != bits:
@@ -337,7 +338,7 @@ class Reference:
             # the seeds are written.
             data = b"" if self.sha3 is None else self.sha3[1]
             self.sha3 = None
-            self.charge(op, "keccak", 24 + bits // 32 + 1)
+            self.charge(op, ("keccak", 24 + bits // 32 + 1))
             if bits == 256:
                 self.seeds[a["dest"]] = hashlib.sha3_256(data).digest()
             else:
@@ -347,7 +348,7 @@ class Reference:
             raise AssertionError(f"no reference for {op}")
         rule, bucket = CYCLES[op]
         if "/permutation" not in rule:
-            self.charge(op, bucket, fixed_cycles(rule, self.n))
+            self.charge(op, (bucket, fixed_cycles(rule, self.n)))
         next_pc = self.pc + 1 if jump is None else jump
         if next_pc > len(self.code):
             raise Fault(f"branch target {next_pc}")
