@@ -1,12 +1,12 @@
 """Fetch/decode/execute engine with cycle accounting and clock-gate stats.
 
 The cycle model is one table, ``Machine._OPS``: each op's handler, the
-statistics bucket it charges and its fixed cycle rule.  README's "Cycle
-model" section lists it.  The transform and psi-multiply rules reproduce
-the hardware's (n/2 + 1) * lg n + (n + 1) transform cost exactly; the
-others are documented emulator estimates.  Ops whose cost depends on the
-data (the samplers, ``sha3_absorb`` and ``sha3_digest``) have no fixed
-rule and charge themselves.
+units it drives and its fixed cycle rule.  README's "Cycle model" section
+lists it.  The transform and psi-multiply rules reproduce the hardware's
+(n/2 + 1) * lg n + (n + 1) transform cost exactly; the others are
+documented emulator estimates.  Ops whose cost depends on the data (the
+samplers, ``sha3_absorb`` and ``sha3_digest``) have no fixed rule and
+charge themselves.
 
 Cycles are attributed to one of four statistics buckets: "alu" (scalar
 and control), "ntt" (butterfly/polynomial datapath), "keccak"
@@ -18,7 +18,9 @@ in its bucket.  In strict gating mode, touching a gated unit faults.
 ``Machine.step`` looks the instruction up in ``_OPS``, runs its handler,
 charges its rule, and is the one fault boundary: the units check their
 own operands, and step turns any error an instruction raises into a
-``MachineFault`` carrying that instruction's pc.
+``MachineFault`` carrying that instruction's pc.  Every check of a step
+comes before its first effect, so a faulting step changes nothing but
+the residue tags below, which only record true facts.
 
 The transform, the psi-multiplies and ``poly_op ADD/SUB/MUL`` fault on an
 operand word outside [0, q).  ``Machine.residues`` holds the slots known
@@ -80,11 +82,10 @@ _SAMPLERS = {
     "tri_sample_3": ("tri_sample_prob", lambda m, a: {"k": a["rho"], "q": m.q}),
 }
 
-# (bucket, fixed cycle rule) pairs of Machine._OPS; the ops marked
-# _BY_DATA charge their data-dependent cycles themselves
-_SCALAR = ("alu", lambda m: 1)
-_PER_COEFF = ("ntt", lambda m: m.n + 1)
-_BY_DATA = (None, None)
+# (units, fixed cycle rule) pairs of Machine._OPS; a fixed rule charges
+# the first unit, and an op with no rule charges its cycles itself
+_SCALAR = (("alu",), lambda m: 1)
+_PER_COEFF = (("ntt",), lambda m: m.n + 1)
 
 
 class MachineFault(RuntimeError):
@@ -222,13 +223,9 @@ class Machine:
     # ------------------------------------------------------------ execution
 
     def _use(self, op, *charges):
-        """Charge op's (unit, cycles) pairs.  Under strict gating, a gated
-        unit among them faults before any of them is charged."""
+        """Charge op's (unit, cycles) pairs; a gated unit's cycles count
+        toward the total only."""
         gates = self.gate_config        # no entry for the ungateable alu
-        if self.strict_gating:
-            for unit, _ in charges:
-                if not gates.get(unit, True):
-                    raise MachineFault(f"{op} drives clock-gated unit {unit!r}")
         for unit, cycles in charges:
             if gates.get(unit, True):
                 self.per_unit[unit] += cycles
@@ -240,18 +237,22 @@ class Machine:
             raise MachineFault("machine is halted")
         pc = self.pc
         insn = self.program.instructions[pc]
-        handler, unit, rule = self._OPS[insn.op]
+        handler, units, rule = self._OPS[insn.op]
         try:
+            if self.strict_gating:
+                for unit in units:
+                    if not self.gate_config.get(unit, True):
+                        raise MachineFault(f"{insn.op} drives clock-gated unit {unit!r}")
             jump = handler(self, insn.args, insn.op)
+            next_pc = pc + 1 if jump is None else jump
+            if not 0 <= next_pc <= len(self.program.instructions):
+                raise MachineFault(f"branch target {next_pc} out of range")
             if rule is not None:
-                self._use(insn.op, (unit, rule(self)))
+                self._use(insn.op, (units[0], rule(self)))
         except MachineFault as exc:
             raise MachineFault(str(exc), pc) from None
         except _UNIT_ERRORS as exc:
             raise MachineFault(f"{insn.op}: {exc}", pc) from None
-        next_pc = pc + 1 if jump is None else jump
-        if not 0 <= next_pc <= len(self.program.instructions):
-            raise MachineFault(f"branch target {next_pc} out of range", pc)
         self.pc = next_pc
         if next_pc == len(self.program.instructions):
             self.halted = True
@@ -369,9 +370,11 @@ class Machine:
         ring = kind in ("ADD", "SUB", "MUL")
         schedule = "zip" if ring else "bitrev" if kind == "BITREV" else "map"
         dst, src = a["poly_dst"], a["poly_src"]
-        y, x = self.cache.access(schedule, (dst, src))
-        if ring:
+        if ring:        # range-check, as access does, before the scan
+            self.cache.slot_bank(dst)
+            self.cache.slot_bank(src)
             self._need_residues(src, dst)
+        y, x = self.cache.access(schedule, (dst, src))
         y[:] = _POLY_OPS[kind](x, y, self.reg, self.q)
         if kind in _REDUCING:
             self.residues.add(dst)
@@ -414,8 +417,8 @@ class Machine:
 
     def _sha3_state(self, bits):
         if self.sha3 is None:
-            self.sha3 = (bits, keccak.KeccakState(f"SHA3-{bits}"))
-        elif self.sha3[0] != bits:
+            return keccak.KeccakState(f"SHA3-{bits}")    # the caller stores it
+        if self.sha3[0] != bits:
             raise MachineFault(
                 f"sha3 mode {bits} does not match absorbed mode {self.sha3[0]}")
         return self.sha3[1]
@@ -427,6 +430,7 @@ class Machine:
             data = b"".join([v.to_bytes(3, "little") for v in values])
         else:
             data = self.r0 if a["source"] == "r0" else self.r1
+        self.sha3 = (a["bits"], state)
         before = state.permutes
         state.absorb(data)
         self._use(op, ("keccak",
@@ -434,10 +438,10 @@ class Machine:
 
     def _exec_sha3_digest(self, a, op):
         state = self._sha3_state(a["bits"])
-        self.sha3 = None        # spent, even if the charge below faults
         before = state.permutes
         state.finalize()
         digest = state.squeeze(a["bits"] // 8)
+        self.sha3 = None
         self._use(op, ("keccak", 24 * (state.permutes - before) + a["bits"] // 32 + 1))
         if a["bits"] == 256:
             self.write_seed(a["dest"], digest)
@@ -445,7 +449,7 @@ class Machine:
             self.write_seed("r0", digest[:32])
             self.write_seed("r1", digest[32:])
 
-    # op -> (handler, bucket, fixed cycle rule); README's "Cycle model"
+    # op -> (handler, units, fixed cycle rule); README's "Cycle model"
     _OPS = {
         "config": (_exec_config, *_SCALAR),
         "clock_config": (_exec_clock_config, *_SCALAR),
@@ -454,10 +458,10 @@ class Machine:
         "elems": (_exec_elems, *_PER_COEFF),
         "poly_get": (_exec_poly_get, *_SCALAR),
         "poly_set": (_exec_poly_set, *_SCALAR),
-        "transform": (_exec_transform, "ntt", lambda m: (m.n // 2 + 1) * m.cfg.lg_n),
+        "transform": (_exec_transform, ("ntt",), lambda m: (m.n // 2 + 1) * m.cfg.lg_n),
         "mult_psi": (_exec_mult_psi, *_PER_COEFF),
         "mult_psi_inv": (_exec_mult_psi, *_PER_COEFF),
-        **dict.fromkeys(_SAMPLERS, (_exec_sample, *_BY_DATA)),
+        **dict.fromkeys(_SAMPLERS, (_exec_sample, ("keccak", "sampler"), None)),
         "init": (_exec_init, *_PER_COEFF),
         "poly_copy": (_exec_poly_copy, *_PER_COEFF),
         "poly_op": (_exec_poly_op, *_PER_COEFF),
@@ -466,7 +470,7 @@ class Machine:
         "inf_norm_check": (_exec_inf_norm, *_PER_COEFF),
         "compare": (_exec_compare, *_SCALAR),
         "branch": (_exec_branch, *_SCALAR),
-        "sha3_init": (_exec_sha3_init, "keccak", lambda m: 1),
-        "sha3_absorb": (_exec_sha3_absorb, *_BY_DATA),
-        "sha3_digest": (_exec_sha3_digest, *_BY_DATA),
+        "sha3_init": (_exec_sha3_init, ("keccak",), lambda m: 1),
+        "sha3_absorb": (_exec_sha3_absorb, ("keccak",), None),
+        "sha3_digest": (_exec_sha3_digest, ("keccak",), None),
     }

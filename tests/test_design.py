@@ -124,7 +124,7 @@ def test_every_instruction_form_has_a_handler():
     """One table entry per op; only the ops whose cycles depend on the
     data (the samplers and two sha3 ops) lack a fixed cycle rule."""
     assert {f.op for f in isa.FORMS} == set(Machine._OPS)
-    by_data = {op for op, (_handler, _unit, rule) in Machine._OPS.items()
+    by_data = {op for op, (_handler, _units, rule) in Machine._OPS.items()
                if rule is None}
     samplers = {f.op for f in isa.FORMS if "_sample" in f.op}
     assert len(samplers) == 7

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import random
 
 import pytest
@@ -175,17 +177,26 @@ class TestGating:
         with pytest.raises(MachineFault):
             m.run()
 
-    @pytest.mark.parametrize("line", [
-        "r0 = sha3_256_digest", "r0 || r1 = sha3_512_digest",
-        "sha3_256_absorb (r1)", "sha3_512_absorb (poly = 1)"])
+    # gated sha3 line -> (the digest run after it, the message digested)
+    SHA3_LINES = {
+        "r0 = sha3_256_digest": ("", b""),
+        "r0 || r1 = sha3_512_digest": ("", b""),
+        "sha3_256_absorb (r1)": ("r0 = sha3_256_digest", bytes(range(32, 64))),
+        "sha3_512_absorb (poly = 1)": ("r0 || r1 = sha3_512_digest", bytes(192)),
+    }
+
+    @pytest.mark.parametrize("line", list(SHA3_LINES))
     def test_gated_sha3_faults_each_time_it_is_stepped(self, line):
-        # a faulted digest leaves no spent sponge behind, so stepping the
-        # same instruction again faults the same way
+        # a faulted sha3 op leaves the sponge and the seeds as they were:
+        # stepping it again faults the same way, and once ungated it runs
+        # once, so the digest covers exactly one absorb (or none)
+        digest, message = self.SHA3_LINES[line]
         m = seeded(Machine(strict_gating=True))
         m.load_program(f"""
         config (n = 64, q = 7681)
         clock_config (keccak = GATE, ntt = UNGATE, sampler = UNGATE)
         {line}
+        {digest}
         """)
         m.step()
         m.step()
@@ -193,6 +204,11 @@ class TestGating:
             with pytest.raises(MachineFault, match="clock-gated unit 'keccak'"):
                 m.step()
         assert m.pc == 2 and m.r0 + m.r1 == bytes(range(64))
+        m.gate_config["keccak"] = True
+        m.run()
+        bits = 512 if "512" in line else 256
+        seeds = m.r0 + m.r1 if bits == 512 else m.r0
+        assert seeds == hashlib.new(f"sha3_{bits}", message).digest()
 
     @pytest.mark.parametrize("gated", ["sampler", "keccak"])
     @pytest.mark.parametrize("line", [
@@ -564,6 +580,40 @@ class TestFaults:
         with pytest.raises(MachineFault, match="transform: residue 16000000"):
             m.run()
 
+    # a faulting step must not first run its access (mem_cycle 0 -> 192),
+    # charge its cycle (cycles 0 -> 1, per_insn {"branch": 1}) or write
+    # reg (0 -> 9)
+    FAULTS_AFTER_AN_EFFECT = {
+        "non-residue ADD": (False, "poly_op (op = ADD, poly_dst = 0, poly_src = 5)",
+                            "poly_op: residue 9000 out of range [0, 7681)"),
+        "branch target": (False, isa.Program([isa.Instruction(
+            "branch", {"sense": "==", "flag": 0, "target": 9})]),
+                          "branch target 9 out of range"),
+        "gated max_elems": (True, "reg = max_elems (poly = 0)",
+                            "elems drives clock-gated unit 'ntt'"),
+    }
+
+    @pytest.mark.parametrize("case", list(FAULTS_AFTER_AN_EFFECT))
+    def test_a_faulting_step_changes_nothing(self, case):
+        strict, program, message = self.FAULTS_AFTER_AN_EFFECT[case]
+        m = Machine(strict_gating=strict)
+        m.configure(64, 7681)
+        m.write_slot(0, [9] + [0] * 63)
+        m.write_slot(5, [9000] * 64)
+        m.gate_config["ntt"] = not strict
+        m.cache.trace_enabled = True
+        m.load_program(program)
+
+        def state():
+            return (copy.deepcopy(m.cache.data), m.reg, m.tmp, m.flag, m.c0, m.c1,
+                    m.r0, m.r1, m.sha3, m.pc, m.cycles, dict(m.per_unit),
+                    dict(m.per_insn), m.cache.mem_cycle, list(m.cache.ledger))
+        before = state()
+        with pytest.raises(MachineFault) as err:
+            m.step()
+        assert str(err.value) == f"pc=0: {message}"
+        assert state() == before
+
     @pytest.mark.parametrize("op", ["mult_psi", "mult_psi_inv"])
     def test_psi_multiply_of_non_residues_faults(self, op):
         m = seeded()
@@ -666,19 +716,22 @@ class TestLoadProgram:
 
 def test_readme_cycle_table_matches_the_machine():
     """README's "Cycle model" rows against ``Machine._OPS``: the same ops,
-    each fixed rule with its bucket and its cycles at several n, and a
-    data-dependent row exactly for the ops without a fixed rule."""
+    each op's bucket column naming the units that strict gating checks,
+    each fixed rule's cycles at several n, and a data-dependent row
+    exactly for the ops without a fixed rule."""
     table = readme_cycle_table()
     assert set(table) == set(Machine._OPS)
+    for op, (_handler, units, _rule) in Machine._OPS.items():
+        assert table[op][1] == " + ".join(units), op
     m = Machine()
     for n in (8, 256, 1024, 2048):
         m.configure(n, 12289)
-        for op, (_handler, unit, rule) in Machine._OPS.items():
-            cycles, bucket = table[op]
+        for op, (_handler, _units, rule) in Machine._OPS.items():
+            cycles = table[op][0]
             if rule is None:
                 assert "/permutation" in cycles, op
             else:
-                assert (bucket, fixed_cycles(cycles, n)) == (unit, rule(m)), (op, n)
+                assert fixed_cycles(cycles, n) == rule(m), (op, n)
 
 
 def test_step_returns_execution_events():

@@ -11,14 +11,15 @@ from a SHAKE stream on ``hashlib``; their algorithms are the sampler
 module's, which test_sampler and the frozen kernel digests check.
 
 ``_lockstep`` steps both together.  After every instruction the slots,
-registers, flag, seed registers, pc, cycles, ``per_unit``, ``per_insn``
-and ``mem_cycle`` must agree, and an instruction faults exactly when the
-reference says it must.  A strict-gating fault comes after the
-instruction's effects, so the states must agree after it too.  The src
-slot of a transform is its scratch, whose contents the reference takes
-over from the machine; the frozen kernel digests cover them.  The same
-program run by ``Machine.run`` on a fresh machine must stop in the same
-place with the same fault or none.
+registers, flag, seed registers, the open SHA3 sponge, pc, cycles,
+``per_unit``, ``per_insn`` and ``mem_cycle`` must agree, and an
+instruction faults exactly when the reference says it must.  A faulting
+instruction, strict-gating faults included, checks everything before its
+first effect, so after a fault both states must equal the state before
+it.  The src slot of a transform is its scratch, whose contents the
+reference takes over from the machine; the frozen kernel digests cover
+them.  The same program run by ``Machine.run`` on a fresh machine must
+stop in the same place with the same fault or none.
 
 ``test_programs_with_non_residues_match_reference`` feeds the residue
 checks: straight-line programs over slots the host loaded with residues
@@ -37,6 +38,7 @@ on ``conftest.ScanningMachine``, which scans every operand of every
 residue check: the residue tags must change no fault, slot or cycle.
 """
 
+import copy
 import functools
 import hashlib
 import random
@@ -70,10 +72,6 @@ def _psi(n, q):
 
 class Fault(Exception):
     """The reference says the instruction faults."""
-
-
-class Gated(Fault):
-    """A strict-gating fault: it comes after the instruction's effects."""
 
 
 # config's q values that have no Barrett (m, k) pair
@@ -163,8 +161,10 @@ class Reference:
 
     def state(self):
         """What the lockstep compares, in the order of ``_state``."""
-        return (self.slots, self.reg, self.tmp, self.flag,
-                self.c0, self.c1, self.seeds["r0"], self.seeds["r1"], self.pc,
+        sponge = self.sha3 and (self.sha3[0], hashlib.new(
+            f"sha3_{self.sha3[0]}", self.sha3[1]).digest())
+        return (self.slots, self.reg, self.tmp, self.flag, self.c0, self.c1,
+                self.seeds["r0"], self.seeds["r1"], sponge, self.pc,
                 self.cycles, self.per_unit, self.per_insn, self.mem)
 
     def configure(self, n, q):
@@ -197,9 +197,7 @@ class Reference:
         return i
 
     def charge(self, op, *charges):
-        """Charge (unit, cycles) pairs; a strict-gating fault charges none."""
-        if self.strict and not all(self.gates.get(unit, True) for unit, _ in charges):
-            raise Gated(f"{op} drives a gated unit")
+        """Charge (unit, cycles) pairs; a gated unit's cycles count in the total only."""
         for unit, cycles in charges:
             if self.gates.get(unit, True):
                 self.per_unit[unit] += cycles
@@ -219,9 +217,13 @@ class Reference:
 
     def step(self):
         """Run the instruction at pc and charge its cycles; raise Fault
-        where the machine must fault, leaving pc on that instruction."""
+        where the machine must fault, before any effect.  The units an op
+        drives are its README bucket column."""
         insn = self.code[self.pc]
         op, a, n, q, jump = insn.op, insn.args, self.n, self.q, None
+        rule, bucket = CYCLES[op]
+        if self.strict and not all(self.gates.get(u, True) for u in bucket.split(" + ")):
+            raise Fault(f"{op} drives a gated unit")
         if op == "config":
             self.configure(a["n"], a["q"])
         elif op == "clock_config":
@@ -333,9 +335,7 @@ class Reference:
             bits = a["bits"]
             if self.sha3 is not None and self.sha3[0] != bits:
                 raise Fault("sha3 width")
-            # the padded last block; the digest fits one output block.
-            # The sponge is spent before the charge, which comes before
-            # the seeds are written.
+            # the padded last block; the digest fits one output block
             data = b"" if self.sha3 is None else self.sha3[1]
             self.sha3 = None
             self.charge(op, ("keccak", 24 + bits // 32 + 1))
@@ -346,12 +346,11 @@ class Reference:
                 self.seeds = {"r0": digest[:32], "r1": digest[32:]}
         else:
             raise AssertionError(f"no reference for {op}")
-        rule, bucket = CYCLES[op]
-        if "/permutation" not in rule:
-            self.charge(op, (bucket, fixed_cycles(rule, self.n)))
         next_pc = self.pc + 1 if jump is None else jump
         if next_pc > len(self.code):
             raise Fault(f"branch target {next_pc}")
+        if "/permutation" not in rule:
+            self.charge(op, (bucket, fixed_cycles(rule, self.n)))
         self.pc = next_pc
 
 
@@ -413,16 +412,19 @@ def _slots(m):
 
 
 def _state(m):
-    """What the lockstep compares, in the order of ``Reference.state``."""
-    return (m.cache.data, m.reg, m.tmp, m.flag, m.c0, m.c1, m.r0, m.r1, m.pc,
-            m.cycles, m.per_unit, m.per_insn, m.cache.mem_cycle)
+    """What the lockstep compares, in the order of ``Reference.state``;
+    the open sponge as its width and the digest it would give now (squeezing
+    a shallow copy leaves the sponge open: hashlib's digest is a copy)."""
+    sponge = m.sha3 and (m.sha3[0], copy.copy(m.sha3[1]).squeeze(m.sha3[0] // 8))
+    return (m.cache.data, m.reg, m.tmp, m.flag, m.c0, m.c1, m.r0, m.r1, sponge,
+            m.pc, m.cycles, m.per_unit, m.per_insn, m.cache.mem_cycle)
 
 
 def _lockstep(m, ref, max_cycles=float("inf")):
     """Step a loaded machine and the reference together until the machine
     halts, faults or reaches max_cycles, and compare their states after
-    every instruction that does not fault, and after a strict-gating
-    fault.  Returns the fault's message, or None."""
+    every instruction; after a fault both must equal the state before it.
+    Returns the fault's message, or None."""
     while not m.halted and m.cycles < max_cycles:
         insn = m.program.instructions[m.pc]
         try:
@@ -430,22 +432,20 @@ def _lockstep(m, ref, max_cycles=float("inf")):
             expected = None
         except Fault as exc:
             expected = exc
+            before = copy.deepcopy(_state(m))
         try:
             m.step()
-            fault = None
         except MachineFault as exc:
             assert expected is not None, f"{insn.op} faulted: {exc}"
             assert exc.pc == ref.pc
-            fault = exc
-        assert fault is not None or expected is None, \
+            assert _state(m) == ref.state() == before, insn.op
+            return str(exc)
+        assert expected is None, \
             f"{insn.op} at pc {m.pc - 1} should have faulted: {expected}"
-        if fault is None or isinstance(expected, Gated):
-            if insn.op == "transform":      # its scratch src is not modelled
-                src = insn.args["poly_src"]
-                ref.slots[src] = m.read_slot(src)
-            assert _state(m) == ref.state(), insn.op
-        if fault is not None:
-            return str(fault)
+        if insn.op == "transform":      # its scratch src is not modelled
+            src = insn.args["poly_src"]
+            ref.slots[src] = m.read_slot(src)
+        assert _state(m) == ref.state(), insn.op
     assert _state(m) == ref.state()
     return None
 
