@@ -5,8 +5,9 @@ intermediate products are at most 48 bits, and reduction is performed by
 one of four strategies:
 
   * generic-barrett     -- Barrett reduction with runtime (m, k) parameters
-  * specialized-barrett -- per-prime shift/add Barrett routines for the
-                           eleven supported primes
+  * specialized-barrett -- the same Barrett reduction, for the eleven
+                           supported primes only, with the paper's
+                           appendix (m, k), which equal barrett_params(q)
   * power-of-two        -- bitwise AND with q - 1
   * fermat-65537        -- x0 - x1 + x2 digit folding for q = 2^16 + 1
 
@@ -28,131 +29,33 @@ class ModMathError(ValueError):
     """Contract or configuration violation in the modular arithmetic core."""
 
 
-# Specialized Barrett parameters: q -> (m, k).  Multiplications by m and q
-# are decomposed into the shift/add forms below when they have a short
-# signed-power-of-two representation.
-SPECIALIZED_PARAMS = {
-    7681: (273, 21),
-    12289: (10921, 27),
-    40961: (52427, 31),
-    120833: (71089, 33),
-    133121: (64527, 33),
-    184321: (46603, 33),
-    8380417: (8396807, 46),
-    8058881: (8731825, 46),
-    4205569: (4183069, 44),
-    4206593: (2091025, 43),
-    8404993: (4186127, 45),
-}
-
-
-def _reduce_7681(x):
-    t = ((x << 8) + (x << 4) + x) >> 21
-    t = (t << 13) - (t << 9) + t
-    r = x - t
-    return r - (7681 & -(r >= 7681))
-
-
-def _reduce_12289(x):
-    t = (10921 * x) >> 27
-    t = (t << 13) + (t << 12) + t
-    r = x - t
-    return r - (12289 & -(r >= 12289))
-
-
-def _reduce_40961(x):
-    t = (52427 * x) >> 31
-    t = (t << 15) + (t << 13) + t
-    r = x - t
-    return r - (40961 & -(r >= 40961))
-
-
-def _reduce_120833(x):
-    t = (71089 * x) >> 33
-    t = (t << 17) - (t << 14) + (t << 13) - (t << 11) + t
-    r = x - t
-    return r - (120833 & -(r >= 120833))
-
-
-def _reduce_133121(x):
-    t = ((x << 16) - (x << 10) + (x << 4) - x) >> 33
-    t = (t << 17) + (t << 11) + t
-    r = x - t
-    return r - (133121 & -(r >= 133121))
-
-
-def _reduce_184321(x):
-    t = (46603 * x) >> 33
-    t = (t << 17) + (t << 15) + (t << 14) + (t << 12) + t
-    r = x - t
-    return r - (184321 & -(r >= 184321))
-
-
-def _reduce_8380417(x):
-    t = ((x << 23) + (x << 13) + (x << 3) - x) >> 46
-    t = (t << 23) - (t << 13) + t
-    r = x - t
-    return r - (8380417 & -(r >= 8380417))
-
-
-def _reduce_8058881(x):
-    t = (8731825 * x) >> 46
-    t = 8058881 * t
-    r = x - t
-    return r - (8058881 & -(r >= 8058881))
-
-
-def _reduce_4205569(x):
-    t = (4183069 * x) >> 44
-    t = (t << 22) + (t << 13) + (t << 11) + (t << 10) + t
-    r = x - t
-    return r - (4205569 & -(r >= 4205569))
-
-
-def _reduce_4206593(x):
-    t = ((x << 21) - (x << 13) + (x << 11) + (x << 4) + x) >> 43
-    t = (t << 22) + (t << 13) + (t << 12) + t
-    r = x - t
-    return r - (4206593 & -(r >= 4206593))
-
-
-def _reduce_8404993(x):
-    t = ((x << 22) - (x << 13) + (x << 4) - x) >> 45
-    t = (t << 23) + (t << 14) + t
-    r = x - t
-    return r - (8404993 & -(r >= 8404993))
-
-
-_SPECIALIZED_CORE = {
-    7681: _reduce_7681,
-    12289: _reduce_12289,
-    40961: _reduce_40961,
-    120833: _reduce_120833,
-    133121: _reduce_133121,
-    184321: _reduce_184321,
-    8380417: _reduce_8380417,
-    8058881: _reduce_8058881,
-    4205569: _reduce_4205569,
-    4206593: _reduce_4206593,
-    8404993: _reduce_8404993,
-}
-
-
 # Shift range of the Barrett datapath.
 MIN_K, MAX_K = 16, 48
+
+
+def _one_subtract(q, k):
+    """Whether one conditional subtract suffices for m = floor(2^k / q):
+    the quotient estimate floor(z*m / 2^k) undershoots floor(z/q) by at
+    most 1 for all z < q*q when (q^2 - 1)(2^k mod q) < q*2^k."""
+    return (q * q - 1) * ((1 << k) % q) < q * (1 << k)
 
 
 def barrett_params(q):
     """Smallest (m, k) with m = floor(2^k / q) valid for all inputs < q*q.
 
-    Validity: the quotient estimate floor(z*m / 2^k) must undershoot
-    floor(z/q) by at most 1, which holds when (q^2 - 1)(2^k mod q) < q*2^k.
     The shifter supports MIN_K <= k <= MAX_K.
     """
     for k in range(max(MIN_K, q.bit_length()), MAX_K + 1):
-        if (q * q - 1) * ((1 << k) % q) < q * (1 << k):
+        if _one_subtract(q, k):
             return (1 << k) // q, k
     raise ModMathError(f"no valid Barrett (m, k) for q={q} with k <= {MAX_K}")
+
+
+# The eleven primes of the specialized Barrett profile, q -> (m, k).  The
+# paper's appendix lists the same pairs that barrett_params derives.
+SPECIALIZED_PARAMS = {q: barrett_params(q) for q in (
+    7681, 12289, 40961, 120833, 133121, 184321,
+    8380417, 8058881, 4205569, 4206593, 8404993)}
 
 
 def _validate_barrett(q, m, k):
@@ -162,8 +65,7 @@ def _validate_barrett(q, m, k):
         raise ModMathError(f"m={m} is not floor(2^{k}/{q})")
     if m >= 1 << 24:
         raise ModMathError(f"Barrett multiplier m={m} exceeds 24 bits")
-    # One conditional subtraction must always suffice.
-    if (q * q - 1) * ((1 << k) % q) >= q * (1 << k):
+    if not _one_subtract(q, k):
         raise ModMathError(f"(q={q}, m={m}, k={k}) needs more than one conditional subtract")
 
 
@@ -180,7 +82,7 @@ class ModulusProfile(Frozen):
             if self.m is None or self.k is None:
                 raise ModMathError(f"{self.strategy} requires m and k")
             _validate_barrett(self.q, self.m, self.k)
-            if self.strategy == SPECIALIZED_BARRETT and self.q not in _SPECIALIZED_CORE:
+            if self.strategy == SPECIALIZED_BARRETT and self.q not in SPECIALIZED_PARAMS:
                 raise ModMathError(f"no specialized reduction routine for q={self.q}")
         elif self.strategy == POWER_OF_TWO:
             if self.q & (self.q - 1):
@@ -211,7 +113,7 @@ class ModulusProfile(Frozen):
 
     @classmethod
     def for_modulus(cls, q):
-        """Preferred profile for q: mask, dedicated routine, or generic."""
+        """Preferred profile for q: mask, specialized, or generic."""
         if q & (q - 1) == 0:
             return cls.power_of_two(q)
         if q == 65537 or q in SPECIALIZED_PARAMS:
@@ -262,8 +164,10 @@ def mod_mul(x, y, p):
 
 @functools.lru_cache(maxsize=None)
 def reducer(p):
-    """The one implementation of each reduction strategy: a closure
-    reducing z in [0, q^2) to [0, q), without reduce()'s range check.
+    """The one implementation of each reduction method (mask, Fermat fold,
+    Barrett): a closure reducing z in [0, q^2) to [0, q), without
+    reduce()'s range check.  Both Barrett strategies reduce with the
+    profile's own (m, k).
 
     It is the hardware model behind reduce() and mod_mul().  The
     whole-polynomial kernels (transform, psi-multiply, poly_op, samplers)
@@ -280,11 +184,9 @@ def reducer(p):
             r = (z & 0xFFFF) - ((z >> 16) & 0xFFFF) + (z >> 32)
             return r + (q & -(r < 0))
         return _fermat
-    if p.strategy == SPECIALIZED_BARRETT:
-        return _SPECIALIZED_CORE[q]
-    m, k = p.m, p.k
+    m, k = p.m, p.k     # both Barrett strategies
 
-    def _generic(z):
+    def _barrett(z):
         r = z - ((z * m) >> k) * q
         return r - (q & -(r >= q))
-    return _generic
+    return _barrett

@@ -51,9 +51,10 @@ def test_criterion_1_ntt_cycle_counts():
 
 
 def test_criterion_2_reduction_sweeps():
-    # 13 routines (11 shift/add primes, the 2^16+1 digit fold, and generic
-    # Barrett spread across all 12 primes) plus power-of-two masking, one
-    # million random inputs each plus the edge set, against int.__mod__.
+    # 13 sweeps (the specialized profile of each of the 11 Barrett primes
+    # and of the 2^16+1 digit fold, and one generic-Barrett sweep spread
+    # across all 12 primes) plus power-of-two masking, one million random
+    # inputs each plus the edge set, against int.__mod__.
     with criterion(2, "modular reduction sweeps", budget=30.0):
         rng = np.random.default_rng(0xACCE55)
         n_samples = 1_000_000
@@ -72,10 +73,10 @@ def test_criterion_2_reduction_sweeps():
             with pytest.raises(modmath.ModMathError):
                 modmath.reduce(q * q, profile)
 
-        for q in primes:                       # routines 1..12
+        for q in primes:                       # sweeps 1..12
             sweep(modmath.ModulusProfile.specialized(q), n_samples)
         share = n_samples // len(primes) + 1
-        for q in primes:                       # routine 13: generic Barrett
+        for q in primes:                       # sweep 13: generic Barrett
             sweep(modmath.ModulusProfile.generic(q), share)
         for w in (8, 15, 16, 23):              # plus power-of-two masking
             sweep(modmath.ModulusProfile.power_of_two(1 << w),

@@ -43,14 +43,32 @@ def test_fermat_shortcut():
     assert reduce(1 << 32, p) == 1                 # 2^16 = -1 so 2^32 = 1
 
 
+# The paper's appendix: q -> (m, k) of its specialized Barrett reduction.
+APPENDIX_PARAMS = {
+    7681: (273, 21), 12289: (10921, 27), 40961: (52427, 31),
+    120833: (71089, 33), 133121: (64527, 33), 184321: (46603, 33),
+    8380417: (8396807, 46), 8058881: (8731825, 46),
+    4205569: (4183069, 44), 4206593: (2091025, 43), 8404993: (4186127, 45),
+}
+
+
 def test_appendix_parameters():
-    assert SPECIALIZED_PARAMS[7681] == (273, 21)
-    assert SPECIALIZED_PARAMS[8380417] == (8396807, 46)
-    # every (q, m, k) pair satisfies m = floor(2^k / q) and the one-subtract
-    # validity bound
-    for q, (m, k) in SPECIALIZED_PARAMS.items():
+    assert SPECIALIZED_PARAMS == APPENDIX_PARAMS
+    for q, (m, k) in APPENDIX_PARAMS.items():
+        assert modmath.barrett_params(q) == (m, k)
+        # m = floor(2^k / q) and the one-subtract validity bound
         assert m == (1 << k) // q
         assert (q * q - 1) * ((1 << k) % q) < q * (1 << k)
+
+
+def test_specialized_profile_reduces_with_its_own_parameters():
+    # (546, 22) is valid for 7681 but not minimal; the profile keeps it
+    # and reduces with it, not with the appendix's (273, 21)
+    q = 7681
+    p = ModulusProfile(q, modmath.SPECIALIZED_BARRETT, 546, 22)
+    assert (p.m, p.k) == (546, 22)
+    for z in (0, 1, q - 1, q, q + 1, q * q - 1, q * q - q, q * q - q - 1):
+        assert reduce(z, p) == z % q
 
 
 @pytest.mark.parametrize("q", ALL_PRIMES)

@@ -1,4 +1,5 @@
-"""Whole-run secret independence of the shipped listings.
+"""Whole-run secret independence of the shipped listings and of every
+sampler instruction.
 
 The paper claims that Sapphire's building blocks run in constant time.
 Here each protocol driver or listing runs several times with only its
@@ -17,14 +18,28 @@ Declassified on purpose:
 * the host-side ``decode_message`` and the host's noise additions, which
   run on the host processor, not on the core.
 
-The sampler instructions whose cycles depend on their draws
-(``tri_sample_1``, ``tri_sample_2`` and ``uni_sample``) appear in no
-shipped listing and are not covered here.
+Each of the seven sampler instructions also runs alone, with its noise
+seed r1 varied.  ``bin_sample``, ``cdt_sample`` and ``tri_sample_3`` draw
+a fixed number of words, so their records must be identical.  The
+rejection-style samplers draw until they have enough, so their keccak and
+sampler cycles (24 per permutation, 1 per word, 1 per sample) vary with
+the draw and are declassified, each for its own reason:
+
+* ``rej_sample`` and ``uni_sample``: a candidate is rejected by its own
+  value alone, so the number of rejected candidates is independent of the
+  values of the accepted ones, which are the output;
+* ``tri_sample_1`` and ``tri_sample_2``: a placement is retried when its
+  uniform position is already taken, and by the symmetry of uniform
+  placement under any permutation of the positions, the retry count is
+  independent of which positions end up nonzero and of their signs.
+
+Their pc sequence and ledger must still be identical, and their cycle
+reports may differ only by the draw's own cycles.
 """
 
 import pytest
 
-from sapphire import keccak, polycache, protocols
+from sapphire import keccak, polycache, protocols, sampler
 from sapphire.machine import Machine
 from test_protocols import stream_bytes
 
@@ -143,3 +158,67 @@ def test_desk640_frodo_kernels_with_seed_s_varied(kernel):
     _assert_independent(
         lambda m, seed_s: run(m, "desk640", seed_a, seed_s),
         [stream_bytes(b"si-frodo-s%d" % i) for i in range(3)])
+
+
+N, Q = 1024, 12289
+CDT = sampler.CdtTable.from_sigma(2.75, 11, 16)
+NOISE_SEEDS = [stream_bytes(b"si-sampler%d" % i) for i in range(20)]
+
+
+def _sampler_run(op, operands):
+    """Run `op` alone on seed r1, after config (n = 1024, q = 12289);
+    returns the written slot."""
+    def drive(m, r1):
+        m.load_cdt(CDT)
+        m.load_program(f"config (n = {N}, q = {Q})\n"
+                       f"{op} (prng = SHAKE-256, seed = r1, c0 = 0, c1 = 0, "
+                       f"{operands}poly = 0)\n")
+        m.write_seed("r1", r1)
+        m.run()
+        return m.read_slot(0)
+    return drive
+
+
+# op -> its operands
+FIXED_DRAW = {
+    "bin_sample": "k = 8, ",
+    "cdt_sample": f"r = {CDT.precision}, s = {CDT.support}, ",
+    "tri_sample_3": "rho = 3, ",
+}
+
+
+@pytest.mark.parametrize("op", sorted(FIXED_DRAW))
+def test_fixed_draw_samplers_with_the_noise_seed_varied(op):
+    _assert_independent(_sampler_run(op, FIXED_DRAW[op]), NOISE_SEEDS)
+
+
+# op -> (its operands, the same draw replayed on the host)
+REJECTION_STYLE = {
+    "rej_sample": ("", lambda prng: sampler.rej_sample(
+        N, sampler.RejectionPlan.for_modulus(Q), prng)),
+    "uni_sample": ("eta = 5, bitlen = 4, ",
+                   lambda prng: sampler.uni_sample(N, 5, 4, Q, prng)),
+    "tri_sample_1": ("m = 64, ",
+                     lambda prng: sampler.tri_sample_fixed(N, 64, Q, prng)),
+    "tri_sample_2": ("m0 = 32, m1 = 32, ",
+                     lambda prng: sampler.tri_sample_split(N, 32, 32, Q, prng)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(REJECTION_STYLE))
+def test_rejection_style_samplers_with_the_noise_seed_varied(op):
+    operands, replay = REJECTION_STYLE[op]
+    records, results = _records(_sampler_run(op, operands), NOISE_SEEDS)
+    undrawn, totals = set(), set()
+    for r1, ((pcs, lines, ledger),), values in zip(NOISE_SEEDS, records, results):
+        prng = keccak.sampler_prng("SHAKE-256", r1, 0, 0)
+        assert replay(prng) == values
+        draw = {"cycles_keccak": 24 * prng.permutes,
+                "cycles_sampler": prng.words_out + N}
+        draw["cycles_total"] = draw[f"insn_{op}"] = sum(draw.values())
+        counts = [line.split() for line in lines]
+        undrawn.add((tuple(pcs), tuple(ledger),
+                     tuple((k, int(v) - draw.get(k, 0)) for k, v in counts)))
+        totals.add(lines[0])
+    assert len(undrawn) == 1
+    assert len(totals) > 1      # the draw did vary, and was declassified
