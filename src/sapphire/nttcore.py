@@ -17,36 +17,55 @@ exponent
 with omega^k for forward modes; inverse modes derive omega^-k from the
 forward table as q - omega[n/2 - k] (and 1 for k = 0), so no inverse table
 is stored.  Stored constants are exactly omega^j for j < n/2, psi^i and
-n^-1 * psi^-i for i < n.  Each constants object expands these into one
-twiddle vector per stage on first use (``NttConstants.stage_twiddles``).
+n^-1 * psi^-i for i < n.  Each constants object expands these, per mode on
+first use, into the twiddle tuples of the transform's blocks
+(``NttConstants.dif_ntt_twiddles`` and its three siblings).
 
-Every stage and the psi-multiply are whole-slot list comprehensions over
-sliced operands, with no function call per coefficient; where they
-reduce, they use Python ``%``.  For inputs in [0, q^2) that equals each
-hardware reduction strategy of ``modmath.reducer``, which acceptance
-criterion 2 sweeps, so the results are those of the hardware datapath.
+Passes.  The host runs the lg n stages as passes of up to PASS_STAGES
+consecutive stages.  k constant-geometry stages fall apart into n/2^k
+independent blocks of 2^k words: DIF block b reads words b, b + n/2^k,
+b + 2n/2^k, ... (one word of each contiguous column) and writes the 2^k
+words from b * 2^k on; DIT block b reads the 2^k words from b * 2^k on
+and writes words b, b + n/2^k, ....  So a pass takes each block in turn
+through all its stages in local variables, and builds no list between
+its stages.
 
-Stages ping-pong between the src and dst slot regions (the src slot is
-consumed as scratch).  The final stage always lands in dst; when lg n is
-even this makes the last stage read and write the same bank, which is
-modelled as a read pass followed by a write pass in the memory-cycle
-ledger.  The instruction cycle cost is accounted separately by the
-machine as (n/2 + 1) * lg n.
-
-Only two stages leave words that anyone can read: the last stage, in dst,
-and the last stage that writes the src slot, which is stage lg n - 1 for
-odd lg n and lg n - 2 for even lg n.  Those two reduce every word to
-[0, q).  The others reduce lazily (Longa and Naehrig, CANS 2016): a DIF
-stage leaves its sums unreduced, and a DIT stage reduces its twiddle
+The pass plan (``pass_plan``) ends a pass at each stage whose words
+anyone can read.  Only two stages leave such words: the last stage, in
+dst, and the last stage that writes the src slot, which is stage lg n - 1
+for odd lg n and lg n - 2 for even lg n.  The passes ending there reduce
+every word to [0, q), so dst and the scratch src hold what a datapath that
+writes every stage to the slots would leave; what the other stages would
+write is overwritten before any op can read it.  Inside a pass, and in
+the other passes, stages reduce lazily (Longa and Naehrig, CANS 2016): a
+DIF stage leaves its sums unreduced, and a DIT stage reduces its twiddle
 products and leaves its sums and differences unreduced.  Every word stays
-congruent mod q to the fully reduced one, so the observable words are
-those of a datapath that reduces in every stage.
+congruent mod q to the fully reduced one.  Reduction uses Python ``%``.
+For inputs in [0, q^2) that equals each hardware reduction strategy of
+``modmath.reducer``, which acceptance criterion 2 sweeps, so the results
+are those of the hardware datapath.
+
+Generated code.  A block's butterflies are straight-line code, as in
+FFTW's codelets (Frigo and Johnson, Proc. IEEE 2005): a loop over the
+butterflies, or a list per stage, would bring back the per-word work the
+passes save.  ``_kernel`` writes that code once per (stages, direction,
+exact) on first use and compiles it with ``exec``; q and the twiddles are
+arguments, so no code is made per n, per q or per call.  The psi-multiply
+is a whole-slot list comprehension.
+
+The stages ping-pong between the src and dst slot regions (the src slot
+is consumed as scratch), and each pass writes the region its last stage
+writes (``polycache.transform_regions``).  The final stage always lands in
+dst; when lg n is even this makes the last stage read and write the same
+bank, which is modelled as a read pass followed by a write pass in the
+memory-cycle ledger.  The ledger is accounted stage by stage, as the
+hardware runs, whatever the host's passes.  The instruction cycle cost is
+accounted separately by the machine as (n/2 + 1) * lg n.
 """
 
 import functools
 import math
-from itertools import chain, repeat
-from operator import add, sub
+from itertools import chain
 
 from . import modmath, polycache
 from .isa import TRANSFORM_MODES
@@ -54,6 +73,9 @@ from .polycache import bit_reverse  # noqa: F401  (the transform's index order)
 from .record import Frozen
 
 DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT = TRANSFORM_MODES
+
+# A pass runs up to this many stages on each block of 2^PASS_STAGES words.
+PASS_STAGES = 4
 
 
 class NttError(ValueError):
@@ -91,21 +113,39 @@ class NttConstants(Frozen):
                           psi_powers=psi_powers,           # psi^i, i in [0, n)
                           psi_inv_scaled=psi_inv_scaled)   # n^-1 * psi^-i, i in [0, n)
 
-    @functools.cached_property
-    def stage_twiddles(self):
-        """Transform mode -> one twiddle vector per stage, entry j the
-        factor of butterfly j: table[k] for k = j rounded down to a multiple
-        of 2^(s-1) (DIF) or 2^(lg n - s) (DIT) at stage s."""
-        half = self.n >> 1
-        fwd = self.omega_powers
-        inv = (1,) + tuple(self.q - fwd[half - k] for k in range(1, half))
+    def _block_twiddles(self, mode):
+        """One list per pass of ``pass_plan``, one tuple per block of the
+        pass: the twiddle factors of the block's butterflies, stage by
+        stage.  At stage r of a k-stage pass the butterflies of a block
+        share 2^(k-1-r) factors (DIF) or 2^r (DIT), and each factor's
+        column over the blocks is a strided slice of the stage's vector w:
+        w[start::2^r] (DIF) or w[start::2^(k-r-1)] (DIT)."""
+        n, lg_n = self.n, self.n.bit_length() - 1
+        half = n >> 1
+        table = self.omega_powers
+        if mode in (DIF_INTT, DIT_INTT):
+            table = (1,) + tuple(self.q - table[half - k] for k in range(1, half))
+        dif = mode in (DIF_NTT, DIF_INTT)
+        out, s = [], 0
+        for stages, _ in pass_plan(lg_n):
+            rows, columns = n >> stages, []
+            for r in range(stages):
+                s += 1
+                e = s - 1 if dif else lg_n - s
+                w = [table[j >> e << e] for j in range(half)]
+                if dif:
+                    columns += [w[g * rows << r::1 << r][:rows]
+                                for g in range(1 << stages - 1 - r)]
+                else:
+                    columns += [w[g << lg_n - 1 - r::1 << stages - 1 - r][:rows]
+                                for g in range(1 << r)]
+            out.append(list(zip(*columns)))
+        return out
 
-        def by_run_length(table):       # runs of 1, 2, 4, ..., n/2
-            return [list(chain.from_iterable(repeat(table[k], size)
-                                             for k in range(0, half, size)))
-                    for size in (1 << t for t in range(half.bit_length()))]
-        f, i = by_run_length(fwd), by_run_length(inv)
-        return {DIF_NTT: f, DIT_NTT: f[::-1], DIF_INTT: i, DIT_INTT: i[::-1]}
+    dif_ntt_twiddles = functools.cached_property(lambda self: self._block_twiddles(DIF_NTT))
+    dif_intt_twiddles = functools.cached_property(lambda self: self._block_twiddles(DIF_INTT))
+    dit_ntt_twiddles = functools.cached_property(lambda self: self._block_twiddles(DIT_NTT))
+    dit_intt_twiddles = functools.cached_property(lambda self: self._block_twiddles(DIT_INTT))
 
 
 def find_psi(n, q):
@@ -158,36 +198,91 @@ def _check_slots(cache, cfg, src, dst):
         raise NttError(f"src slot {src} and dst slot {dst} share a bank")
 
 
+@functools.cache
+def pass_plan(lg_n):
+    """The passes of a transform, as (stages, exact): runs of at most
+    PASS_STAGES stages, split so that a pass ends at each observable
+    stage.  Only those passes (exact) reduce every word they write."""
+    last_src = lg_n - 1 if lg_n & 1 else lg_n - 2
+    plan, done = [], 0
+    for end in (last_src, lg_n):
+        while done < end:
+            stages = min(PASS_STAGES, end - done)
+            done += stages
+            plan.append((stages, done == end))
+    return tuple(plan)
+
+
+@functools.cache
+def _kernel(stages, dif, exact):
+    """The code of one pass, generated once per shape: ``run(q,
+    twiddles, columns)`` reads block b as word b of each column, runs
+    ``stages`` constant-geometry stages of 2^stages words on it in local
+    variables, and returns the blocks' output words, one tuple per block.
+
+    Stage r of the pass is a constant-geometry stage of the block, and
+    its factors come after those of stages 0 .. r-1 in the block's
+    twiddle tuple.  Stages reduce lazily; if ``exact``, the last reduces
+    every word.
+    """
+    size, half = 1 << stages, 1 << stages - 1
+    inputs = words = [f"x{i}" for i in range(size)]
+    lines, factors = [], 0
+    for r in range(stages):
+        reduce_all = exact and r == stages - 1
+        out = [f"v{r}_{i}" for i in range(size)]
+        for j in range(half):
+            if dif:     # reads (j, j + half), writes (2j, 2j + 1)
+                a, b, w = words[j], words[j + half], f"w{factors + (j >> r)}"
+                total = f"({a} + {b}) % q" if reduce_all else f"{a} + {b}"
+                lines += [f"{out[2 * j]} = {total}",
+                          f"{out[2 * j + 1]} = ({a} - {b}) * {w} % q"]
+            else:       # reads (2j, 2j + 1), writes (j, j + half)
+                a, b = words[2 * j], words[2 * j + 1]
+                w = f"w{factors + (j >> stages - 1 - r)}"
+                if reduce_all:
+                    lines += [f"t = {b} * {w}", f"{out[j]} = ({a} + t) % q",
+                              f"{out[j + half]} = ({a} - t) % q"]
+                else:
+                    lines += [f"t = {b} * {w} % q", f"{out[j]} = {a} + t",
+                              f"{out[j + half]} = {a} - t"]
+        factors += half >> r if dif else 1 << r
+        words = out
+    twiddle_names = ", ".join(f"w{i}" for i in range(factors))
+    source = "\n".join([
+        "def run(q, twiddles, columns):",
+        "    blocks = []",
+        f"    for ({twiddle_names},), {', '.join(inputs)} in zip(twiddles, *columns):",
+        *(f"        {line}" for line in lines),
+        f"        blocks.append(({', '.join(words)},))",
+        "    return blocks"])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["run"]
+
+
 def ntt(cfg, consts, cache, dst, src, mode):
     """Run one constant-geometry transform from slot src into slot dst."""
     if mode not in TRANSFORM_MODES:
         raise NttError(f"unknown transform mode {mode!r}")
     _check_slots(cache, cfg, src, dst)
-    half, q, lg_n = cfg.n >> 1, cfg.q, cfg.lg_n
+    n, q, lg_n = cfg.n, cfg.q, cfg.lg_n
     dif = mode in (DIF_NTT, DIF_INTT)
     operands = cache.access("dif" if dif else "dit", (dst, src))
-    regions = [operands[r] for r in polycache.transform_regions(lg_n)]
-    # the last stage to write the src slot (region 1), and the last stage
-    observable = (lg_n - 1 if lg_n & 1 else lg_n - 2, lg_n)
-    # stage s reads regions[s - 1] and writes regions[s]; the inputs are
-    # sliced out before any write, so a stage whose region is both read
-    # and written (lg n even) needs no extra pass
-    stages = zip(regions, regions[1:], consts.stage_twiddles[mode])
-    for s, (inp, out, w) in enumerate(stages, 1):
-        exact = s in observable
-        if dif:
-            v0, v1 = inp[:half], inp[half:]
-            out[0::2] = ([(a + b) % q for a, b in zip(v0, v1)] if exact
-                         else map(add, v0, v1))
-            out[1::2] = [(a - b) * c % q for a, b, c in zip(v0, v1, w)]
-        elif exact:
-            v0, t = inp[0::2], [b * c for b, c in zip(inp[1::2], w)]
-            out[:half] = [(a + b) % q for a, b in zip(v0, t)]
-            out[half:] = [(a - b) % q for a, b in zip(v0, t)]
-        else:
-            v0, t = inp[0::2], [b * c % q for b, c in zip(inp[1::2], w)]
-            out[:half] = map(add, v0, t)
-            out[half:] = map(sub, v0, t)
+    regions = polycache.transform_regions(lg_n)
+    data, last = operands[1], 0
+    passes = zip(pass_plan(lg_n), getattr(consts, f"{mode.lower()}_twiddles"))
+    for (stages, exact), twiddles in passes:
+        size, rows = 1 << stages, n >> stages
+        # block b is words b, b + rows, ... (DIF) or b * size, b * size + 1,
+        # ... (DIT); the columns are copies, so a pass may write the
+        # region it reads
+        columns = ([data[c * rows:(c + 1) * rows] for c in range(size)] if dif
+                   else [data[c::size] for c in range(size)])
+        blocks = _kernel(stages, dif, exact)(q, twiddles, columns)
+        last += stages
+        data = operands[regions[last]]
+        data[:] = chain.from_iterable(blocks if dif else zip(*blocks))
 
 
 def _scale_slot(cfg, cache, slot, table):

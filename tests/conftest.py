@@ -10,7 +10,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from sapphire import keccak, modmath, polycache  # noqa: E402
+from sapphire import keccak, modmath, nttcore, polycache  # noqa: E402
 from sapphire.machine import Machine  # noqa: E402
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -164,6 +164,40 @@ def iterative_ntt(a, omega, q):
                 x[k + j + m // 2] = (u - t) % q
                 w = w * wm % q
     return x
+
+
+def stagewise_ntt(cfg, consts, cache, dst, src, mode):
+    """The transform one stage at a time, each stage a whole-slot list
+    comprehension with its own twiddle vector: the reference for
+    ``nttcore.ntt``.  It accounts the same memory cycles and leaves the
+    same words in dst and in the scratch src slot, reducing lazily except
+    at the two observable stages."""
+    nttcore._check_slots(cache, cfg, src, dst)
+    n, q, lg_n = cfg.n, cfg.q, cfg.lg_n
+    half = n >> 1
+    dif = mode in (nttcore.DIF_NTT, nttcore.DIF_INTT)
+    table = consts.omega_powers
+    if mode in (nttcore.DIF_INTT, nttcore.DIT_INTT):
+        table = (1,) + tuple(q - table[half - k] for k in range(1, half))
+    operands = cache.access("dif" if dif else "dit", (dst, src))
+    regions = [operands[r] for r in polycache.transform_regions(lg_n)]
+    observable = (lg_n - 1 if lg_n & 1 else lg_n - 2, lg_n)
+    for s in range(1, lg_n + 1):
+        inp, out, exact = regions[s - 1], regions[s], s in observable
+        e = s - 1 if dif else lg_n - s
+        w = [table[j >> e << e] for j in range(half)]
+        if dif:
+            v0, v1 = inp[:half], inp[half:]
+            out[0::2] = [(a + b) % q if exact else a + b for a, b in zip(v0, v1)]
+            out[1::2] = [(a - b) * c % q for a, b, c in zip(v0, v1, w)]
+        elif exact:
+            v0, t = inp[0::2], [b * c for b, c in zip(inp[1::2], w)]
+            out[:half] = [(a + b) % q for a, b in zip(v0, t)]
+            out[half:] = [(a - b) % q for a, b in zip(v0, t)]
+        else:
+            v0, t = inp[0::2], [b * c % q for b, c in zip(inp[1::2], w)]
+            out[:half] = [a + b for a, b in zip(v0, t)]
+            out[half:] = [a - b for a, b in zip(v0, t)]
 
 
 def schoolbook_negacyclic(a, b, q):

@@ -8,13 +8,14 @@ from sapphire.nttcore import (
     DIF_INTT, DIF_NTT, DIT_INTT, DIT_NTT, LatticeConfig, NttError,
     gen_constants,
 )
-from conftest import bitrev, iterative_ntt, schoolbook_negacyclic
+from conftest import bitrev, iterative_ntt, schoolbook_negacyclic, stagewise_ntt
 
 # every strategy the transform meets: specialized Barrett (7681, 12289,
 # 40961, 8380417) and the Fermat prime 65537, from n = 8 to n = 2048
 CONFIGS = [(8, 7681), (64, 7681), (256, 7681), (256, 12289), (512, 12289),
            (1024, 12289), (2048, 12289), (64, 40961), (2048, 40961),
            (8, 65537), (1024, 65537), (256, 8380417), (2048, 8380417)]
+MODES = [DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT]
 
 
 def make(n, q):
@@ -212,7 +213,7 @@ class TestTransform:
             nttcore.ntt(cfg, consts, cache, 1, 0, DIF_NTT)
 
     @pytest.mark.parametrize("q", [12289, 8380417])
-    @pytest.mark.parametrize("mode", [DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT])
+    @pytest.mark.parametrize("mode", MODES)
     def test_observable_words_are_residues(self, mode, q):
         # the lazy stages leave words outside [0, q); the stages whose
         # words stay in dst and in the scratch src must reduce them all
@@ -241,6 +242,47 @@ class TestTransform:
             out = cache.dump_slot(cache.slots_per_bank)
             ref = iterative_ntt(a, omega, q)
             assert [out[bitrev(i, cfg.lg_n)] for i in range(n)] == ref
+
+    @pytest.mark.parametrize("n,q", CONFIGS + [(16, 7681), (32, 7681), (128, 7681),
+                                               (512, 8380417)])
+    def test_fused_passes_match_stagewise_reference(self, n, q):
+        # dst, the scratch src and the memory cycles, in every mode
+        cfg = LatticeConfig.make(n, q)
+        consts = gen_constants(cfg)
+        rng = random.Random(n * q)
+        inputs = ([0] * n, [q - 1] * n, [rng.randrange(q) for _ in range(n)])
+        for mode in MODES:
+            for a in inputs:
+                results = []
+                for transform in (nttcore.ntt, stagewise_ntt):
+                    cache = polycache.PolynomialCache().configure(n)
+                    dst = cache.slots_per_bank
+                    cache.load_slot(0, a)
+                    transform(cfg, consts, cache, dst, 0, mode)
+                    results.append((cache.dump_slot(dst), cache.dump_slot(0),
+                                    cache.mem_cycle))
+                assert results[0] == results[1], (mode, a[:4])
+
+    def test_kernels_are_compiled_once_per_pass_shape(self):
+        # a repeated transform compiles nothing, and no kernel is per n
+        # or per q: the cache holds one entry per (stages, dif, exact)
+        nttcore._kernel.cache_clear()
+        shapes = set()
+        for n in (512, 1024, 2048):
+            for q in (12289, 8380417):
+                cfg, consts, cache = make(n, q)
+                cache.load_slot(0, list(range(n)))
+                for mode in MODES:
+                    dif = mode in (DIF_NTT, DIF_INTT)
+                    shapes |= {(stages, dif, exact)
+                               for stages, exact in nttcore.pass_plan(cfg.lg_n)}
+                    nttcore.ntt(cfg, consts, cache, cache.slots_per_bank, 0, mode)
+                    misses = nttcore._kernel.cache_info().misses
+                    nttcore.ntt(cfg, consts, cache, cache.slots_per_bank, 0, mode)
+                    assert nttcore._kernel.cache_info().misses == misses
+        info = nttcore._kernel.cache_info()
+        assert info.currsize == info.misses == len(shapes)
+        assert all(stages <= nttcore.PASS_STAGES for stages, _, _ in shapes)
 
 
 class TestCycleFormula:
