@@ -19,15 +19,14 @@ in its bucket.  In strict gating mode, touching a gated unit faults.
 charges its rule, and is the one fault boundary: the units check their
 own operands, and step turns any error an instruction raises into a
 ``MachineFault`` carrying that instruction's pc.  Every check of a step
-comes before its first effect, so a faulting step changes nothing but
-the residue tags below, which only record true facts.
+comes before its first effect, so a faulting step changes nothing.
 
 The transform, the psi-multiplies and ``poly_op ADD/SUB/MUL`` fault on an
 operand word outside [0, q).  ``Machine.residues`` holds the slots known
 to contain only such residues, so that only the others are scanned: the
 writers that reduce mod q tag their dst, copies and permutations pass
-the tag of their src on, a host load tags its slot when the scan of its
-range check finds no word >= q, and every other write clears it.
+the tag of their src on, a host load tags its slot when its largest word
+is below q, and every other write clears it.
 """
 
 import operator
@@ -164,7 +163,7 @@ class Machine:
         self.cache.clear_ledger()
 
     def write_seed(self, which, data):
-        if len(data) != 32:
+        if not isinstance(data, (bytes, bytearray)) or len(data) != 32:
             raise MachineFault("seed registers are 32 bytes")
         if which == "r0":
             self.r0 = bytes(data)
@@ -196,9 +195,7 @@ class Machine:
         self.cache.configure(n)
 
     def write_slot(self, slot, values):
-        self.residues.discard(slot)
-        if self.cache.load_slot(slot, values) < self.q:
-            self.residues.add(slot)
+        self._tag(slot, self.cache.load_slot(slot, values) < self.q)
 
     def read_slot(self, slot):
         return self.cache.dump_slot(slot)
@@ -209,7 +206,7 @@ class Machine:
         if len(entries) > 64:
             raise MachineFault("CDT RAM holds at most 64 entries")
         for e in entries:
-            if not 0 <= e < (1 << 32):
+            if type(e) is not int or not 0 <= e < (1 << 32):
                 raise MachineFault("CDT entries are 32-bit words")
         self.cdt_ram = list(entries) + [0] * (64 - len(entries))
 
@@ -307,21 +304,19 @@ class Machine:
     def _need_residues(self, *slots):
         """Raise ModMathError unless every coefficient of the given slots is
         a residue in [0, q); the error names the first one that is not.
-        Only untagged slots are scanned, and a passing scan tags them."""
+        Only untagged slots are scanned; no slot word is negative, so the
+        scan is ``max < q``."""
         q, data = self.q, self.cache.data
-        scan = [s for s in slots if s not in self.residues]
-        if all(0 <= min(data[s]) and max(data[s]) < q for s in scan):
-            self.residues.update(scan)
-            return
-        for vals in zip(*(data[s] for s in slots)):
-            modmath._check_residues(q, *vals)
+        if any(max(data[s]) >= q for s in slots if s not in self.residues):
+            for vals in zip(*(data[s] for s in slots)):
+                modmath._check_residues(q, *vals)
 
-    def _pass_tag(self, dst, src):
-        """Give dst the residue tag of src, after a copy or permutation."""
-        if src in self.residues:
-            self.residues.add(dst)
+    def _tag(self, slot, known):
+        """Record whether slot is known to hold only residues."""
+        if known:
+            self.residues.add(slot)
         else:
-            self.residues.discard(dst)
+            self.residues.discard(slot)
 
     def _exec_transform(self, a, op):
         dst, src = a["poly_dst"], a["poly_src"]
@@ -363,7 +358,7 @@ class Machine:
     def _exec_poly_copy(self, a, op):
         y, x = self.cache.access("map", (a["poly_dst"], a["poly_src"]))
         y[:] = x
-        self._pass_tag(a["poly_dst"], a["poly_src"])
+        self._tag(a["poly_dst"], a["poly_src"] in self.residues)
 
     def _exec_poly_op(self, a, op):
         kind = a["op"]
@@ -376,12 +371,7 @@ class Machine:
             self._need_residues(src, dst)
         y, x = self.cache.access(schedule, (dst, src))
         y[:] = _POLY_OPS[kind](x, y, self.reg, self.q)
-        if kind in _REDUCING:
-            self.residues.add(dst)
-        elif kind == "BITREV":
-            self._pass_tag(dst, src)
-        else:
-            self.residues.discard(dst)
+        self._tag(dst, kind in _REDUCING or kind == "BITREV" and src in self.residues)
 
     def _exec_shift_poly(self, a, op):
         y, x = self.cache.access("gather", (a["poly_dst"], a["poly_src"]))
@@ -390,7 +380,7 @@ class Machine:
         else:
             head = x[-1]
         y[:] = [head] + x[:-1]
-        self._pass_tag(a["poly_dst"], a["poly_src"])
+        self._tag(a["poly_dst"], a["poly_src"] in self.residues)
 
     def _exec_eq_check(self, a, op):
         # the whole compare schedule runs whatever the data

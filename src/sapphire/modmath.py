@@ -122,8 +122,6 @@ class ModulusProfile(Frozen):
 
     @functools.cached_property
     def _reduce(self):
-        # reducer(self), kept on the profile: hashing the profile for the
-        # lru_cache on every reduce() call would double its cost
         return reducer(self)
 
 
@@ -162,7 +160,6 @@ def mod_mul(x, y, p):
     return reduce(x * y, p)
 
 
-@functools.lru_cache(maxsize=None)
 def reducer(p):
     """The one implementation of each reduction method (mask, Fermat fold,
     Barrett): a closure reducing z in [0, q^2) to [0, q), without

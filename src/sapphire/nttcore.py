@@ -203,7 +203,7 @@ def pass_plan(lg_n):
     """The passes of a transform, as (stages, exact): runs of at most
     PASS_STAGES stages, split so that a pass ends at each observable
     stage.  Only those passes (exact) reduce every word they write."""
-    last_src = lg_n - 1 if lg_n & 1 else lg_n - 2
+    last_src = max(s for s, r in enumerate(polycache.transform_regions(lg_n)) if r == 1)
     plan, done = [], 0
     for end in (last_src, lg_n):
         while done < end:

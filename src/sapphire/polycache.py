@@ -31,6 +31,9 @@ the first cycle in which two accesses hit one SRAM.  While
 ``trace_enabled`` is on, ``access`` adds one ledger segment per op;
 ``segment_accesses`` expands a segment's shape into its accesses, once
 per shape.
+
+Slot words: every slot word is an ``int`` in [0, 2^24).  ``load_slot``,
+the one door for host words, rejects any other word with CacheError.
 """
 
 import functools
@@ -303,6 +306,9 @@ class PolynomialCache:
         self.slot_bank(slot)
         if len(values) != self.n:
             raise CacheError(f"expected {self.n} coefficients, got {len(values)}")
+        if set(map(type, values)) != {int}:
+            bad = next(v for v in values if type(v) is not int)
+            raise CacheError(f"word {bad!r} is a {type(bad).__name__}, not an int")
         high = max(values)
         for value in (min(values), high):
             if not 0 <= value < (1 << 24):

@@ -180,8 +180,10 @@ def stagewise_ntt(cfg, consts, cache, dst, src, mode):
     if mode in (nttcore.DIF_INTT, nttcore.DIT_INTT):
         table = (1,) + tuple(q - table[half - k] for k in range(1, half))
     operands = cache.access("dif" if dif else "dit", (dst, src))
-    regions = [operands[r] for r in polycache.transform_regions(lg_n)]
-    observable = (lg_n - 1 if lg_n & 1 else lg_n - 2, lg_n)
+    written = polycache.transform_regions(lg_n)
+    regions = [operands[r] for r in written]
+    # the last stage that writes the scratch src, and the last stage
+    observable = (max(s for s, r in enumerate(written) if r == 1), lg_n)
     for s in range(1, lg_n + 1):
         inp, out, exact = regions[s - 1], regions[s], s in observable
         e = s - 1 if dif else lg_n - s

@@ -2,11 +2,13 @@ import copy
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from conftest import fixed_cycles, readme_cycle_table
 from sapphire import isa, keccak, sampler
 from sapphire.machine import Machine, MachineFault
+from sapphire.polycache import CacheError
 
 
 def seeded(m=None):
@@ -581,8 +583,9 @@ class TestFaults:
             m.run()
 
     # a faulting step must not first run its access (mem_cycle 0 -> 192),
-    # charge its cycle (cycles 0 -> 1, per_insn {"branch": 1}) or write
-    # reg (0 -> 9)
+    # charge its cycle (cycles 0 -> 1, per_insn {"branch": 1}), write
+    # reg (0 -> 9) or tag a src whose scan passed (slot 3 holds zeros
+    # that the configure left untagged)
     FAULTS_AFTER_AN_EFFECT = {
         "non-residue ADD": (False, "poly_op (op = ADD, poly_dst = 0, poly_src = 5)",
                             "poly_op: residue 9000 out of range [0, 7681)"),
@@ -591,6 +594,8 @@ class TestFaults:
                           "branch target 9 out of range"),
         "gated max_elems": (True, "reg = max_elems (poly = 0)",
                             "elems drives clock-gated unit 'ntt'"),
+        "transform bank clash": (False, "transform (mode = DIF_NTT, poly_dst = 1, poly_src = 3)",
+                                 "transform: src slot 3 and dst slot 1 share a bank"),
     }
 
     @pytest.mark.parametrize("case", list(FAULTS_AFTER_AN_EFFECT))
@@ -607,7 +612,8 @@ class TestFaults:
         def state():
             return (copy.deepcopy(m.cache.data), m.reg, m.tmp, m.flag, m.c0, m.c1,
                     m.r0, m.r1, m.sha3, m.pc, m.cycles, dict(m.per_unit),
-                    dict(m.per_insn), m.cache.mem_cycle, list(m.cache.ledger))
+                    dict(m.per_insn), m.cache.mem_cycle, list(m.cache.ledger),
+                    set(m.residues))
         before = state()
         with pytest.raises(MachineFault) as err:
             m.step()
@@ -624,6 +630,46 @@ class TestFaults:
 
 
 class TestHostInterface:
+    # True would dump as "True"; float words left a transform's output as
+    # floats, a str escaped as TypeError, and numpy words as AttributeError
+    # at a later absorb
+    @pytest.mark.parametrize("word", [3.5, "a", np.int64(5), True],
+                             ids=["float", "str", "numpy-int64", "bool"])
+    def test_write_slot_takes_only_int_words(self, word):
+        m = Machine()
+        m.configure(64, 7681)
+        m.write_slot(0, list(range(64)))
+        with pytest.raises(CacheError, match="not an int"):
+            m.write_slot(0, [1] * 63 + [word])
+        assert m.read_slot(0) == list(range(64)) and m.residues == {0}
+
+    def test_numpy_words_do_not_reach_the_absorb(self):
+        m = seeded()
+        m.configure(8, 7681)
+        with pytest.raises(CacheError, match="int64, not an int"):
+            m.write_slot(0, np.arange(8, dtype=np.int64))
+        m.load_program("sha3_init\nsha3_256_absorb (poly = 0)\nr0 = sha3_256_digest")
+        m.run()
+        assert m.r0 == hashlib.sha3_256(bytes(24)).digest()
+
+    @pytest.mark.parametrize("data", ["a" * 32, [300] * 32, list(range(32)), bytes(31), None],
+                             ids=["str", "list-300", "int-list", "31-bytes", "none"])
+    def test_write_seed_takes_32_bytes(self, data):
+        m = seeded()
+        with pytest.raises(MachineFault, match="seed registers are 32 bytes"):
+            m.write_seed("r0", data)
+        m.write_seed("r1", bytearray(32))
+        assert (m.r0, m.r1) == (bytes(range(32)), bytes(32))
+
+    @pytest.mark.parametrize("entries", [[0.5, 1.5], ["a"], [np.int64(3)], [1 << 32]],
+                             ids=["float", "str", "numpy-int64", "2^32"])
+    def test_load_cdt_takes_32_bit_ints(self, entries):
+        m = Machine()
+        m.load_cdt([1, 2])
+        with pytest.raises(MachineFault, match="CDT entries are 32-bit words"):
+            m.load_cdt(entries)
+        assert m.cdt_ram[:3] == [1, 2, 0]
+
     def test_slot_round_trip(self):
         m = Machine()
         m.load_program("config (n = 512, q = 12289)")

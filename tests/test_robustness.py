@@ -16,9 +16,12 @@ registers, flag, seed registers, the open SHA3 sponge, pc, cycles,
 instruction faults exactly when the reference says it must.  A faulting
 instruction, strict-gating faults included, checks everything before its
 first effect, so after a fault both states must equal the state before
-it.  The src slot of a transform is its scratch, whose contents the
-reference takes over from the machine; the frozen kernel digests cover
-them.  The same program run by ``Machine.run`` on a fresh machine must
+it, and ``Machine.residues`` too.  After the host's loads, and after
+every instruction on the slots it names (on all slots after a config
+that changes n or q), each slot word must be an int in [0, 2^24) and
+each slot tagged as residues must hold only words below q.  The src slot
+of a transform is its scratch, whose contents the reference takes over
+from the machine; the frozen kernel digests cover them.  The same program run by ``Machine.run`` on a fresh machine must
 stop in the same place with the same fault or none.
 
 ``test_programs_with_non_residues_match_reference`` feeds the residue
@@ -420,13 +423,27 @@ def _state(m):
             m.pc, m.cycles, m.per_unit, m.per_insn, m.cache.mem_cycle)
 
 
+def _check_slot_words(m, slots):
+    """The slot-word rule and the residue tags, checked from outside on the
+    given slots: every word is an int in [0, 2^24), and a tagged slot holds
+    only words below q."""
+    for s in slots:
+        words = m.cache.data[s]
+        assert set(map(type, words)) == {int}, s
+        assert 0 <= min(words) and max(words) <= WORD, s
+        assert s not in m.residues or max(words) < m.q, s
+
+
 def _lockstep(m, ref, max_cycles=float("inf")):
     """Step a loaded machine and the reference together until the machine
     halts, faults or reaches max_cycles, and compare their states after
-    every instruction; after a fault both must equal the state before it.
-    Returns the fault's message, or None."""
+    every instruction; after a fault both must equal the state before it,
+    and the machine's residue tags must be as they were.  Returns the
+    fault's message, or None."""
+    _check_slot_words(m, range(m.cache.slots))
     while not m.halted and m.cycles < max_cycles:
         insn = m.program.instructions[m.pc]
+        tags, shape = set(m.residues), (m.n, m.q)
         try:
             ref.step()
             expected = None
@@ -439,6 +456,7 @@ def _lockstep(m, ref, max_cycles=float("inf")):
             assert expected is not None, f"{insn.op} faulted: {exc}"
             assert exc.pc == ref.pc
             assert _state(m) == ref.state() == before, insn.op
+            assert m.residues == tags, insn.op
             return str(exc)
         assert expected is None, \
             f"{insn.op} at pc {m.pc - 1} should have faulted: {expected}"
@@ -446,6 +464,13 @@ def _lockstep(m, ref, max_cycles=float("inf")):
             src = insn.args["poly_src"]
             ref.slots[src] = m.read_slot(src)
         assert _state(m) == ref.state(), insn.op
+        # a step writes only the slots it names, and the comparison above
+        # covers the values of the others; a config that changes (n, q)
+        # repartitions the slots or clears the tags.  An absorb of r0 or r1
+        # decodes a poly field that names no slot on a fresh machine.
+        named = [v for k, v in insn.args.items() if k.startswith("poly")]
+        _check_slot_words(m, range(m.cache.slots) if (m.n, m.q) != shape else
+                          [s for s in named if s < m.cache.slots])
     assert _state(m) == ref.state()
     return None
 
