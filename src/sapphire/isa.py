@@ -19,6 +19,10 @@ the current value of register c0 or c1.  A word decodes only when it
 matches one form exactly: the form's fixed fields hold their values and
 every bit the form leaves unused is zero.
 
+``Program`` is the one door for instructions, however made: at most
+``MAX_PROGRAM``, each stored read-only as the decoder gives it, branch
+targets in [0, len]; anything else is a ``DecodeError`` naming its index.
+
 Templates: ``{name}`` is an operand.  Spaces are optional, except that
 two words never run together.  In a call (a word followed by a
 parenthesised operand list) each ``key = `` may be left out, and
@@ -31,7 +35,7 @@ import re
 import struct
 from types import MappingProxyType
 
-from .record import Frozen, Record
+from .record import Frozen
 
 MAGIC = b"SPH1"
 MAX_PROGRAM = 256
@@ -55,29 +59,35 @@ class AsmError(ValueError):
 
 class DecodeError(ValueError):
     def __init__(self, message, index=None):
-        self.index = index
-        prefix = f"word {index}: " if index is not None else ""
+        self.index, self.reason = index, message
+        prefix = f"instruction {index}: " if index is not None else ""
         super().__init__(prefix + message)
 
 
-class Instruction(Record):
+class Instruction(Frozen):
     _fields = ("op", "args")
 
     def __init__(self, op, args):
-        self.op = op
-        self.args = args
+        vars(self).update(op=op, args=MappingProxyType(dict(args)))
 
 
 class Program(Frozen):
-    """An assembled or decoded program.  Its instructions, labels and
-    spans are read-only, and nothing writes an instruction's args after
-    assembly, so one Program can be shared, as ``protocols.load_program``
-    shares its results."""
+    """A checked program (see above).  Its instructions, their args, labels
+    and spans are read-only, so ``protocols.load_program`` shares them."""
 
     _fields = ("instructions", "labels", "spans")
 
     def __init__(self, instructions=(), labels=None, spans=()):
-        vars(self).update(instructions=tuple(instructions),
+        instructions = tuple(instructions)
+        if len(instructions) > MAX_PROGRAM:
+            raise DecodeError(f"program exceeds {MAX_PROGRAM} instructions", MAX_PROGRAM)
+        checked = []
+        for index, insn in enumerate(instructions):
+            try:
+                checked.append(_checked(insn, len(instructions)))
+            except ValueError as exc:
+                raise DecodeError(str(exc), index) from None
+        vars(self).update(instructions=tuple(checked),
                           labels=MappingProxyType(dict(labels or {})),
                           spans=tuple(spans))     # (source line no, text)
 
@@ -109,8 +119,8 @@ class Int:
         self.hi = offset + (1 << width) - 1 if hi is None else hi
 
     def enc(self, v):
-        if not self.lo <= v <= self.hi:
-            raise ValueError(f"value {v} outside [{self.lo}, {self.hi}]")
+        if not isinstance(v, int) or not self.lo <= v <= self.hi:
+            raise ValueError(f"value {v!r} is not an int in [{self.lo}, {self.hi}]")
         return v - self.offset
 
     def dec(self, bits):
@@ -145,8 +155,8 @@ class Log2(Int):
     """config's n, stored as lg n in [lo, hi]."""
 
     def enc(self, v):
-        if v & (v - 1) or not 1 << self.lo <= v <= 1 << self.hi:
-            raise ValueError(f"n={v} must be a power of two in "
+        if not isinstance(v, int) or v & (v - 1) or not 1 << self.lo <= v <= 1 << self.hi:
+            raise ValueError(f"n={v!r} must be a power of two in "
                              f"[{1 << self.lo}, {1 << self.hi}]")
         return v.bit_length() - 1
 
@@ -270,8 +280,8 @@ class Form:
         for f in self.fields:
             pos -= f.width
             try:
-                word |= f.enc(args[f.name]) << pos
-            except (KeyError, ValueError) as exc:
+                word |= f.enc(args.get(f.name)) << pos     # None if missing
+            except ValueError as exc:
                 raise ValueError(f"{self.op} operand {f.name}: {exc}") from exc
         return word
 
@@ -419,14 +429,25 @@ def _form_of(insn):
             return form
     if insn.op not in _BY_OP:
         raise ValueError(f"unknown instruction {insn.op!r}")
-    raise ValueError(f"{insn.op} operands {insn.args} match no listing form")
+    raise ValueError(f"{insn.op} operands {dict(insn.args)} match no listing form")
+
+
+def _checked(insn, length):
+    """insn as the decoder gives it, or ValueError.  A branch target is
+    checked against the program's length, so the field packs a stand-in."""
+    if not (isinstance(insn, Instruction) and isinstance(insn.op, str)):
+        raise ValueError(f"{insn!r} is not an Instruction with a str op")
+    form = _form_of(insn)
+    if form.op != "branch":
+        return Instruction(form.op, form.unpack(form.pack(insn.args)))
+    target = insn.args.get("target")
+    if not isinstance(target, int) or not 0 <= target <= length:
+        raise ValueError(f"branch target {target!r} out of range [0, {length}]")
+    args = form.unpack(form.pack({**insn.args, "target": 0}))
+    return Instruction("branch", {**args, "target": int(target)})
 
 
 # ------------------------------------------------------------ binary form
-
-def encode_instruction(insn):
-    return _form_of(insn).pack(insn.args)
-
 
 def decode_instruction(word, index=None):
     code = word >> 27 if word >> 29 else 0
@@ -444,22 +465,13 @@ def decode_instruction(word, index=None):
 
 
 def encode(program):
-    if len(program.instructions) > MAX_PROGRAM:
-        raise ValueError(f"program exceeds {MAX_PROGRAM} instructions")
-    return [encode_instruction(i) for i in program.instructions]
+    return [_form_of(i).pack(i.args) for i in program.instructions]
 
 
 def decode(words):
-    instructions, labels = [], {}
-    for i, w in enumerate(words):
-        insn = decode_instruction(w, i)
-        if insn.op == "branch":
-            target = insn.args["target"]    # the end of the program halts
-            if target > len(words):
-                raise DecodeError(f"branch target {target} out of range", i)
-            labels.setdefault(f"L{target}", target)
-        instructions.append(insn)
-    return Program(instructions, labels,
+    instructions = [decode_instruction(w, i) for i, w in enumerate(words)]
+    targets = (i.args["target"] for i in instructions if i.op == "branch")
+    return Program(instructions, {f"L{t}": t for t in targets},
                    [(i, f"<word {i}>") for i in range(len(instructions))])
 
 
@@ -490,7 +502,7 @@ _LABEL_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(.*)$")
 
 
 def _parse_statement(text, line):
-    """The first form whose template matches, and the Instruction."""
+    """The Instruction of the first form whose template matches."""
     head = _HEAD.match(text).group()
     m = _statement(head).fullmatch(text) if head in _BY_HEAD else None
     if m is None:
@@ -504,13 +516,14 @@ def _parse_statement(text, line):
             args[f.name] = f.parse(token)
         except ValueError:
             raise AsmError(f"{f.name} expects an integer, got {token!r}", line) from None
-    return form, Instruction(form.op, args)
+    return Instruction(form.op, args)
 
 
 def assemble(source):
-    """Assemble listing text into a Program (two passes for labels)."""
+    """Assemble listing text into a Program: branch labels resolve once
+    every line is read, and an instruction the Program refuses is an
+    AsmError on its line."""
     instructions, labels, spans = [], {}, []
-    pending = []   # (instruction index, label, line) for branch fixups
     for lineno, raw in enumerate(source.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         while m := _LABEL_RE.match(text):
@@ -520,25 +533,18 @@ def assemble(source):
             labels[label] = len(instructions)
         if not text:
             continue
-        form, insn = _parse_statement(text, lineno)
-        args = insn.args
-        if insn.op == "branch":
-            pending.append((len(instructions), args["target"], lineno))
-            args = {**args, "target": 0}    # the label resolves later
-        # validate encodability now for line-precise diagnostics
-        try:
-            form.pack(args)
-        except ValueError as exc:
-            raise AsmError(str(exc), lineno) from None
-        instructions.append(insn)
+        instructions.append(_parse_statement(text, lineno))
         spans.append((lineno, text))
-        if len(instructions) > MAX_PROGRAM:
-            raise AsmError(f"program exceeds {MAX_PROGRAM} instructions", lineno)
-    for index, label, lineno in pending:
-        if label not in labels:
-            raise AsmError(f"unresolved label {label!r}", lineno)
-        instructions[index].args["target"] = labels[label]
-    return Program(instructions, labels, spans)
+    for index, insn in enumerate(instructions):
+        if insn.op == "branch":
+            label = insn.args["target"]
+            if label not in labels:
+                raise AsmError(f"unresolved label {label!r}", spans[index][0])
+            instructions[index] = Instruction("branch", {**insn.args, "target": labels[label]})
+    try:
+        return Program(instructions, labels, spans)
+    except DecodeError as exc:
+        raise AsmError(exc.reason, spans[exc.index][0]) from None
 
 
 def disassemble(program):

@@ -15,11 +15,13 @@ clock_config instruction gates buckets: a gated unit's cycles still count
 toward the total (functional behavior is unchanged) but stop accumulating
 in its bucket.  In strict gating mode, touching a gated unit faults.
 
-``Machine.step`` looks the instruction up in ``_OPS``, runs its handler,
-charges its rule, and is the one fault boundary: the units check their
-own operands, and step turns any error an instruction raises into a
-``MachineFault`` carrying that instruction's pc.  Every check of a step
-comes before its first effect, so a faulting step changes nothing.
+``isa.Program`` admits only instructions the decoder could produce, so
+``Machine.step`` takes ops, enum operands and branch targets as given.
+It looks the instruction up in ``_OPS``, runs its handler, charges its
+rule, and is the one fault boundary: the units check their own operands,
+and step turns any error an instruction raises into a ``MachineFault``
+carrying that instruction's pc.  Every check of a step comes before its
+first effect, so a faulting step changes nothing.
 
 The transform, the psi-multiplies and ``poly_op ADD/SUB/MUL`` fault on an
 operand word outside [0, q).  ``Machine.residues`` holds the slots known
@@ -142,14 +144,12 @@ class Machine:
     # ------------------------------------------------------------- host API
 
     def load_program(self, program):
+        """Load listing text or an ``isa.Program``."""
         if isinstance(program, str):
             program = isa.assemble(program)
-        if len(program.instructions) > isa.MAX_PROGRAM:
-            raise MachineFault(f"program exceeds {isa.MAX_PROGRAM} instructions")
-        for index, insn in enumerate(program.instructions):
-            if insn.op not in self._OPS:
-                raise MachineFault(
-                    f"instruction {index}: unimplemented opcode {insn.op!r}")
+        elif not isinstance(program, isa.Program):
+            raise MachineFault(f"a program is listing text or an isa.Program, "
+                               f"not a {type(program).__name__}")
         self.program = program
         self.reset()
 
@@ -203,8 +203,8 @@ class Machine:
     def load_cdt(self, table):
         """Load a CdtTable (or raw entry list) into the 64x32 CDT RAM."""
         entries = table.entries if isinstance(table, sampler.CdtTable) else table
-        if len(entries) > 64:
-            raise MachineFault("CDT RAM holds at most 64 entries")
+        if not isinstance(entries, (list, tuple)) or len(entries) > 64:
+            raise MachineFault("CDT RAM takes a list of at most 64 entries")
         for e in entries:
             if type(e) is not int or not 0 <= e < (1 << 32):
                 raise MachineFault("CDT entries are 32-bit words")
@@ -241,17 +241,14 @@ class Machine:
                     if not self.gate_config.get(unit, True):
                         raise MachineFault(f"{insn.op} drives clock-gated unit {unit!r}")
             jump = handler(self, insn.args, insn.op)
-            next_pc = pc + 1 if jump is None else jump
-            if not 0 <= next_pc <= len(self.program.instructions):
-                raise MachineFault(f"branch target {next_pc} out of range")
             if rule is not None:
                 self._use(insn.op, (units[0], rule(self)))
         except MachineFault as exc:
             raise MachineFault(str(exc), pc) from None
         except _UNIT_ERRORS as exc:
             raise MachineFault(f"{insn.op}: {exc}", pc) from None
-        self.pc = next_pc
-        if next_pc == len(self.program.instructions):
+        self.pc = pc + 1 if jump is None else jump
+        if self.pc == len(self.program.instructions):
             self.halted = True
 
     def run(self, max_cycles=None):
@@ -278,11 +275,11 @@ class Machine:
 
     def _exec_regop(self, a, op):
         if a["mode"] == "imm":
-            setattr(self, a["target"], a["value"] & WORD_MASK)
+            setattr(self, a["target"], a["value"])
         elif a["mode"] == "copy":
             self.reg = self.tmp
         else:
-            self.tmp = _ALU[a["value"] & 7](self.tmp, self.reg) & WORD_MASK
+            self.tmp = _ALU[a["value"]](self.tmp, self.reg) & WORD_MASK
 
     def _exec_elems(self, a, op):
         values, = self.cache.access("read", (a["poly"],))

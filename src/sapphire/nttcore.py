@@ -262,9 +262,8 @@ def _kernel(stages, dif, exact):
 
 
 def ntt(cfg, consts, cache, dst, src, mode):
-    """Run one constant-geometry transform from slot src into slot dst."""
-    if mode not in TRANSFORM_MODES:
-        raise NttError(f"unknown transform mode {mode!r}")
+    """Run one constant-geometry transform from slot src into slot dst;
+    mode is one of ``TRANSFORM_MODES``."""
     _check_slots(cache, cfg, src, dst)
     n, q, lg_n = cfg.n, cfg.q, cfg.lg_n
     dif = mode in (DIF_NTT, DIF_INTT)

@@ -34,6 +34,8 @@ per shape.
 
 Slot words: every slot word is an ``int`` in [0, 2^24).  ``load_slot``,
 the one door for host words, rejects any other word with CacheError.
+A program's slot operands are ``int``s, so only the host calls
+``load_slot`` and ``dump_slot`` check a slot's type.
 """
 
 import functools
@@ -301,9 +303,16 @@ class PolynomialCache:
 
     # Host-side (memory-mapped) data movement: no cycles, no ledger.
 
+    def _host_slot(self, slot):
+        if type(slot) is not int:
+            raise CacheError(f"slot {slot!r} is a {type(slot).__name__}, not an int")
+        self.slot_bank(slot)
+
     def load_slot(self, slot, values):
         """Load a slot's n words from the host; returns the largest."""
-        self.slot_bank(slot)
+        self._host_slot(slot)
+        if not hasattr(values, "__len__"):
+            raise CacheError(f"words come as a sequence, not a {type(values).__name__}")
         if len(values) != self.n:
             raise CacheError(f"expected {self.n} coefficients, got {len(values)}")
         if set(map(type, values)) != {int}:
@@ -317,7 +326,7 @@ class PolynomialCache:
         return high
 
     def dump_slot(self, slot):
-        self.slot_bank(slot)
+        self._host_slot(slot)
         return list(self.data[slot])
 
     def trace_lines(self):

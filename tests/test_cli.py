@@ -352,10 +352,9 @@ def _program(rng):
     """A decodable program of forms drawn from the whole ISA, its rings cut
     to n <= 64."""
     program = isa.decode(_random_words(rng))
-    for insn in program.instructions:
-        if insn.op == "config":
-            insn.args["n"] = min(insn.args["n"], 64)
-    return program
+    return isa.Program([isa.Instruction("config", {**i.args, "n": min(i.args["n"], 64)})
+                        if i.op == "config" else i for i in program.instructions],
+                       program.labels, program.spans)
 
 
 def _corrupt(rng, line):

@@ -428,9 +428,14 @@ def test_readme_encoding_table_matches_the_spec():
 
 def test_programs_are_immutable():
     listing = "c0 = 1\nloop:\nc0 = c0 + 1\nif (flag == 0) goto loop"
-    for prog in (assemble(listing), isa.decode(isa.encode(assemble(listing)))):
+    for prog in (assemble(listing), isa.decode(isa.encode(assemble(listing))),
+                 protocols.load_program("newhope_decrypt.sph", n=1024, r0=32)):
         with pytest.raises(AttributeError):
             prog.instructions.append(Instruction("sha3_init", {}))
+        with pytest.raises(TypeError):
+            prog.instructions[0].args["n"] = 8
+        with pytest.raises(AttributeError):
+            prog.instructions[0].op = "init"
         with pytest.raises(TypeError):
             prog.spans[0] = (1, "c0 = 2")
         with pytest.raises(TypeError):
@@ -443,3 +448,90 @@ def test_load_program_is_shared():
     prog = protocols.load_program("newhope_decrypt.sph", n=1024, r0=32)
     assert protocols.load_program("newhope_decrypt.sph", n=1024, r0=32) is prog
     assert protocols.load_program("newhope_decrypt.sph", n=512, r0=16) is not prog
+
+
+# instructions no program may hold; each once ran or escaped Machine.run
+# as an error other than MachineFault
+REFUSED = {
+    "cnt writes cycles": (Instruction("cnt", {"counter": "cycles", "mode": "set", "value": 5}),
+                          "cnt operand counter: expected one of ('c0', 'c1'), got 'cycles'"),
+    "cnt writes pc": (Instruction("cnt", {"counter": "pc", "mode": "add", "value": 1}),
+                      "cnt operand counter: expected one of ('c0', 'c1'), got 'pc'"),
+    "regop writes halted": (Instruction("regop", {"target": "halted", "mode": "imm",
+                                                  "value": 1}),
+                            "regop operand target: expected one of ('reg', 'tmp'), "
+                            "got 'halted'"),
+    "poly_get indexed by reg": (Instruction("poly_get", {"poly": 0, "sel": "reg",
+                                                          "index": 0}),
+                                "poly_get operands {'poly': 0, 'sel': 'reg', 'index': 0} "
+                                "match no listing form"),
+    "poly_op FOO": (Instruction("poly_op", {"op": "FOO", "poly_dst": 0, "poly_src": 1}),
+                    "poly_op operand op: expected one of ('ADD', 'SUB', 'MUL', 'BITREV', "
+                    "'CONST_ADD', 'CONST_SUB', 'CONST_MUL', 'CONST_AND', 'CONST_OR', "
+                    "'CONST_XOR', 'CONST_RSHIFT', 'CONST_LSHIFT'), got 'FOO'"),
+    "cnt without value": (Instruction("cnt", {"counter": "c0", "mode": "set"}),
+                          "cnt operand value: value None is not an int in [0, 65535]"),
+    "branch to a str": (Instruction("branch", {"sense": "==", "flag": 0, "target": "x"}),
+                        "branch target 'x' out of range [0, 2]"),
+    "float value": (Instruction("cnt", {"counter": "c0", "mode": "set", "value": 1.5}),
+                    "cnt operand value: value 1.5 is not an int in [0, 65535]"),
+    "str slot": (Instruction("init", {"poly": "3"}),
+                 "init operand poly: value '3' is not an int in [0, 127]"),
+    "float n": (Instruction("config", {"n": 64.0, "q": 7681}),
+                "config operand n: n=64.0 must be a power of two in [8, 2048]"),
+    "not an instruction": ("sha3_init", "'sha3_init' is not an Instruction with a str op"),
+    "unhashable op": (Instruction(["init"], {"poly": 0}),
+                      "Instruction(op=['init'], args=mappingproxy({'poly': 0})) is not an "
+                      "Instruction with a str op"),
+    "out-of-range value": (Instruction("regop", {"target": "reg", "mode": "imm",
+                                                 "value": 1 << 24}),
+                           "regop operand value: value 16777216 is not an int in "
+                           "[0, 16777215]"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_program_refuses_what_the_decoder_cannot_give(case):
+    insn, message = REFUSED[case]
+    with pytest.raises(DecodeError) as err:
+        isa.Program([Instruction("sha3_init", {}), insn])
+    assert (err.value.index, err.value.reason) == (1, message)
+
+
+def test_program_stores_instructions_as_the_decoder_gives_them():
+    prog = isa.Program([
+        Instruction("cnt", {"counter": "c0", "mode": "set", "value": True, "extra": 1}),
+        Instruction("regop", {"target": "tmp", "mode": "alu", "value": 2.0}),
+        Instruction("branch", {"sense": "!=", "flag": -1, "target": True}),
+    ])
+    assert prog.instructions == isa.decode(isa.encode(prog)).instructions
+    assert [dict(i.args) for i in prog.instructions] == [
+        {"counter": "c0", "mode": "set", "value": 1},
+        {"target": "tmp", "mode": "alu", "value": 2},
+        {"sense": "!=", "flag": -1, "target": 1}]
+    assert [type(i.args["value"]) for i in prog.instructions[:2]] == [int, int]
+
+
+def test_branch_target_bounds():
+    """A target may be the program's length, 256 included, where the
+    branch halts; only the 8-bit encoding refuses 256."""
+    pad = [Instruction("sha3_init", {})] * 255
+    for target in (0, 256):
+        prog = isa.Program(pad + [Instruction("branch", {"sense": "==", "flag": 0,
+                                                         "target": target})])
+        assert prog.instructions[-1].args["target"] == target
+    with pytest.raises(ValueError, match="branch operand target: value 256"):
+        isa.encode(prog)
+    m = Machine()
+    m.load_program(prog)
+    assert m.run().halted and m.pc == 256
+    for target in (-1, 257):
+        with pytest.raises(DecodeError) as err:
+            isa.Program(pad + [Instruction("branch", {"sense": "==", "flag": 0,
+                                                      "target": target})])
+        assert err.value.index == 255
+    with pytest.raises(AsmError) as err:
+        assemble("\n".join(["sha3_init"] * 3 + ["if (flag == 0) goto end", "end:"]
+                           + ["c0 = 70000"]))
+    assert (err.value.line, str(err.value)) == (
+        6, "line 6: cnt operand value: value 70000 is not an int in [0, 65535]")

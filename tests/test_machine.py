@@ -34,12 +34,14 @@ class TestLoadReset:
         assert m.pc == 0 and m.cycles == 0 and m.c0 == 7 and m.reg == 9
         assert m.r0 == bytes(range(32))
 
-    def test_oversize_program_rejected(self):
-        prog = isa.Program(instructions=[
-            isa.Instruction("cnt", {"counter": "c0", "mode": "set", "value": 0})
-        ] * 257)
-        with pytest.raises(MachineFault):
-            Machine().load_program(prog)
+    def test_oversize_program_refused_by_the_program(self):
+        m = Machine()
+        with pytest.raises(isa.DecodeError) as err:
+            m.load_program(isa.Program(instructions=[
+                isa.Instruction("cnt", {"counter": "c0", "mode": "set", "value": 0})
+            ] * 257))
+        assert (err.value.index, err.value.reason) == (256, "program exceeds 256 instructions")
+        assert m.program is None and m.halted
 
     def test_newhope_listing_loads(self):
         from sapphire.protocols import _program_text
@@ -548,13 +550,25 @@ class TestFaults:
                 m.run()
             assert str(err.value) == f"pc=1: {op} with q=32768: no NTT constants"
 
-    def test_unknown_op_faults_at_load(self):
+    def test_unknown_op_refused_by_the_program(self):
         m = Machine()
-        program = isa.Program([isa.Instruction("sha3_init", {}),
-                               isa.Instruction("frobnicate", {})])
-        with pytest.raises(MachineFault, match="instruction 1: unimplemented opcode"):
-            m.load_program(program)
+        with pytest.raises(isa.DecodeError) as err:
+            m.load_program(isa.Program([isa.Instruction("sha3_init", {}),
+                                        isa.Instruction("frobnicate", {})]))
+        assert str(err.value) == "instruction 1: unknown instruction 'frobnicate'"
         assert m.program is None and m.halted
+
+    def test_branch_past_the_end_refused_by_the_program(self):
+        """The target is checked when the Program is made, so the machine
+        never sees it and keeps the program it has."""
+        m = Machine()
+        m.load_program("c0 = 1")
+        with pytest.raises(isa.DecodeError) as err:
+            m.load_program(isa.Program([isa.Instruction(
+                "branch", {"sense": "==", "flag": 0, "target": 9})]))
+        assert (err.value.index, err.value.reason) == (0, "branch target 9 out of range [0, 1]")
+        assert (len(m.program), m.pc, m.cycles, m.halted) == (1, 0, 0, False)
+        assert m.run().total == 1 and m.c0 == 1
 
     def test_sampler_word_budget(self):
         # eta = 0 over 16-bit candidates accepts 1 word in 65536: about
@@ -583,15 +597,11 @@ class TestFaults:
             m.run()
 
     # a faulting step must not first run its access (mem_cycle 0 -> 192),
-    # charge its cycle (cycles 0 -> 1, per_insn {"branch": 1}), write
-    # reg (0 -> 9) or tag a src whose scan passed (slot 3 holds zeros
-    # that the configure left untagged)
+    # write reg (0 -> 9) or tag a src whose scan passed (slot 3 holds
+    # zeros that the configure left untagged)
     FAULTS_AFTER_AN_EFFECT = {
         "non-residue ADD": (False, "poly_op (op = ADD, poly_dst = 0, poly_src = 5)",
                             "poly_op: residue 9000 out of range [0, 7681)"),
-        "branch target": (False, isa.Program([isa.Instruction(
-            "branch", {"sense": "==", "flag": 0, "target": 9})]),
-                          "branch target 9 out of range"),
         "gated max_elems": (True, "reg = max_elems (poly = 0)",
                             "elems drives clock-gated unit 'ntt'"),
         "transform bank clash": (False, "transform (mode = DIF_NTT, poly_dst = 1, poly_src = 3)",
@@ -670,6 +680,31 @@ class TestHostInterface:
             m.load_cdt(entries)
         assert m.cdt_ram[:3] == [1, 2, 0]
 
+    # each escaped as TypeError or AttributeError, or, for the bool slot,
+    # loaded slot 1 and left True among the residue tags
+    @pytest.mark.parametrize("call, error", [
+        (lambda m: m.read_slot(1.0), CacheError),
+        (lambda m: m.write_slot("0", [0] * 8), CacheError),
+        (lambda m: m.write_slot(True, [0] * 8), CacheError),
+        (lambda m: m.write_slot(0, iter([0] * 8)), CacheError),
+        (lambda m: m.load_cdt(None), MachineFault),
+        (lambda m: m.load_program([]), MachineFault),
+    ], ids=["float-slot", "str-slot", "bool-slot", "iterator-words", "none-cdt",
+            "list-program"])
+    def test_host_calls_take_only_their_documented_types(self, call, error):
+        m = Machine()
+        m.configure(8, 7681)
+        m.write_slot(1, [9000] * 8)
+        m.load_cdt([1, 2])
+        m.load_program("c0 = 1")
+
+        def state():
+            return (m.cache.data, m.residues, m.cdt_ram, m.program, m.halted)
+        before = copy.deepcopy(state()[:3]) + state()[3:]
+        with pytest.raises(error):
+            call(m)
+        assert state() == before
+
     def test_slot_round_trip(self):
         m = Machine()
         m.load_program("config (n = 512, q = 12289)")
@@ -737,15 +772,15 @@ class TestLoadProgram:
         assert (m.pc, m.reg, m.c0, report.per_instruction) == (
             5, 12, 1, {"regop": 4, "cnt": 1})
 
-    def test_unimplemented_op_faults_at_load_and_keeps_the_loaded_program(self):
+    def test_unknown_op_refused_and_the_loaded_program_kept(self):
         m = Machine()
         m.load_program("c0 = 1\nc0 = c0 + 1")
         m.step()
-        program = isa.Program([isa.Instruction("cnt", {"counter": "c1", "mode": "set",
-                                                       "value": 9})] * 2
-                              + [isa.Instruction("frobnicate", {})])
-        with pytest.raises(MachineFault, match="instruction 2: unimplemented opcode"):
-            m.load_program(program)
+        with pytest.raises(isa.DecodeError) as err:
+            m.load_program(isa.Program(
+                [isa.Instruction("cnt", {"counter": "c1", "mode": "set", "value": 9})] * 2
+                + [isa.Instruction("frobnicate", {})]))
+        assert str(err.value) == "instruction 2: unknown instruction 'frobnicate'"
         m.run()
         assert (m.c0, m.c1, m.pc, m.cycles) == (2, 0, 2, 2)
 

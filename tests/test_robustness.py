@@ -34,7 +34,9 @@ gating or not, some of them after host data loads.
 
 ``test_decodable_programs_return_or_fault`` checks that ``Machine.run``
 returns or raises ``MachineFault``, and nothing else, on programs decoded
-from words of every ``isa.FORMS`` form.
+from words of every ``isa.FORMS`` form, and
+``test_junk_programs_are_refused_or_return_or_fault`` that ``isa.Program``
+refuses anything else, or else normalizes it into such a program.
 
 ``test_residue_tags_match_full_scans`` runs programs on a ``Machine`` and
 on ``conftest.ScanningMachine``, which scans every operand of every
@@ -555,6 +557,59 @@ def test_decodable_programs_return_or_fault():
                                  + isa.disassemble(program)) from exc
         else:
             assert m.halted or m.cycles >= MAX_CYCLES, seed
+
+
+# junk for one operand: out of every field's range, a bool, a float, a
+# str (some of them machine attribute names), or the key left out
+JUNK = {
+    "int": lambda rng, v: rng.choice((-2, 1 << 24)),
+    "bool": lambda rng, v: rng.random() < 0.5,
+    "float": lambda rng, v: float(v) if isinstance(v, int) else 0.5,
+    "str": lambda rng, v: rng.choice(("x", "1", "pc", "cycles", "halted", "reg")),
+    "missing": None,
+}
+
+
+def test_junk_programs_are_refused_or_return_or_fault():
+    """One operand of one instruction of a ``_random_words`` program
+    replaced with junk, its op with an unknown one, or the instruction
+    with a branch past the end: ``isa.Program`` refuses it, naming its
+    index, or ``Machine.run`` returns or raises ``MachineFault``."""
+    refused = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        instructions = list(isa.decode(_random_words(rng)).instructions)
+        index = rng.randrange(len(instructions))
+        op, args = instructions[index].op, dict(instructions[index].args)
+        kind = rng.choice((*JUNK, "op", "branch"))
+        if kind == "op":
+            op = rng.choice(("frobnicate", "halt", "CNT"))
+        elif kind == "branch" or not args:
+            op, args = "branch", {"sense": "==", "flag": 0,
+                                  "target": len(instructions) + rng.randint(1, 300)}
+        else:
+            key = rng.choice(sorted(args))
+            if kind == "missing":
+                del args[key]
+            else:
+                args[key] = JUNK[kind](rng, args[key])
+        instructions[index] = isa.Instruction(op, args)
+        try:
+            program = isa.Program(instructions)
+        except isa.DecodeError as exc:
+            assert exc.index == index, seed
+            refused += 1
+            continue
+        m = Machine(strict_gating=rng.random() < 0.5)
+        m.load_program(program)
+        try:
+            m.run(max_cycles=MAX_CYCLES)
+        except MachineFault:
+            pass
+        except Exception as exc:
+            raise AssertionError(f"seed {seed}: {exc!r} escaped\n"
+                                 + isa.disassemble(program)) from exc
+    assert 200 < refused < 400
 
 
 def _whole_isa_case(rng):
