@@ -22,6 +22,9 @@ every bit the form leaves unused is zero.
 ``Program`` is the one door for instructions, however made: at most
 ``MAX_PROGRAM``, each stored read-only as the decoder gives it, branch
 targets in [0, len]; anything else is a ``DecodeError`` naming its index.
+An operand value is an ``int`` or a ``str`` from its field's list; a
+``bool`` counts as its int, and a float or any other type is refused,
+naming the field, even where it equals a valid value.
 
 Templates: ``{name}`` is an operand.  Spaces are optional, except that
 two words never run together.  In a call (a word followed by a
@@ -198,7 +201,7 @@ class Enum:
         self.token = "|".join(map(re.escape, sorted(self.names, key=len, reverse=True)))
 
     def enc(self, v):
-        if v not in self.values:
+        if not isinstance(v, (int, str)) or v not in self.values:
             raise ValueError(f"expected one of {self.values}, got {v!r}")
         return self.values.index(v)
 

@@ -175,7 +175,11 @@ class Machine:
     def configure(self, n, q):
         """Host-side parameter setup, equivalent to the config instruction
         but free of program cycles; needed before host data movement on a
-        fresh machine.  A call that changes nothing returns at once."""
+        fresh machine.  n and q must be ints; a call that changes nothing
+        returns at once."""
+        if type(n) is not int or type(q) is not int:
+            raise MachineFault(f"configure: n and q must be ints, not "
+                               f"{type(n).__name__} and {type(q).__name__}")
         if (n, q) == (self.n, self.q) and self.cache.n == n:
             return
         try:

@@ -19,7 +19,9 @@ forward table as q - omega[n/2 - k] (and 1 for k = 0), so no inverse table
 is stored.  Stored constants are exactly omega^j for j < n/2, psi^i and
 n^-1 * psi^-i for i < n.  Each constants object expands these, per mode on
 first use, into the twiddle tuples of the transform's blocks
-(``NttConstants.dif_ntt_twiddles`` and its three siblings).
+(``NttConstants.dif_ntt_twiddles`` and its three siblings).  A factor
+whose exponent is 0 in every block of a pass is 1 for every q; such unit
+factors are left out of the tuples and named by position instead.
 
 Passes.  The host runs the lg n stages as passes of up to PASS_STAGES
 consecutive stages.  k constant-geometry stages fall apart into n/2^k
@@ -28,7 +30,10 @@ b + 2n/2^k, ... (one word of each contiguous column) and writes the 2^k
 words from b * 2^k on; DIT block b reads the 2^k words from b * 2^k on
 and writes words b, b + n/2^k, ....  So a pass takes each block in turn
 through all its stages in local variables, and builds no list between
-its stages.
+its stages.  Each pass writes its region directly: a DIF pass's blocks,
+in order, are the region, and output word c of every DIT block makes
+one contiguous slice of it.  At n = 1024, 4 of the 15 factors of a DIT
+first pass and 2 of the 3 of a DIF last pass are units.
 
 The pass plan (``pass_plan``) ends a pass at each stage whose words
 anyone can read.  Only two stages leave such words: the last stage, in
@@ -49,9 +54,12 @@ Generated code.  A block's butterflies are straight-line code, as in
 FFTW's codelets (Frigo and Johnson, Proc. IEEE 2005): a loop over the
 butterflies, or a list per stage, would bring back the per-word work the
 passes save.  ``_kernel`` writes that code once per (stages, direction,
-exact) on first use and compiles it with ``exec``; q and the twiddles are
-arguments, so no code is made per n, per q or per call.  The psi-multiply
-is a whole-slot list comprehension.
+exact, units) on first use and compiles it with ``exec``; q and the
+twiddles are arguments, and the unit positions depend only on n and the
+pass, so no code is made per q or per call.  A unit butterfly has no
+multiply, and in a lazy stage no reduction either; removing trivial
+twiddles when the code is written is what FFTW's codelet generator does
+(Frigo, PLDI 1999).  The psi-multiply is a whole-slot list comprehension.
 
 The stages ping-pong between the src and dst slot regions (the src slot
 is consumed as scratch), and each pass writes the region its last stage
@@ -65,7 +73,6 @@ accounted separately by the machine as (n/2 + 1) * lg n.
 
 import functools
 import math
-from itertools import chain
 
 from . import modmath, polycache
 from .isa import TRANSFORM_MODES
@@ -114,12 +121,14 @@ class NttConstants(Frozen):
                           psi_inv_scaled=psi_inv_scaled)   # n^-1 * psi^-i, i in [0, n)
 
     def _block_twiddles(self, mode):
-        """One list per pass of ``pass_plan``, one tuple per block of the
-        pass: the twiddle factors of the block's butterflies, stage by
-        stage.  At stage r of a k-stage pass the butterflies of a block
-        share 2^(k-1-r) factors (DIF) or 2^r (DIT), and each factor's
-        column over the blocks is a strided slice of the stage's vector w:
-        w[start::2^r] (DIF) or w[start::2^(k-r-1)] (DIT)."""
+        """One ``(units, twiddles)`` pair per pass of ``pass_plan``.  At
+        stage r of a k-stage pass the butterflies of a block share
+        2^(k-1-r) factors (DIF) or 2^r (DIT), and each factor's column over
+        the blocks is a strided slice of the stage's exponent vector:
+        [start::2^r] (DIF) or [start::2^(k-r-1)] (DIT).  ``units`` holds the
+        positions, stage by stage, of the factors whose exponent is 0 in
+        every block, so that they are 1 for every q; ``twiddles`` holds
+        one tuple per block of the other factors."""
         n, lg_n = self.n, self.n.bit_length() - 1
         half = n >> 1
         table = self.omega_powers
@@ -128,18 +137,22 @@ class NttConstants(Frozen):
         dif = mode in (DIF_NTT, DIF_INTT)
         out, s = [], 0
         for stages, _ in pass_plan(lg_n):
-            rows, columns = n >> stages, []
+            rows, exponents = n >> stages, []
             for r in range(stages):
                 s += 1
                 e = s - 1 if dif else lg_n - s
-                w = [table[j >> e << e] for j in range(half)]
+                k = [j >> e << e for j in range(half)]
                 if dif:
-                    columns += [w[g * rows << r::1 << r][:rows]
-                                for g in range(1 << stages - 1 - r)]
+                    exponents += [k[g * rows << r::1 << r][:rows]
+                                  for g in range(1 << stages - 1 - r)]
                 else:
-                    columns += [w[g << lg_n - 1 - r::1 << stages - 1 - r][:rows]
-                                for g in range(1 << r)]
-            out.append(list(zip(*columns)))
+                    exponents += [k[g << lg_n - 1 - r::1 << stages - 1 - r][:rows]
+                                  for g in range(1 << r)]
+            # exponents never fall down a column, so its last is its largest
+            units = tuple(i for i, column in enumerate(exponents) if not column[-1])
+            columns = [[table[x] for x in column] for column in exponents if column[-1]]
+            # a pass whose factors are all units still has a tuple per block
+            out.append((units, list(zip(*columns)) or [()] * rows))
         return out
 
     dif_ntt_twiddles = functools.cached_property(lambda self: self._block_twiddles(DIF_NTT))
@@ -214,16 +227,18 @@ def pass_plan(lg_n):
 
 
 @functools.cache
-def _kernel(stages, dif, exact):
+def _kernel(stages, dif, exact, units):
     """The code of one pass, generated once per shape: ``run(q,
     twiddles, columns)`` reads block b as word b of each column, runs
     ``stages`` constant-geometry stages of 2^stages words on it in local
-    variables, and returns the blocks' output words, one tuple per block.
+    variables, and returns the blocks' output words: one flat list in
+    block order (DIF), or one tuple per block (DIT).
 
     Stage r of the pass is a constant-geometry stage of the block, and
-    its factors come after those of stages 0 .. r-1 in the block's
-    twiddle tuple.  Stages reduce lazily; if ``exact``, the last reduces
-    every word.
+    its factors come after those of stages 0 .. r-1.  The factors at the
+    positions in ``units`` are 1: their butterflies multiply by nothing,
+    and the block's twiddle tuple holds only the other factors.  Stages
+    reduce lazily; if ``exact``, the last reduces every word.
     """
     size, half = 1 << stages, 1 << stages - 1
     inputs = words = [f"x{i}" for i in range(size)]
@@ -233,28 +248,33 @@ def _kernel(stages, dif, exact):
         out = [f"v{r}_{i}" for i in range(size)]
         for j in range(half):
             if dif:     # reads (j, j + half), writes (2j, 2j + 1)
-                a, b, w = words[j], words[j + half], f"w{factors + (j >> r)}"
-                total = f"({a} + {b}) % q" if reduce_all else f"{a} + {b}"
-                lines += [f"{out[2 * j]} = {total}",
-                          f"{out[2 * j + 1]} = ({a} - {b}) * {w} % q"]
+                a, b, f = words[j], words[j + half], factors + (j >> r)
+                targets = out[2 * j], out[2 * j + 1]
             else:       # reads (2j, 2j + 1), writes (j, j + half)
-                a, b = words[2 * j], words[2 * j + 1]
-                w = f"w{factors + (j >> stages - 1 - r)}"
-                if reduce_all:
-                    lines += [f"t = {b} * {w}", f"{out[j]} = ({a} + t) % q",
-                              f"{out[j + half]} = ({a} - t) % q"]
-                else:
-                    lines += [f"t = {b} * {w} % q", f"{out[j]} = {a} + t",
-                              f"{out[j + half]} = {a} - t"]
+                a, b, f = words[2 * j], words[2 * j + 1], factors + (j >> stages - 1 - r)
+                targets = out[j], out[j + half]
+            # DIT multiplies b before the sum and difference, DIF the
+            # difference after; a unit factor multiplies nothing
+            if f not in units and not dif:
+                lines.append(f"t = {b} * w{f}" if reduce_all else f"t = {b} * w{f} % q")
+                b = "t"
+            total, diff = f"{a} + {b}", f"{a} - {b}"
+            if reduce_all:
+                total, diff = f"({total}) % q", f"({diff}) % q"
+            if f not in units and dif:
+                diff = f"({a} - {b}) * w{f} % q"
+            lines += [f"{targets[0]} = {total}", f"{targets[1]} = {diff}"]
         factors += half >> r if dif else 1 << r
         words = out
-    twiddle_names = ", ".join(f"w{i}" for i in range(factors))
+    twiddle_names = "".join(f"w{i}, " for i in range(factors) if i not in units)
+    outputs = f"({', '.join(words)},)"
+    store = f"blocks += {outputs}" if dif else f"blocks.append({outputs})"
     source = "\n".join([
         "def run(q, twiddles, columns):",
         "    blocks = []",
-        f"    for ({twiddle_names},), {', '.join(inputs)} in zip(twiddles, *columns):",
+        f"    for ({twiddle_names}), {', '.join(inputs)} in zip(twiddles, *columns):",
         *(f"        {line}" for line in lines),
-        f"        blocks.append(({', '.join(words)},))",
+        f"        {store}",
         "    return blocks"])
     namespace = {}
     exec(source, namespace)
@@ -271,17 +291,21 @@ def ntt(cfg, consts, cache, dst, src, mode):
     regions = polycache.transform_regions(lg_n)
     data, last = operands[1], 0
     passes = zip(pass_plan(lg_n), getattr(consts, f"{mode.lower()}_twiddles"))
-    for (stages, exact), twiddles in passes:
+    for (stages, exact), (units, twiddles) in passes:
         size, rows = 1 << stages, n >> stages
         # block b is words b, b + rows, ... (DIF) or b * size, b * size + 1,
         # ... (DIT); the columns are copies, so a pass may write the
         # region it reads
         columns = ([data[c * rows:(c + 1) * rows] for c in range(size)] if dif
                    else [data[c::size] for c in range(size)])
-        blocks = _kernel(stages, dif, exact)(q, twiddles, columns)
+        blocks = _kernel(stages, dif, exact, units)(q, twiddles, columns)
         last += stages
         data = operands[regions[last]]
-        data[:] = chain.from_iterable(blocks if dif else zip(*blocks))
+        if dif:
+            data[:] = blocks
+        else:       # word c of block b goes to c * rows + b
+            for c, column in enumerate(zip(*blocks)):
+                data[c * rows:(c + 1) * rows] = column
 
 
 def _scale_slot(cfg, cache, slot, table):

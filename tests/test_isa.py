@@ -501,15 +501,22 @@ def test_program_refuses_what_the_decoder_cannot_give(case):
 def test_program_stores_instructions_as_the_decoder_gives_them():
     prog = isa.Program([
         Instruction("cnt", {"counter": "c0", "mode": "set", "value": True, "extra": 1}),
-        Instruction("regop", {"target": "tmp", "mode": "alu", "value": 2.0}),
+        Instruction("regop", {"target": "tmp", "mode": "alu", "value": True}),
         Instruction("branch", {"sense": "!=", "flag": -1, "target": True}),
     ])
     assert prog.instructions == isa.decode(isa.encode(prog)).instructions
     assert [dict(i.args) for i in prog.instructions] == [
         {"counter": "c0", "mode": "set", "value": 1},
-        {"target": "tmp", "mode": "alu", "value": 2},
+        {"target": "tmp", "mode": "alu", "value": 1},
         {"sense": "!=", "flag": -1, "target": 1}]
     assert [type(i.args["value"]) for i in prog.instructions[:2]] == [int, int]
+    # a float is refused, naming its field, though it equals a valid value
+    for insn, field in ((Instruction("regop", {"target": "tmp", "mode": "alu", "value": 2.0}),
+                         "regop operand value"),
+                        (Instruction("sha3_absorb", {"bits": 256.0, "source": "poly",
+                                                     "poly": 0}), "sha3_absorb operand bits")):
+        with pytest.raises(isa.DecodeError, match=f"instruction 0: {field}: .*got"):
+            isa.Program([insn])
 
 
 def test_branch_target_bounds():

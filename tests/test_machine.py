@@ -689,8 +689,12 @@ class TestHostInterface:
         (lambda m: m.write_slot(0, iter([0] * 8)), CacheError),
         (lambda m: m.load_cdt(None), MachineFault),
         (lambda m: m.load_program([]), MachineFault),
+        (lambda m: m.configure("8", 7681), MachineFault),
+        (lambda m: m.configure(8, "7681"), MachineFault),
+        (lambda m: m.configure(8.0, 7681), MachineFault),
+        (lambda m: m.configure(None, None), MachineFault),
     ], ids=["float-slot", "str-slot", "bool-slot", "iterator-words", "none-cdt",
-            "list-program"])
+            "list-program", "str-n", "str-q", "float-n", "none-n-q"])
     def test_host_calls_take_only_their_documented_types(self, call, error):
         m = Machine()
         m.configure(8, 7681)
@@ -699,11 +703,20 @@ class TestHostInterface:
         m.load_program("c0 = 1")
 
         def state():
-            return (m.cache.data, m.residues, m.cdt_ram, m.program, m.halted)
+            return (m.cache.data, m.residues, m.cdt_ram, m.program, m.halted,
+                    m.n, m.q, m.cfg)
         before = copy.deepcopy(state()[:3]) + state()[3:]
         with pytest.raises(error):
             call(m)
         assert state() == before
+
+    def test_configure_refuses_none_on_a_fresh_machine(self):
+        # (None, None) is what a fresh machine holds, so it once passed as
+        # a call that changes nothing
+        m = Machine()
+        with pytest.raises(MachineFault, match="n and q must be ints"):
+            m.configure(None, None)
+        assert (m.n, m.q, m.cache.n) == (None, None, None)
 
     def test_slot_round_trip(self):
         m = Machine()

@@ -264,25 +264,43 @@ class TestTransform:
                 assert results[0] == results[1], (mode, a[:4])
 
     def test_kernels_are_compiled_once_per_pass_shape(self):
-        # a repeated transform compiles nothing, and no kernel is per n
-        # or per q: the cache holds one entry per (stages, dif, exact)
-        nttcore._kernel.cache_clear()
-        shapes = set()
-        for n in (512, 1024, 2048):
+        # a repeated transform compiles nothing, and no kernel is per q:
+        # the cache holds one entry per (stages, dif, exact, units), and
+        # the unit factors of a pass are the same for every q
+        for n, count in ((512, 6), (1024, 6), (2048, 7)):
+            nttcore._kernel.cache_clear()
+            shapes, units = set(), {}
             for q in (12289, 8380417):
                 cfg, consts, cache = make(n, q)
                 cache.load_slot(0, list(range(n)))
                 for mode in MODES:
                     dif = mode in (DIF_NTT, DIF_INTT)
-                    shapes |= {(stages, dif, exact)
-                               for stages, exact in nttcore.pass_plan(cfg.lg_n)}
+                    passes = getattr(consts, f"{mode.lower()}_twiddles")
+                    units.setdefault(mode, set()).add(tuple(u for u, _ in passes))
+                    shapes |= {(stages, dif, exact, u) for (stages, exact), (u, _)
+                               in zip(nttcore.pass_plan(cfg.lg_n), passes)}
                     nttcore.ntt(cfg, consts, cache, cache.slots_per_bank, 0, mode)
                     misses = nttcore._kernel.cache_info().misses
                     nttcore.ntt(cfg, consts, cache, cache.slots_per_bank, 0, mode)
                     assert nttcore._kernel.cache_info().misses == misses
-        info = nttcore._kernel.cache_info()
-        assert info.currsize == info.misses == len(shapes)
-        assert all(stages <= nttcore.PASS_STAGES for stages, _, _ in shapes)
+            assert all(len(per_q) == 1 for per_q in units.values()), n
+            info = nttcore._kernel.cache_info()
+            assert info.currsize == info.misses == len(shapes) == count, n
+            assert all(stages <= nttcore.PASS_STAGES for stages, _, _, _ in shapes)
+
+    def test_unit_factors_are_the_exponent_zero_columns(self, tmp_path):
+        # at n = 1024, 4 of the 15 factors of a DIT first pass and 2 of
+        # the 3 of a DIF last pass are 1 in every block, and they leave
+        # the twiddle tuples; imported constants give the same passes
+        _, consts, _ = make(1024, 12289)
+        dit, dif = consts.dit_intt_twiddles, consts.dif_ntt_twiddles
+        assert dit[0][0] == (0, 1, 3, 7) and len(dit[0][1][0]) == 15 - 4
+        assert dif[-1][0] == (0, 2) and len(dif[-1][1][0]) == 3 - 2
+        nttcore.export_constants(consts, tmp_path / "consts.txt")
+        imported = nttcore.import_constants(tmp_path / "consts.txt")
+        for mode in MODES:
+            name = f"{mode.lower()}_twiddles"
+            assert getattr(imported, name) == getattr(consts, name)
 
 
 class TestCycleFormula:

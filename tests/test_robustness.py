@@ -574,7 +574,8 @@ def test_junk_programs_are_refused_or_return_or_fault():
     """One operand of one instruction of a ``_random_words`` program
     replaced with junk, its op with an unknown one, or the instruction
     with a branch past the end: ``isa.Program`` refuses it, naming its
-    index, or ``Machine.run`` returns or raises ``MachineFault``."""
+    index, or ``Machine.run`` returns or raises ``MachineFault``.  A
+    float operand never builds, even one equal to a valid int."""
     refused = 0
     for seed in range(400):
         rng = random.Random(seed)
@@ -600,6 +601,7 @@ def test_junk_programs_are_refused_or_return_or_fault():
             assert exc.index == index, seed
             refused += 1
             continue
+        assert kind != "float", f"seed {seed}: {args} built"
         m = Machine(strict_gating=rng.random() < 0.5)
         m.load_program(program)
         try:
