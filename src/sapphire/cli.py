@@ -104,6 +104,11 @@ def _write_lines(lines, path):
 
 
 def cmd_run(args):
+    # an output file with nothing to write is a usage error, not a no-op
+    if args.data_out and not args.dump_slot:
+        raise ValueError("--data-out needs --dump-slot")
+    if args.trace_out and not args.trace:
+        raise ValueError("--trace-out needs --trace")
     program = _load_any_program(args.program)
     m = machine_mod.Machine(strict_gating=args.strict_gating)
     seeds = keccak.shake256(_resolve_seed(args.seed)).finalize().squeeze(64)

@@ -256,6 +256,10 @@ class Machine:
             self.halted = True
 
     def run(self, max_cycles=None):
+        """Step until halted or until max_cycles (None or an int) have run."""
+        if max_cycles is not None and type(max_cycles) is not int:
+            raise MachineFault(f"run: max_cycles must be None or an int, not "
+                               f"{type(max_cycles).__name__}")
         while not self.halted:
             self.step()
             if max_cycles is not None and self.cycles >= max_cycles:

@@ -3,9 +3,12 @@ LWE matrix kernels, all executed as assembled programs on the emulated
 processor, plus the host-side oracles used to validate them.
 
 The drivers move data through the memory-mapped host interface, run the
-checked-in programs from ``programs/`` (templates are instantiated with
-the active dimension and slot numbers) and post-process results exactly
-the way the protocol host processor would.
+checked-in programs from ``programs/`` and post-process results exactly
+the way the protocol host processor would.  Each listing is a whole
+program: the drivers fill its fields with numbers (the active dimension,
+slot numbers, counters) and, for Frodo, with line flags: a field that
+opens a line is filled with ``""`` to keep the line or ``"#"`` to make it
+a comment, which the assembler drops.
 """
 
 import functools
@@ -17,6 +20,7 @@ from . import isa, keccak, nttcore, polycache, sampler
 from .record import Frozen, Record
 
 NEWHOPE_Q = 12289
+NEWHOPE_K = 8           # the binomial noise parameter of every NewHope sample
 KYBER_Q = 7681
 KYBER_N = 256
 
@@ -108,20 +112,20 @@ def _newhope_run(m, name, n, seeds, inputs, right=0, **params):
     return rb
 
 
-def newhope_keygen(m, seed, n=1024, k=8):
+def newhope_keygen(m, seed, n=1024):
     """Run the keygen program; seed expands to (public, noise) seeds."""
     expanded = keccak.shake256(seed).finalize().squeeze(64)
     rb = _newhope_run(m, "newhope_keygen.sph", n,
                       {"r0": expanded[:32], "r1": expanded[32:]}, (),
-                      right=3, k=k)
+                      right=3, k=NEWHOPE_K)
     return CpaKeyPair(n, m.read_slot(0), m.read_slot(rb + 2), m.read_slot(rb))
 
 
-def newhope_encrypt(m, pk, coin, msg, k=8):
+def newhope_encrypt(m, pk, coin, msg):
     """Encrypt a 32-byte message under pk using coin as the noise seed."""
     rb = _newhope_run(m, "newhope_encrypt.sph", pk.n, {"r1": coin},
                       (pk.a_hat, pk.b_hat, encode_message(msg, pk.n)),
-                      right=3, k=k)
+                      right=3, k=NEWHOPE_K)
     return CpaCiphertext(pk.n, m.read_slot(0), m.read_slot(rb + 2))
 
 
@@ -282,27 +286,32 @@ def _frodo_cdt_host(profile, seed, c0, c1, count):
     return sampler.cdt_sample(count, table, prng, q=profile.q)
 
 
+def _frodo_profile(profile):
+    """The profile as given, or the one its name names."""
+    return FRODO_PROFILES[profile] if isinstance(profile, str) else profile
+
+
 def _frodo_setup(m, profile, seed_a, seed_s):
     """The profile (by name or as is), with its CDT and both seeds loaded."""
-    if isinstance(profile, str):
-        profile = FRODO_PROFILES[profile]
+    profile = _frodo_profile(profile)
     m.load_cdt(sampler.CdtTable.from_sigma(profile.sigma, profile.s, profile.r))
     m.write_seed("r0", seed_a)
     m.write_seed("r1", seed_s)
     return profile
 
 
+def _line_flag(keep):
+    """A listing field that opens a line: "" keeps the line, "#" makes it
+    a comment."""
+    return "" if keep else "#"
+
+
 def _frodo_sample(m, profile, tile_n, c0, col):
     """Sample the S (or S') segment (c0, col) into slot 0 and, when the
     profile takes two at a time, (c0, col + 1) into slot 1."""
-    second_col = ""
-    if profile.two_cols:
-        second_col = (f"c1 = {col + 1}\n"
-                      f"cdt_sample (prng = SHAKE-256, seed = r1, c0 = c0, c1 = c1, "
-                      f"r = {profile.r}, s = {profile.s}, poly = 1)\n")
     m.load_program(load_program(
         "frodo_s_cols.sph", tile_n=tile_n, q=profile.q, r=profile.r, s=profile.s,
-        c0val=c0, col0=col, second_col=second_col))
+        c0val=c0, col0=col, col1=col + 1, pair=_line_flag(profile.two_cols)))
     m.run()
 
 
@@ -319,12 +328,7 @@ def frodo_as_plus_e(m, profile, seed_a, seed_s):
     profile = _frodo_setup(m, profile, seed_a, seed_s)
     n, q, chunk = profile.n, profile.q, profile.chunk
     step = 2 if profile.two_cols else 1
-    copy_row = second_mac = ""
-    if profile.two_cols:
-        copy_row = "poly_copy (poly_dst = 5, poly_src = 4)"
-        second_mac = ("poly_op (op = MUL, poly_dst = 5, poly_src = 1)\n"
-                      "reg = sum_elems (poly = 5)\n"
-                      "(poly = 9)[c1] = reg")
+    pair = _line_flag(profile.two_cols)
     cols = [[0] * n for _ in range(profile.nbar)]     # the columns of A*S
     for tile, (tile_n, pad) in enumerate(profile.tiles):
         for col in range(0, profile.nbar, step):
@@ -336,13 +340,13 @@ def frodo_as_plus_e(m, profile, seed_a, seed_s):
                 rows = min(chunk, n - base)
                 m.load_program(load_program(
                     "frodo_as_rows.sph", tile_n=tile_n, q=q, row_base=base,
-                    tile=tile, chunk=rows, copy_row=copy_row, second_mac=second_mac))
+                    tile=tile, chunk=rows, pair=pair))
                 m.run()
-                # slots 8 (and 9) hold this chunk's dot products
+                # slots 2 (and 3) hold this chunk's dot products
                 for j in range(step):
                     acc = cols[col + j]
                     acc[base:base + rows] = map(operator.add, acc[base:base + rows],
-                                                m.read_slot(8 + j))
+                                                m.read_slot(2 + j))
     cols = _frodo_add_noise(profile, seed_s, _E_BASE, cols)
     return [list(row) for row in zip(*cols)]
 
@@ -352,11 +356,7 @@ def frodo_sa_plus_e(m, profile, seed_a, seed_s):
     profile = _frodo_setup(m, profile, seed_a, seed_s)
     n, q, chunk = profile.n, profile.q, profile.chunk
     step = 2 if profile.two_cols else 1
-    second_mac = ""
-    if profile.two_cols:
-        second_mac = ("reg = (poly = 1)[c1]\n"
-                      "poly_op (op = CONST_MUL, poly_dst = 3, poly_src = 4)\n"
-                      "poly_op (op = ADD, poly_dst = 7, poly_src = 3)")
+    pair = _line_flag(profile.two_cols)
     rows = [[] for _ in range(profile.nbar)]
     for tile, (tile_n, pad) in enumerate(profile.tiles):
         for row in range(0, profile.nbar, step):
@@ -364,8 +364,8 @@ def frodo_sa_plus_e(m, profile, seed_a, seed_s):
                 _frodo_sample(m, profile, tile_n, _SP_CHUNK_BASE + index, row)
                 m.load_program(load_program(
                     "frodo_sa_chunk.sph", tile_n=tile_n, q=q, row_base=base,
-                    tile=tile, chunk=min(chunk, n - base), second_mac=second_mac,
-                    init_acc="" if base else "init (poly = 6)\ninit (poly = 7)"))
+                    tile=tile, chunk=min(chunk, n - base), pair=pair,
+                    first=_line_flag(base == 0)))
                 m.run()
             # accumulators 6 (and 7) hold this tile's segment of the row(s)
             for j in range(step):
@@ -386,40 +386,23 @@ def _frodo_rebuild_a(profile, seed_a):
     return rows
 
 
-def _frodo_rebuild_s(profile, seed_s):
-    """Column-major S (n x nbar), concatenating the per-tile segments."""
-    cols = []
-    for col in range(profile.nbar):
-        column = []
-        for tile_idx, (tile_n, pad) in enumerate(profile.tiles):
-            seg = _frodo_cdt_host(profile, seed_s, _S_COL_BASE + tile_idx,
-                                  col, tile_n)
-            column.extend(seg[:tile_n - pad])
-        cols.append(column)
-    return cols
-
-
-def _frodo_rebuild_sp(profile, seed_s):
-    """Row-major S' (nbar x n) from the chunked generation."""
-    rows = []
-    for row in range(profile.nbar):
-        values = []
-        for chunk_idx, base in enumerate(range(0, profile.n, profile.chunk)):
-            chunk = min(profile.chunk, profile.n - base)
-            seg = _frodo_cdt_host(profile, seed_s,
-                                  _SP_CHUNK_BASE + chunk_idx, row, chunk)
-            values.extend(seg)
-        rows.append(values)
-    return rows
+def _frodo_rebuild_secret(profile, seed_s, segments):
+    """The nbar secret vectors of S (or S'): vector j joins, for each
+    segment (c0, count, keep), the first keep of count host draws (c0, j)."""
+    return [[x for c0, count, keep in segments
+             for x in _frodo_cdt_host(profile, seed_s, c0, j, count)[:keep]]
+            for j in range(profile.nbar)]
 
 
 def frodo_as_plus_e_oracle(profile, seed_a, seed_s):
     """Dense matrix product oracle for the tiled A*S + E kernel."""
-    if isinstance(profile, str):
-        profile = FRODO_PROFILES[profile]
+    profile = _frodo_profile(profile)
     n, q, nbar = profile.n, profile.q, profile.nbar
     a = _frodo_rebuild_a(profile, seed_a)
-    s = _frodo_rebuild_s(profile, seed_s)
+    # column-major S: each column joins the per-tile segments
+    s = _frodo_rebuild_secret(profile, seed_s, [
+        (_S_COL_BASE + tile, tile_n, tile_n - pad)
+        for tile, (tile_n, pad) in enumerate(profile.tiles)])
     out = []
     for i in range(n):
         arow = a[i]
@@ -436,11 +419,13 @@ def frodo_as_plus_e_oracle(profile, seed_a, seed_s):
 
 
 def frodo_sa_plus_e_oracle(profile, seed_a, seed_s):
-    if isinstance(profile, str):
-        profile = FRODO_PROFILES[profile]
+    profile = _frodo_profile(profile)
     n, q, nbar = profile.n, profile.q, profile.nbar
     a = _frodo_rebuild_a(profile, seed_a)
-    sp = _frodo_rebuild_sp(profile, seed_s)
+    # row-major S': each row joins the per-chunk segments
+    chunks = [min(profile.chunk, n - base) for base in range(0, n, profile.chunk)]
+    sp = _frodo_rebuild_secret(profile, seed_s, [
+        (_SP_CHUNK_BASE + index, rows, rows) for index, rows in enumerate(chunks)])
     out = []
     for row in range(nbar):
         acc = [0] * n

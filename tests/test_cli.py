@@ -177,6 +177,10 @@ def test_short_data_in_line_names_missing_operand(tmp_path, capsys, line, messag
                  id="data-out-missing-dir"),
     pytest.param(["gen-constants", "8", "257", "-o", "no/dir/c.txt"], 2,
                  id="gen-constants-missing-dir"),
+    pytest.param(["run", "p.sph", "--data-out", "no/dir/data.txt"], 2,
+                 id="data-out-without-dump-slot"),
+    pytest.param(["run", "p.sph", "--trace-out", "no/dir/trace.txt"], 2,
+                 id="trace-out-without-trace"),
     # about 290 kB of trace, more than a pipe holds, follow the first line
     pytest.param(["run", "ntt.sph", "--trace"], 1, id="closed-stdout"),
 ])

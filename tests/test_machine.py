@@ -681,7 +681,9 @@ class TestHostInterface:
         assert m.cdt_ram[:3] == [1, 2, 0]
 
     # each escaped as TypeError or AttributeError, or, for the bool slot,
-    # loaded slot 1 and left True among the residue tags
+    # loaded slot 1 and left True among the residue tags; a run with a
+    # str or float limit stepped once before its TypeError, and True ran
+    # as a limit of 1
     @pytest.mark.parametrize("call, error", [
         (lambda m: m.read_slot(1.0), CacheError),
         (lambda m: m.write_slot("0", [0] * 8), CacheError),
@@ -693,8 +695,12 @@ class TestHostInterface:
         (lambda m: m.configure(8, "7681"), MachineFault),
         (lambda m: m.configure(8.0, 7681), MachineFault),
         (lambda m: m.configure(None, None), MachineFault),
+        (lambda m: m.run(max_cycles="5"), MachineFault),
+        (lambda m: m.run(max_cycles=1.5), MachineFault),
+        (lambda m: m.run(max_cycles=True), MachineFault),
     ], ids=["float-slot", "str-slot", "bool-slot", "iterator-words", "none-cdt",
-            "list-program", "str-n", "str-q", "float-n", "none-n-q"])
+            "list-program", "str-n", "str-q", "float-n", "none-n-q",
+            "str-max-cycles", "float-max-cycles", "bool-max-cycles"])
     def test_host_calls_take_only_their_documented_types(self, call, error):
         m = Machine()
         m.configure(8, 7681)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sapphire import keccak, machine, protocols
+from sapphire import keccak, machine, polycache, protocols
 from sapphire.protocols import (
     FRODO_PROFILES, DriverError, decode_message, encode_message,
     newhope_decrypt, newhope_encrypt, newhope_keygen,
@@ -143,15 +143,16 @@ class TestNewHope:
         summed = protocols.add_ciphertexts(m, ct, ct_zero)
         assert newhope_decrypt(m, kp, summed) == msg
 
-    def test_homomorphism_at_reduced_noise(self):
+    def test_homomorphism_at_reduced_noise(self, monkeypatch):
         # with k = 4 noise, ct(m1) + ct(m2) decrypts to m1 xor m2
+        monkeypatch.setattr(protocols, "NEWHOPE_K", 4)
         m = machine.Machine()
-        kp = newhope_keygen(m, stream_bytes(b"hom"), n=1024, k=4)
+        kp = newhope_keygen(m, stream_bytes(b"hom"), n=1024)
         for trial in range(5):
             m1 = stream_bytes(b"h1%d" % trial)
             m2 = stream_bytes(b"h2%d" % trial)
-            c1 = newhope_encrypt(m, kp, stream_bytes(b"hc1%d" % trial), m1, k=4)
-            c2 = newhope_encrypt(m, kp, stream_bytes(b"hc2%d" % trial), m2, k=4)
+            c1 = newhope_encrypt(m, kp, stream_bytes(b"hc1%d" % trial), m1)
+            c2 = newhope_encrypt(m, kp, stream_bytes(b"hc2%d" % trial), m2)
             summed = protocols.add_ciphertexts(m, c1, c2)
             want = bytes(a ^ b for a, b in zip(m1, m2))
             assert newhope_decrypt(m, kp, summed) == want
@@ -227,30 +228,47 @@ class TestFrodo:
             protocols.frodo_sa_plus_e_oracle(prof, sa, ss)
 
     def test_zero_secret_leaves_only_error(self):
-        # S = 0 makes every dot product of the row loop 0, so A*S + E = E
-        for name in ("desk976", "desk1344"):
+        # S = 0 makes every dot product of the row loop 0, so A*S + E = E;
+        # the full-scale profiles run it at a 1024-word tile, which has 8 slots
+        for name in ("desk976", "desk1344", "frodo976", "frodo1344"):
             prof = FRODO_PROFILES[name]
             tile_n, chunk = prof.tiles[0][0], prof.chunk
-            s_slots, dots = ((0, 1), (8, 9)) if prof.two_cols else ((0,), (8,))
-            fragments = {"copy_row": "", "second_mac": ""}
-            if prof.two_cols:
-                fragments = {"copy_row": "poly_copy (poly_dst = 5, poly_src = 4)",
-                             "second_mac": "poly_op (op = MUL, poly_dst = 5, poly_src = 1)\n"
-                                           "reg = sum_elems (poly = 5)\n"
-                                           "(poly = 9)[c1] = reg"}
+            vectors = range(2 if prof.two_cols else 1)
             m = machine.Machine()
             m.configure(tile_n, prof.q)
             m.write_seed("r0", stream_bytes(b"zero-secret"))
-            for slot in s_slots:
-                m.write_slot(slot, [0] * tile_n)
-            for slot in dots:
-                m.write_slot(slot, [1] * tile_n)     # the program overwrites these
+            for j in vectors:
+                m.write_slot(j, [0] * tile_n)
+                m.write_slot(2 + j, [1] * tile_n)     # the program overwrites these
             m.load_program(protocols.load_program(
                 "frodo_as_rows.sph", tile_n=tile_n, q=prof.q, row_base=0, tile=0,
-                chunk=chunk, **fragments))
+                chunk=chunk, pair=protocols._line_flag(prof.two_cols)))
             m.run()
-            for slot in dots:
-                assert m.read_slot(slot) == [0] * chunk + [1] * (tile_n - chunk)
+            for j in vectors:
+                assert m.read_slot(2 + j) == [0] * chunk + [1] * (tile_n - chunk)
+
+    @pytest.mark.parametrize("name, tile", [
+        (name, tile) for name, prof in FRODO_PROFILES.items()
+        for tile in range(len(prof.tiles))])
+    def test_listings_name_only_slots_of_the_tile(self, name, tile):
+        prof = FRODO_PROFILES[name]
+        tile_n = prof.tiles[tile][0]
+        pair = protocols._line_flag(prof.two_cols)
+        programs = [
+            protocols.load_program(
+                "frodo_s_cols.sph", tile_n=tile_n, q=prof.q, r=prof.r, s=prof.s,
+                c0val=tile, col0=0, col1=1, pair=pair),
+            protocols.load_program(
+                "frodo_as_rows.sph", tile_n=tile_n, q=prof.q, row_base=0,
+                tile=tile, chunk=prof.chunk, pair=pair),
+            protocols.load_program(
+                "frodo_sa_chunk.sph", tile_n=tile_n, q=prof.q, row_base=0,
+                tile=tile, chunk=prof.chunk, pair=pair, first=""),
+        ]
+        slots = {insn.args[field] for program in programs
+                 for insn in program.instructions
+                 for field in ("poly", "poly_dst", "poly_src") if field in insn.args}
+        assert slots and max(slots) < polycache.slot_count(tile_n)
 
     def test_noise_counters_are_disjoint(self):
         """The (c0, c1) counters of S, S', E and E' on the noise seed name
@@ -283,9 +301,12 @@ class TestFrodo:
 
 
 @pytest.mark.slow
-def test_frodo_full_scale_640():
-    prof = FRODO_PROFILES["frodo640"]
+@pytest.mark.parametrize("name", ["frodo640", "frodo976", "frodo1344"])
+def test_frodo_full_scale(name):
+    prof = FRODO_PROFILES[name]
     sa, ss = stream_bytes(b"full-a"), stream_bytes(b"full-s")
     m = machine.Machine()
     assert protocols.frodo_as_plus_e(m, prof, sa, ss) == \
         protocols.frodo_as_plus_e_oracle(prof, sa, ss)
+    assert protocols.frodo_sa_plus_e(m, prof, sa, ss) == \
+        protocols.frodo_sa_plus_e_oracle(prof, sa, ss)

@@ -90,7 +90,7 @@ def _keygen(n):
         m.configure(n, protocols.NEWHOPE_Q)
         rb = polycache.slots_per_bank(n)
         m.load_program(protocols.load_program(
-            "newhope_keygen.sph", n=n, k=8, r0=rb, r1=rb + 1, r2=rb + 2))
+            "newhope_keygen.sph", n=n, k=protocols.NEWHOPE_K, r0=rb, r1=rb + 1, r2=rb + 2))
         m.write_seed("r0", r0)
         m.write_seed("r1", r1)
         m.run()
