@@ -51,7 +51,7 @@ _REDUCING = frozenset(("ADD", "SUB", "MUL", "CONST_ADD", "CONST_SUB", "CONST_MUL
 
 # poly_op kind -> whole-slot kernel (src x, dst y, reg r, q) -> new dst;
 # the CONST_* kinds take their scalar operand from reg.  Python % equals
-# every reduction strategy of modmath.reducer on [0, q^2).
+# every reduction method of modmath.reducer on [0, q^2).
 _POLY_OPS = {
     "ADD": lambda x, y, r, q: [(a + b) % q for a, b in zip(x, y)],
     "SUB": lambda x, y, r, q: [(a - b) % q for a, b in zip(x, y)],

@@ -1,15 +1,14 @@
 """Modular arithmetic in Z_q for configurable q up to 24 bits.
 
 The datapath mirrors the hardware: residues are 24-bit unsigned values,
-intermediate products are at most 48 bits, and reduction is performed by
-one of four strategies:
+intermediate products are at most 48 bits, and the modulus alone decides
+how a product is reduced, since the config instruction gives only q:
 
-  * generic-barrett     -- Barrett reduction with runtime (m, k) parameters
-  * specialized-barrett -- the same Barrett reduction, for the eleven
-                           supported primes only, with the paper's
-                           appendix (m, k), which equal barrett_params(q)
-  * power-of-two        -- bitwise AND with q - 1
-  * fermat-65537        -- x0 - x1 + x2 digit folding for q = 2^16 + 1
+  * power-of-two -- bitwise AND with q - 1, for q = 2^j
+  * fermat-65537 -- x0 - x1 + x2 digit folding, for q = 2^16 + 1
+  * barrett      -- Barrett reduction with barrett_params(q), for every
+                    other q; for the eleven primes of the paper's
+                    appendix these are the appendix's (m, k)
 
 Conditional add/subtract steps are written as mask selections so that no
 secret-dependent branch decides the result value.
@@ -19,10 +18,13 @@ import functools
 
 from .record import Frozen
 
-GENERIC_BARRETT = "generic-barrett"
-SPECIALIZED_BARRETT = "specialized-barrett"
 POWER_OF_TWO = "power-of-two"
 FERMAT_65537 = "fermat-65537"
+BARRETT = "barrett"
+
+# The eleven primes of the paper's appendix, in ascending order.
+APPENDIX_PRIMES = (7681, 12289, 40961, 120833, 133121, 184321,
+                   4205569, 4206593, 8058881, 8380417, 8404993)
 
 
 class ModMathError(ValueError):
@@ -43,82 +45,41 @@ def _one_subtract(q, k):
 def barrett_params(q):
     """Smallest (m, k) with m = floor(2^k / q) valid for all inputs < q*q.
 
-    The shifter supports MIN_K <= k <= MAX_K.
+    The shifter supports MIN_K <= k <= MAX_K and the multiplier takes an
+    m below 2^24; a larger k only makes m larger.
     """
     for k in range(max(MIN_K, q.bit_length()), MAX_K + 1):
         if _one_subtract(q, k):
-            return (1 << k) // q, k
+            m = (1 << k) // q
+            if m >= 1 << 24:
+                raise ModMathError(f"Barrett multiplier m={m} exceeds 24 bits")
+            return m, k
     raise ModMathError(f"no valid Barrett (m, k) for q={q} with k <= {MAX_K}")
 
 
-# The eleven primes of the specialized Barrett profile, q -> (m, k).  The
-# paper's appendix lists the same pairs that barrett_params derives.
-SPECIALIZED_PARAMS = {q: barrett_params(q) for q in (
-    7681, 12289, 40961, 120833, 133121, 184321,
-    8380417, 8058881, 4205569, 4206593, 8404993)}
-
-
-def _validate_barrett(q, m, k):
-    if not MIN_K <= k <= MAX_K:
-        raise ModMathError(f"Barrett shift k={k} outside [{MIN_K}, {MAX_K}]")
-    if m != (1 << k) // q:
-        raise ModMathError(f"m={m} is not floor(2^{k}/{q})")
-    if m >= 1 << 24:
-        raise ModMathError(f"Barrett multiplier m={m} exceeds 24 bits")
-    if not _one_subtract(q, k):
-        raise ModMathError(f"(q={q}, m={m}, k={k}) needs more than one conditional subtract")
-
-
 class ModulusProfile(Frozen):
-    """A modulus plus its reduction strategy and Barrett parameters."""
+    """A modulus and the reduction method its value selects; m and k are
+    the Barrett parameters, None for the other two methods."""
 
-    _fields = ("q", "strategy", "m", "k")
+    _fields = ("q", "method", "m", "k")
 
-    def __init__(self, q, strategy, m=None, k=None):
-        vars(self).update(q=q, strategy=strategy, m=m, k=k)
-        if not 2 <= self.q < (1 << 24):
-            raise ModMathError(f"modulus q={self.q} outside [2, 2^24)")
-        if self.strategy in (GENERIC_BARRETT, SPECIALIZED_BARRETT):
-            if self.m is None or self.k is None:
-                raise ModMathError(f"{self.strategy} requires m and k")
-            _validate_barrett(self.q, self.m, self.k)
-            if self.strategy == SPECIALIZED_BARRETT and self.q not in SPECIALIZED_PARAMS:
-                raise ModMathError(f"no specialized reduction routine for q={self.q}")
-        elif self.strategy == POWER_OF_TWO:
-            if self.q & (self.q - 1):
-                raise ModMathError(f"q={self.q} is not a power of two")
-        elif self.strategy == FERMAT_65537:
-            if self.q != 65537:
-                raise ModMathError("fermat-65537 strategy requires q = 65537")
+    def __init__(self, q):
+        if not 2 <= q < (1 << 24):
+            raise ModMathError(f"modulus q={q} outside [2, 2^24)")
+        m = k = None
+        if q & (q - 1) == 0:
+            method = POWER_OF_TWO
+        elif q == 65537:
+            method = FERMAT_65537
         else:
-            raise ModMathError(f"unknown reduction strategy {self.strategy!r}")
-
-    @classmethod
-    def generic(cls, q):
-        m, k = barrett_params(q)
-        return cls(q, GENERIC_BARRETT, m, k)
-
-    @classmethod
-    def specialized(cls, q):
-        if q == 65537:
-            return cls(q, FERMAT_65537)
-        if q not in SPECIALIZED_PARAMS:
-            raise ModMathError(f"no specialized reduction routine for q={q}")
-        m, k = SPECIALIZED_PARAMS[q]
-        return cls(q, SPECIALIZED_BARRETT, m, k)
-
-    @classmethod
-    def power_of_two(cls, q):
-        return cls(q, POWER_OF_TWO)
+            method = BARRETT
+            m, k = barrett_params(q)
+        vars(self).update(q=q, method=method, m=m, k=k)
 
     @classmethod
     def for_modulus(cls, q):
-        """Preferred profile for q: mask, specialized, or generic."""
-        if q & (q - 1) == 0:
-            return cls.power_of_two(q)
-        if q == 65537 or q in SPECIALIZED_PARAMS:
-            return cls.specialized(q)
-        return cls.generic(q)
+        """The profile of q; raises ModMathError if q has none."""
+        return cls(q)
 
     @functools.cached_property
     def _reduce(self):
@@ -148,7 +109,7 @@ def mod_sub(x, y, p):
 
 
 def reduce(z, p):
-    """Reduce z in [0, q^2) to [0, q) using the profile's strategy."""
+    """Reduce z in [0, q^2) to [0, q) using the profile's method."""
     if not 0 <= z < p.q * p.q:
         raise ModMathError(f"reduction input {z} out of range [0, {p.q * p.q})")
     return p._reduce(z)
@@ -163,25 +124,24 @@ def mod_mul(x, y, p):
 def reducer(p):
     """The one implementation of each reduction method (mask, Fermat fold,
     Barrett): a closure reducing z in [0, q^2) to [0, q), without
-    reduce()'s range check.  Both Barrett strategies reduce with the
-    profile's own (m, k).
+    reduce()'s range check.
 
     It is the hardware model behind reduce() and mod_mul().  The
     whole-polynomial kernels (transform, psi-multiply, poly_op, samplers)
-    reduce with Python % instead: on [0, q^2) every strategy returns
-    exactly z mod q, as the profile's parameter check and acceptance
+    reduce with Python % instead: on [0, q^2) every method returns
+    exactly z mod q, as barrett_params' validity bound and acceptance
     criterion 2 establish.
     """
     q = p.q
-    if p.strategy == POWER_OF_TWO:
+    if p.method == POWER_OF_TWO:
         mask = q - 1
         return lambda z: z & mask
-    if p.strategy == FERMAT_65537:
+    if p.method == FERMAT_65537:
         def _fermat(z):
             r = (z & 0xFFFF) - ((z >> 16) & 0xFFFF) + (z >> 32)
             return r + (q & -(r < 0))
         return _fermat
-    m, k = p.m, p.k     # both Barrett strategies
+    m, k = p.m, p.k
 
     def _barrett(z):
         r = z - ((z * m) >> k) * q

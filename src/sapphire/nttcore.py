@@ -46,7 +46,7 @@ the other passes, stages reduce lazily (Longa and Naehrig, CANS 2016): a
 DIF stage leaves its sums unreduced, and a DIT stage reduces its twiddle
 products and leaves its sums and differences unreduced.  Every word stays
 congruent mod q to the fully reduced one.  Reduction uses Python ``%``.
-For inputs in [0, q^2) that equals each hardware reduction strategy of
+For inputs in [0, q^2) that equals each hardware reduction method of
 ``modmath.reducer``, which acceptance criterion 2 sweeps, so the results
 are those of the hardware datapath.
 

@@ -22,7 +22,7 @@ sums the positions as one big int.
 Rejection sampling over [0, q) scales the acceptance bound from q to k*q
 to cut the rejection probability, then folds accepted candidates back into
 [0, q).  The hardware folds with a small Barrett reduction; the emulator
-folds with Python %, which every strategy of ``modmath.reducer`` equals
+folds with Python %, which every method of ``modmath.reducer`` equals
 on [0, q^2), and so on [0, k*q).
 
 The rejection-style samplers stop with ``SamplerError`` rather than draw

@@ -51,14 +51,15 @@ def test_criterion_1_ntt_cycle_counts():
 
 
 def test_criterion_2_reduction_sweeps():
-    # 13 sweeps (the specialized profile of each of the 11 Barrett primes
-    # and of the 2^16+1 digit fold, and one generic-Barrett sweep spread
-    # across all 12 primes) plus power-of-two masking, one million random
-    # inputs each plus the edge set, against int.__mod__.
+    # 13 sweeps (the profile of each of the 11 Barrett primes and of the
+    # 2^16+1 digit fold, and a thirteenth spread across all 12 primes)
+    # plus power-of-two masking, one million random inputs each plus the
+    # edge set, against int.__mod__.  Each prime's profile takes its own
+    # sweep and its share of the thirteenth in one draw.
     with criterion(2, "modular reduction sweeps", budget=30.0):
         rng = np.random.default_rng(0xACCE55)
         n_samples = 1_000_000
-        primes = sorted(modmath.SPECIALIZED_PARAMS) + [65537]
+        primes = list(modmath.APPENDIX_PRIMES) + [65537]
 
         def sweep(profile, count):
             q = profile.q
@@ -73,13 +74,11 @@ def test_criterion_2_reduction_sweeps():
             with pytest.raises(modmath.ModMathError):
                 modmath.reduce(q * q, profile)
 
-        for q in primes:                       # sweeps 1..12
-            sweep(modmath.ModulusProfile.specialized(q), n_samples)
         share = n_samples // len(primes) + 1
-        for q in primes:                       # sweep 13: generic Barrett
-            sweep(modmath.ModulusProfile.generic(q), share)
+        for q in primes:                       # sweeps 1..12, and 13
+            sweep(modmath.ModulusProfile.for_modulus(q), n_samples + share)
         for w in (8, 15, 16, 23):              # plus power-of-two masking
-            sweep(modmath.ModulusProfile.power_of_two(1 << w),
+            sweep(modmath.ModulusProfile.for_modulus(1 << w),
                   n_samples // 4 + 1)
 
 

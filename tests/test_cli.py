@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sapphire import cli, isa
+from sapphire import cli, isa, modmath
 from sapphire.protocols import _program_text
 from test_robustness import _random_words
 
@@ -251,6 +251,10 @@ def test_kat_exit_zero(capsys):
     assert run_cli("kat", "--reduction-samples", "500") == 0
     out = capsys.readouterr().out
     assert "26/26 vectors pass" in out
+    # one sweep per modulus, each through the modulus's one profile
+    for q in modmath.APPENDIX_PRIMES + (65537, 1 << 15):
+        assert out.count(f"reduce mod {q}: ok (500 samples)\n") == 1, q
+    assert out.count("reduce mod") == 13
 
 
 def test_kat_unknown_mode_exit_2(monkeypatch, capsys):

@@ -4,8 +4,8 @@
 
   * the dst and (scratch) src slots after each transform mode, and of the
     slot after ``mult_psi`` / ``mult_psi_inv``, at every supported prime
-    (the specialized ones, the Fermat prime 65537 and the generic-Barrett
-    257) and every n = 8 ... 2048 with 2n | q - 1;
+    (the paper's appendix primes, the Fermat prime 65537 and 257, off the
+    appendix) and every n = 8 ... 2048 with 2n | q - 1;
   * the dst slot after every ``poly_op`` kind, the ``CONST_*`` kinds on
     sources of residues and of arbitrary 24-bit words, with several
     register values, plus ``inf_norm_check`` and ``shift_poly`` on both;
@@ -28,7 +28,7 @@ from sapphire.machine import Machine
 
 GOLDEN = os.path.join(DATA_DIR, "golden_kernels.json")
 
-PRIMES = sorted({*modmath.SPECIALIZED_PARAMS, 65537, 257})
+PRIMES = sorted({*modmath.APPENDIX_PRIMES, 65537, 257})
 DIMS = [8 << i for i in range(9)]                     # 8 ... 2048
 POLY_OP_CONFIGS = [(8, 257), (64, 65537), (256, 7681), (256, 1 << 13),
                    (256, 8380417), (1024, 12289)]

@@ -4,11 +4,54 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixed_cycles, readme_cycle_table
 from sapphire import isa, keccak, sampler
 from sapphire.machine import Machine, MachineFault
 from sapphire.polycache import CacheError
+
+
+# Junk for the host calls: every kind of value they are documented to
+# refuse, mixed with values they take.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+    st.binary(max_size=33), st.integers(-2, 9),
+    st.sampled_from([-1 << 70, (1 << 24) - 1, 1 << 24, 1 << 32, 1 << 70]))
+_LISTS = st.one_of(
+    st.lists(_SCALARS, max_size=66),
+    st.lists(st.integers(-1, 1 << 25), min_size=8, max_size=8),
+    st.lists(st.one_of(st.integers(0, 100), _SCALARS), min_size=8, max_size=8))
+_JUNK = st.one_of(_SCALARS, _LISTS, _LISTS.map(tuple), _LISTS.map(iter),
+                  st.binary(min_size=31, max_size=33).map(bytearray))
+# one-instruction listings: each runs to its end or faults at its first
+# step, and some do not assemble
+_LISTINGS = st.sampled_from([
+    "", "c0 = 1", "init (poly = 1)", "config (n = 16, q = 12289)",
+    "config (n = 8, q = 16777213)", "poly_op (op = ADD, poly_dst = 0, poly_src = 1)",
+    "c0 = ", "goto nowhere", "init (poly = 128)"])
+HOST_CALLS = st.one_of(
+    st.tuples(st.just("write_slot"), st.tuples(_JUNK, _JUNK), st.just({})),
+    st.tuples(st.just("read_slot"), st.tuples(_JUNK), st.just({})),
+    st.tuples(st.just("load_cdt"), st.tuples(_JUNK), st.just({})),
+    st.tuples(st.just("write_seed"),
+              st.tuples(st.one_of(st.sampled_from(["r0", "r1", "r2"]), _JUNK), _JUNK),
+              st.just({})),
+    st.tuples(st.just("configure"),
+              st.tuples(st.one_of(st.sampled_from([8, 16, 7, 4096]), _JUNK),
+                        st.one_of(st.sampled_from([7681, 12289, 65537, 1 << 15, 33,
+                                                   16777213]), _JUNK)),
+              st.just({})),
+    st.tuples(st.just("run"), st.just(()), st.fixed_dictionaries({"max_cycles": _JUNK})),
+    st.tuples(st.just("load_program"), st.tuples(st.one_of(_LISTINGS, _JUNK)), st.just({})))
+
+
+def _documented_error(name, args):
+    if name in ("write_slot", "read_slot"):
+        return CacheError
+    if name == "load_program" and isinstance(args[0], str):
+        return isa.AsmError
+    return MachineFault
 
 
 def seeded(m=None):
@@ -723,6 +766,30 @@ class TestHostInterface:
         with pytest.raises(MachineFault, match="n and q must be ints"):
             m.configure(None, None)
         assert (m.n, m.q, m.cache.n) == (None, None, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(HOST_CALLS, min_size=1, max_size=8))
+    def test_host_calls_under_mixed_junk(self, calls):
+        """Each host call returns or raises its one documented error, and a
+        refused call changes none of the machine's state."""
+        m = Machine()
+        m.configure(8, 7681)
+        m.write_slot(0, list(range(8)))     # residues: tagged
+        m.write_slot(1, [9000] * 8)
+        m.write_seed("r0", bytes(range(32)))
+        m.load_cdt([1, 2])
+        m.load_program("c0 = 1")
+
+        def state():
+            return (copy.deepcopy(m.cache.data), set(m.residues), list(m.cdt_ram),
+                    m.r0, m.r1, m.n, m.q, m.cfg, m.cache.n, m.program, m.pc, m.halted)
+        for name, args, kwargs in calls:
+            before = state()
+            try:
+                getattr(m, name)(*args, **kwargs)
+            except Exception as exc:
+                assert type(exc) is _documented_error(name, args), (name, args, exc)
+                assert state() == before, (name, args)
 
     def test_slot_round_trip(self):
         m = Machine()

@@ -10,8 +10,8 @@ from sapphire.nttcore import (
 )
 from conftest import bitrev, iterative_ntt, schoolbook_negacyclic, stagewise_ntt
 
-# every strategy the transform meets: specialized Barrett (7681, 12289,
-# 40961, 8380417) and the Fermat prime 65537, from n = 8 to n = 2048
+# every reduction the transform meets: Barrett (7681, 12289, 40961,
+# 8380417) and the Fermat prime 65537, from n = 8 to n = 2048
 CONFIGS = [(8, 7681), (64, 7681), (256, 7681), (256, 12289), (512, 12289),
            (1024, 12289), (2048, 12289), (64, 40961), (2048, 40961),
            (8, 65537), (1024, 65537), (256, 8380417), (2048, 8380417)]
@@ -50,7 +50,7 @@ def scan_psi(n, q):
 
 
 class TestConstants:
-    @pytest.mark.parametrize("q", sorted(modmath.SPECIALIZED_PARAMS))
+    @pytest.mark.parametrize("q", modmath.APPENDIX_PRIMES)
     def test_find_psi_matches_scan(self, q):
         for n in (1 << lg for lg in range(3, 12)):
             if (q - 1) % (2 * n) == 0:

@@ -270,6 +270,21 @@ class TestFrodo:
                  for field in ("poly", "poly_dst", "poly_src") if field in insn.args}
         assert slots and max(slots) < polycache.slot_count(tile_n)
 
+    @pytest.mark.parametrize("name, tile", [
+        (name, tile) for name, prof in FRODO_PROFILES.items()
+        for tile in range(len(prof.tiles))])
+    def test_sa_chunk_inits_only_the_accumulators_it_reads(self, name, tile):
+        """A tile's first S'A chunk clears accumulators 6 and 7 for a
+        two-vector profile and 6 alone for a one-vector one."""
+        prof = FRODO_PROFILES[name]
+        program = protocols.load_program(
+            "frodo_sa_chunk.sph", tile_n=prof.tiles[tile][0], q=prof.q, row_base=0,
+            tile=tile, chunk=prof.chunk, pair=protocols._line_flag(prof.two_cols),
+            first="")
+        inits = [insn.args["poly"] for insn in program.instructions
+                 if insn.op == "init"]
+        assert inits == ([6, 7] if prof.two_cols else [6])
+
     def test_noise_counters_are_disjoint(self):
         """The (c0, c1) counters of S, S', E and E' on the noise seed name
         distinct SHAKE-256 streams in every profile."""

@@ -59,8 +59,8 @@ from sapphire.machine import Machine, MachineFault
 from test_bulk_ops import reference as poly_op_reference
 
 WORD = (1 << 24) - 1
-# (n, q): generic Barrett, specialized Barrett, Fermat, and a power of two
-# with no NTT at all
+# (n, q): Barrett off and on the paper's appendix, Fermat, and a power
+# of two with no NTT at all
 CONFIGS = [(8, 257), (16, 7681), (64, 12289), (16, 65537), (32, 8380417),
            (16, 1 << 13)]
 MAKERS = ("CONST_OR", "CONST_XOR", "CONST_LSHIFT")
