@@ -38,7 +38,7 @@ import re
 import struct
 from types import MappingProxyType
 
-from .record import Frozen
+from .record import Record
 
 MAGIC = b"SPH1"
 MAX_PROGRAM = 256
@@ -67,14 +67,14 @@ class DecodeError(ValueError):
         super().__init__(prefix + message)
 
 
-class Instruction(Frozen):
+class Instruction(Record):
     _fields = ("op", "args")
 
     def __init__(self, op, args):
         vars(self).update(op=op, args=MappingProxyType(dict(args)))
 
 
-class Program(Frozen):
+class Program(Record):
     """A checked program (see above).  Its instructions, their args, labels
     and spans are read-only, so ``protocols.load_program`` shares them."""
 

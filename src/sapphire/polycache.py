@@ -33,7 +33,8 @@ the first cycle in which two accesses hit one SRAM.  While
 per shape.
 
 Slot words: every slot word is an ``int`` in [0, 2^24).  ``load_slot``,
-the one door for host words, rejects any other word with CacheError.
+the one door for host words, takes them as a list or a tuple and rejects
+any other container or word with CacheError.
 A program's slot operands are ``int``s, so only the host calls
 ``load_slot`` and ``dump_slot`` check a slot's type.
 """
@@ -311,8 +312,8 @@ class PolynomialCache:
     def load_slot(self, slot, values):
         """Load a slot's n words from the host; returns the largest."""
         self._host_slot(slot)
-        if not hasattr(values, "__len__"):
-            raise CacheError(f"words come as a sequence, not a {type(values).__name__}")
+        if not isinstance(values, (list, tuple)):
+            raise CacheError(f"words come as a list or a tuple, not a {type(values).__name__}")
         if len(values) != self.n:
             raise CacheError(f"expected {self.n} coefficients, got {len(values)}")
         if set(map(type, values)) != {int}:

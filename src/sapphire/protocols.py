@@ -17,7 +17,7 @@ import secrets
 from importlib import resources
 
 from . import isa, keccak, nttcore, polycache, sampler
-from .record import Frozen, Record
+from .record import Record
 
 NEWHOPE_Q = 12289
 NEWHOPE_K = 8           # the binomial noise parameter of every NewHope sample
@@ -74,19 +74,14 @@ class CpaKeyPair(Record):
     _fields = ("n", "a_hat", "b_hat", "s_hat")
 
     def __init__(self, n, a_hat, b_hat, s_hat):
-        self.n = n
-        self.a_hat = a_hat
-        self.b_hat = b_hat
-        self.s_hat = s_hat
+        vars(self).update(n=n, a_hat=a_hat, b_hat=b_hat, s_hat=s_hat)
 
 
 class CpaCiphertext(Record):
     _fields = ("n", "u_hat", "v_prime")
 
     def __init__(self, n, u_hat, v_prime):
-        self.n = n
-        self.u_hat = u_hat
-        self.v_prime = v_prime
+        vars(self).update(n=n, u_hat=u_hat, v_prime=v_prime)
 
 
 class DriverError(RuntimeError):
@@ -186,10 +181,7 @@ def intt_direct(hat_bitrev, n, q):
     lgn = cfg.lg_n
     nat = [hat_bitrev[nttcore.bit_reverse(u, lgn)] for u in range(n)]
     omega = consts.psi * consts.psi % q
-    winv = pow(omega, q - 2, q)
-    wpow = [1] * n
-    for i in range(1, n):
-        wpow[i] = wpow[i - 1] * winv % q
+    wpow = nttcore._powers(pow(omega, q - 2, q), 1, n, q)    # omega^-i
     out = []
     for t in range(n):
         acc = 0
@@ -237,7 +229,7 @@ def kyber_as_plus_e_oracle(seed_a, seed_s):
 
 # -------------------------------------------------------------------- Frodo
 
-class FrodoProfile(Frozen):
+class FrodoProfile(Record):
     _fields = ("name", "n", "q", "tiles", "two_cols", "nbar", "sigma", "s", "r")
     chunk = 64              # rows of A (or of S') per program run
 

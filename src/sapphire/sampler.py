@@ -34,7 +34,7 @@ import functools
 import math
 from itertools import repeat
 
-from .record import Frozen
+from .record import Record
 
 # Default bound-scaling factors per modulus.  Moduli not listed use 1.
 SCALE_FACTORS = {
@@ -71,7 +71,7 @@ def _draw(prng, count, left):
     return prng.words(count), left - count
 
 
-class RejectionPlan(Frozen):
+class RejectionPlan(Record):
     """Rejection over [0, q) with the acceptance bound scaled to k*q."""
 
     _fields = ("q", "scale")
@@ -142,7 +142,7 @@ def bin_sample(n, k, q, prng):
     return [residue[v] for v in lanes.to_bytes(len(raw) // w, "little")]
 
 
-class CdtTable(Frozen):
+class CdtTable(Record):
     """Cumulative distribution table: s nondecreasing entries below 2^r."""
 
     _fields = ("entries", "support", "precision")

@@ -126,7 +126,8 @@ def test_criterion_4_memory_model():
             cache.trace_enabled = True
             cache.load_slot(0, list(range(1, 9)))
             nttcore.ntt(cfg, consts, cache, 64, 0, mode)
-            golden = open(os.path.join(DATA_DIR, fname)).read().splitlines()
+            with open(os.path.join(DATA_DIR, fname)) as fh:
+                golden = fh.read().splitlines()
             assert cache.trace_lines() == golden, mode
 
 
@@ -211,8 +212,10 @@ def test_criterion_8_fips202_kats():
     with criterion(8, "FIPS-202 known answers"):
         path = os.path.join(os.path.dirname(__file__), "..", "src",
                             "sapphire", "data", "fips202_kat.txt")
+        with open(path) as fh:
+            lines = fh.readlines()
         count = 0
-        for raw in open(path):
+        for raw in lines:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

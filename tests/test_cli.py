@@ -114,8 +114,9 @@ def test_run_trace_matches_golden_8pt(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     assert run_cli("run", str(src), "--seed", SEED, "--trace",
                    "--trace-out", str(trace)) == 0
-    golden = open(os.path.join(os.path.dirname(__file__), "data",
-                               "golden_trace_8pt_dit.txt")).read()
+    with open(os.path.join(os.path.dirname(__file__), "data",
+                           "golden_trace_8pt_dit.txt")) as fh:
+        golden = fh.read()
     assert trace.read_text() == golden
 
 
@@ -196,7 +197,8 @@ def test_error_exits_without_traceback(tmp_path, argv, code):
                             stderr=subprocess.PIPE)
     proc.stdout.readline()
     proc.stdout.close()         # a reader that stops after one line
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait() == code
     assert "Traceback" not in err
     if code == 1:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixed_cycles, readme_cycle_table
-from sapphire import isa, keccak, sampler
+from sapphire import isa, keccak, nttcore, protocols, sampler
 from sapphire.machine import Machine, MachineFault
 from sapphire.polycache import CacheError
 
@@ -76,6 +76,32 @@ class TestLoadReset:
         m.reset()
         assert m.pc == 0 and m.cycles == 0 and m.c0 == 7 and m.reg == 9
         assert m.r0 == bytes(range(32))
+
+    def test_halted_reads_the_pc(self):
+        m = Machine()
+        assert m.halted
+        m.load_program("c0 = 1\nc0 = 2")
+        m.step()
+        assert not m.halted
+        m.step()
+        assert m.halted
+        m.reset()
+        assert not m.halted
+        with pytest.raises(AttributeError):
+            m.halted = True
+
+    def test_reports_and_key_records_are_read_only(self):
+        m = Machine()
+        m.load_program("c0 = 1")
+        report = m.run()
+        for record, field in ((report, "total"),
+                              (protocols.CpaKeyPair(8, [1], [2], [3]), "a_hat"),
+                              (protocols.CpaCiphertext(8, [1], [2]), "u_hat")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(TypeError):      # it holds a dict or a list
+                hash(record)
+        assert report == m.cycle_report()
 
     def test_oversize_program_refused_by_the_program(self):
         m = Machine()
@@ -586,12 +612,15 @@ class TestFaults:
         assert str(err.value) == "pc=1: transform: src slot 0 and dst slot 1 share a bank"
 
     def test_psi_multiply_fault_names_its_op(self):
-        for op in ("mult_psi", "mult_psi_inv"):
+        # a q with no 2n-th root of unity has no NTT constants
+        for op, operands in (("mult_psi", "poly = 0"), ("mult_psi_inv", "poly = 0"),
+                             ("transform", "mode = DIF_NTT, poly_dst = 16, poly_src = 0")):
             m = Machine()
-            m.load_program(f"config (n = 256, q = 32768)\n{op} (poly = 0)")
+            m.load_program(f"config (n = 256, q = 32768)\n{op} ({operands})")
             with pytest.raises(MachineFault) as err:
                 m.run()
-            assert str(err.value) == f"pc=1: {op} with q=32768: no NTT constants"
+            assert str(err.value) == (
+                f"pc=1: {op}: q=32768 is not 1 mod 2n=512; no NTT for n=256")
 
     def test_unknown_op_refused_by_the_program(self):
         m = Machine()
@@ -699,7 +728,7 @@ class TestHostInterface:
     def test_numpy_words_do_not_reach_the_absorb(self):
         m = seeded()
         m.configure(8, 7681)
-        with pytest.raises(CacheError, match="int64, not an int"):
+        with pytest.raises(CacheError, match="a list or a tuple, not a ndarray"):
             m.write_slot(0, np.arange(8, dtype=np.int64))
         m.load_program("sha3_init\nsha3_256_absorb (poly = 0)\nr0 = sha3_256_digest")
         m.run()
@@ -732,6 +761,9 @@ class TestHostInterface:
         (lambda m: m.write_slot("0", [0] * 8), CacheError),
         (lambda m: m.write_slot(True, [0] * 8), CacheError),
         (lambda m: m.write_slot(0, iter([0] * 8)), CacheError),
+        (lambda m: m.write_slot(0, dict.fromkeys(range(7, -1, -1), 0)), CacheError),
+        (lambda m: m.write_slot(0, set(range(8))), CacheError),
+        (lambda m: m.write_slot(0, bytes(8)), CacheError),
         (lambda m: m.load_cdt(None), MachineFault),
         (lambda m: m.load_program([]), MachineFault),
         (lambda m: m.configure("8", 7681), MachineFault),
@@ -741,7 +773,8 @@ class TestHostInterface:
         (lambda m: m.run(max_cycles="5"), MachineFault),
         (lambda m: m.run(max_cycles=1.5), MachineFault),
         (lambda m: m.run(max_cycles=True), MachineFault),
-    ], ids=["float-slot", "str-slot", "bool-slot", "iterator-words", "none-cdt",
+    ], ids=["float-slot", "str-slot", "bool-slot", "iterator-words", "dict-words",
+            "set-words", "bytes-words", "none-cdt",
             "list-program", "str-n", "str-q", "float-n", "none-n-q",
             "str-max-cycles", "float-max-cycles", "bool-max-cycles"])
     def test_host_calls_take_only_their_documented_types(self, call, error):
@@ -813,11 +846,13 @@ class TestHostInterface:
         m.write_slot(0, [7680] * 64)
         m.write_slot(1, [7681] * 64)
         assert m.residues == {0}
-        consts = m.consts
+        consts = nttcore.gen_constants(m.cfg)
         m.configure(64, 7681)           # changes nothing
-        assert m.consts is consts and m.residues == {0}
+        assert nttcore.gen_constants(m.cfg) is consts and m.residues == {0}
+        assert m.read_slot(0) == [7680] * 64 and m.read_slot(1) == [7681] * 64
         m.configure(64, 12289)          # a new q for the same n
-        assert (m.cfg.q, m.consts.q, m.rej_plan.q) == (12289,) * 3
+        consts = nttcore.gen_constants(m.cfg)
+        assert (m.cfg.q, consts.q, sampler.RejectionPlan.for_modulus(m.q).q) == (12289,) * 3
         assert m.residues == set() and m.read_slot(0) == [7680] * 64
         m.cache.configure(8)            # the cache repartitioned by itself
         m.configure(64, 12289)

@@ -113,12 +113,46 @@ class TestConstants:
         consts = gen_constants(LatticeConfig.make(64, 7681))
         path = tmp_path / "bad.txt"
         nttcore.export_constants(consts, path)
-        lines = open(path).read().splitlines()
+        lines = path.read_text().splitlines()
         tables = lines[2].split()
         tables[3] = str((int(tables[3]) + 1) % 7681)
         lines[2] = " ".join(tables)
-        open(path, "w").write("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(NttError):
+            nttcore.import_constants(path)
+
+    def test_constants_of_another_root(self, tmp_path):
+        # psi^3 is a primitive 128th root mod 7681 too: its tables survive
+        # export and import, and its transforms invert each other
+        n, q = 64, 7681
+        consts = nttcore.NttConstants(n, q, pow(nttcore.find_psi(n, q), 3, q))
+        assert consts != gen_constants(LatticeConfig.make(n, q))
+        path = tmp_path / "consts.txt"
+        nttcore.export_constants(consts, path)
+        assert nttcore.import_constants(path) == consts
+        cfg = LatticeConfig.make(n, q)
+        cache = polycache.PolynomialCache().configure(n)
+        a = [random.Random(3).randrange(q) for _ in range(n)]
+        cache.load_slot(0, a)
+        src, dst = 0, cache.slots_per_bank
+        nttcore.mult_psi(cfg, consts, cache, src)
+        nttcore.ntt(cfg, consts, cache, dst, src, DIF_NTT)
+        nttcore.ntt(cfg, consts, cache, src, dst, DIT_INTT)
+        nttcore.mult_psi_inv(cfg, consts, cache, src)
+        assert cache.dump_slot(src) == a
+
+    def test_import_rejects_tables_of_another_root(self, tmp_path):
+        # every row keeps its own power chain, but psi_powers is the chain
+        # of psi^3 while the other two rows belong to psi
+        n, q = 64, 7681
+        psi = nttcore.find_psi(n, q)
+        consts = nttcore.NttConstants(n, q, psi)
+        path = tmp_path / "mixed.txt"
+        nttcore.export_constants(consts, path)
+        lines = path.read_text().splitlines()
+        lines[3] = " ".join(map(str, nttcore.NttConstants(n, q, pow(psi, 3, q)).psi_powers))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NttError, match=f"tables are not those of psi={pow(psi, 3, q)}"):
             nttcore.import_constants(path)
 
 

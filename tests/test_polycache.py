@@ -246,7 +246,8 @@ def test_golden_traces_frozen():
         c.trace_enabled = True
         c.load_slot(0, list(range(1, 9)))
         nttcore.ntt(cfg, consts, c, 64, 0, mode)
-        golden = open(os.path.join(DATA_DIR, fname)).read().splitlines()
+        with open(os.path.join(DATA_DIR, fname)) as fh:
+            golden = fh.read().splitlines()
         assert c.trace_lines() == golden
 
 
